@@ -41,7 +41,6 @@ class ModelConfig:
     channels: tuple[int, ...] = ()   # empty -> 16 doubling, capped at 128
     embed_dim: int = 64
     image_len: int = 512
-    max_id: int = 13811
     # text encoder
     text_vocab: int = 2000
     text_embed: int = 64
@@ -180,50 +179,113 @@ def apply_ablation(config, delta):
     raise ConfigError(f"delta: unknown ablation {delta!r}")
 
 
-# -- shape planning ----------------------------------------------------------
+# -- the code encoder: a list of named stages ---------------------------------
 
 
-def _out_len(length, window, step, where):
-    if length < window:
-        raise ConfigError(f"{where}: length {length} shorter than window {window}")
-    return (length - window) // step + 1
+@dataclass
+class _ConvStage:
+    """[conv -> [bn] -> relu] -> [pool]: an lp/gp block, rn's input conv, or
+    rn's closing global pool (no conv)."""
+
+    conv: ndnn.Conv1dLayer | None = None
+    bn: ndnn.BatchNorm1dLayer | None = None
+    pool: ndnn.Pool1dLayer | None = None
+
+    def lengths(self, length):
+        if self.conv is not None:
+            length = ndnn.conv_out_len(length, self.conv.kernel, self.conv.stride)
+        if self.pool is None:
+            return length, length
+        if self.pool.scope == "global":
+            return length, 1
+        return length, ndnn.conv_out_len(length, self.pool.window, self.pool.stride)
+
+    def forward(self, h):
+        if self.conv is not None:
+            h = self.conv.forward(h)
+            if self.bn is not None:
+                h = self.bn.forward(h)
+            h = ndnn.relu(h)
+        if self.pool is not None:
+            h = self.pool.forward(h)
+        return h
+
+
+@dataclass
+class _ResidualStage:
+    """conv1 -> [bn1] -> relu -> conv2, plus a 1x1 shortcut cropped to its
+    length, then [bn2] -> relu."""
+
+    conv1: ndnn.Conv1dLayer
+    conv2: ndnn.Conv1dLayer
+    shortcut: ndnn.Conv1dLayer
+    bn1: ndnn.BatchNorm1dLayer | None = None
+    bn2: ndnn.BatchNorm1dLayer | None = None
+
+    def lengths(self, length):
+        series = ndnn.conv_out_len(length, self.conv1.kernel, self.conv1.stride)
+        series = ndnn.conv_out_len(series, self.conv2.kernel, self.conv2.stride)
+        return series, series
+
+    def forward(self, h):
+        series = self.conv1.forward(h)
+        if self.bn1 is not None:
+            series = self.bn1.forward(series)
+        series = self.conv2.forward(ndnn.relu(series))
+        skip = ndnn.narrow(self.shortcut.forward(h), 2, 0, series.shape[2])
+        merged = series + skip
+        if self.bn2 is not None:
+            merged = self.bn2.forward(merged)
+        return ndnn.relu(merged)
+
+
+def _stages(config, rng):
+    """The encoder's stages as (plan key, name, stage), built in RNG-draw order."""
+    residual = config.arch == "residual"
+    chans = config.channel_plan()
+
+    def conv(in_ch, out_ch, kernel, stride):
+        return ndnn.Conv1dLayer(in_ch, out_ch, kernel, stride, rng,
+                                he=config.use_he_init)
+
+    def bn(ch):
+        return ndnn.BatchNorm1dLayer(ch) if config.use_bn else None
+
+    def pool(scope):
+        if not config.use_pooling:
+            return None
+        return ndnn.Pool1dLayer(config.pool_window, config.pool_stride,
+                                config.pool_mode, scope)
+
+    stages = []
+    if residual:
+        stages.append(("input", "input", _ConvStage(
+            conv(1, chans[0], config.kernel, config.stride))))
+    in_chs = (chans[0] if residual else 1,) + chans[:-1]
+    for i, (in_ch, out_ch) in enumerate(zip(in_chs, chans)):
+        main = conv(in_ch, out_ch, config.kernel, config.stride)
+        if residual:
+            stage = _ResidualStage(main, conv(out_ch, out_ch, config.kernel, 1),
+                                   conv(in_ch, out_ch, 1, config.stride),
+                                   bn(out_ch), bn(out_ch))
+        else:
+            global_here = config.pooling == "global" and i == len(chans) - 1
+            stage = _ConvStage(main, bn(out_ch),
+                               pool("global" if global_here else "local"))
+        stages.append((i, f"block{i}", stage))
+    if residual and config.use_pooling:
+        stages.append(("pool", "pool", _ConvStage(pool=pool("global"))))
+    return stages
 
 
 def shape_plan(config):
-    """Per-block intermediate lengths, computed without running any math.
+    """Per-stage output lengths: a list of {"block", "conv", "pool"}.
 
-    Raises ConfigError naming the offending block when a length drops below 1;
-    construction succeeds exactly when this dry run does.
+    Raises ConfigError naming the block whose input is shorter than a window.
+    It walks the stages of a freshly built encoder, so construction succeeds
+    exactly when this plan does.
     """
-    config.validate()
-    length = config.image_len
-    plan = []
-    if config.arch == "block":
-        for i in range(config.blocks):
-            conv_len = _out_len(length, config.kernel, config.stride, f"block {i} conv")
-            length = conv_len
-            pool_len = conv_len
-            if config.use_pooling:
-                global_here = config.pooling == "global" and i == config.blocks - 1
-                if global_here:
-                    pool_len = 1
-                else:
-                    pool_len = _out_len(conv_len, config.pool_window,
-                                        config.pool_stride, f"block {i} pool")
-                length = pool_len
-            plan.append({"block": i, "conv": conv_len, "pool": pool_len})
-        return plan
-    # residual: input conv, then blocks of conv1 -> conv2 with a 1x1 shortcut
-    length = _out_len(length, config.kernel, config.stride, "input conv")
-    plan.append({"block": "input", "conv": length, "pool": length})
-    for i in range(config.blocks):
-        series1 = _out_len(length, config.kernel, config.stride, f"block {i} conv1")
-        series2 = _out_len(series1, config.kernel, 1, f"block {i} conv2")
-        length = series2  # shortcut is cropped to the series length
-        plan.append({"block": i, "conv": series2, "pool": series2})
-    if config.use_pooling:
-        plan.append({"block": "pool", "conv": length, "pool": 1})
-    return plan
+    return CodeEncoder(config).plan
 
 
 def _check_finite(name, tensor):
@@ -232,63 +294,33 @@ def _check_finite(name, tensor):
 
 
 class CodeEncoder:
-    """Conv/pool stack (or residual stack) ending in a projection to d."""
+    """A list of named stages (conv blocks or residual blocks), then a
+    projection to d."""
 
     def __init__(self, config, rng=None):
         config.validate()
         self.config = config
-        self.plan = shape_plan(config)
         rng = rng or np.random.default_rng(config.seed)
-        he = config.use_he_init
-        chans = config.channel_plan()
-        self._params = []
-        self._bn_layers = []
-        if config.arch == "block":
-            self.blocks = []
-            in_ch = 1
-            for i, out_ch in enumerate(chans):
-                conv = ndnn.Conv1dLayer(in_ch, out_ch, config.kernel, config.stride,
-                                        rng, he=he)
-                bn = ndnn.BatchNorm1dLayer(out_ch) if config.use_bn else None
-                pool = None
-                if config.use_pooling:
-                    global_here = config.pooling == "global" and i == len(chans) - 1
-                    pool = ndnn.Pool1dLayer(config.pool_window, config.pool_stride,
-                                            config.pool_mode,
-                                            "global" if global_here else "local")
-                self.blocks.append((conv, bn, pool))
-                self._register(f"block{i}.conv", conv)
-                if bn is not None:
-                    self._register(f"block{i}.bn", bn)
-                    self._bn_layers.append(bn)
-                in_ch = out_ch
-            flat = chans[-1] * self.plan[-1]["pool"]
-        else:
-            self.input_conv = ndnn.Conv1dLayer(1, chans[0], config.kernel,
-                                               config.stride, rng, he=he)
-            self._register("input", self.input_conv)
-            self.res_blocks = []
-            in_ch = chans[0]
-            for i, out_ch in enumerate(chans):
-                conv1 = ndnn.Conv1dLayer(in_ch, out_ch, config.kernel, config.stride,
-                                         rng, he=he)
-                conv2 = ndnn.Conv1dLayer(out_ch, out_ch, config.kernel, 1, rng, he=he)
-                shortcut = ndnn.Conv1dLayer(in_ch, out_ch, 1, config.stride, rng, he=he)
-                bn1 = ndnn.BatchNorm1dLayer(out_ch) if config.use_bn else None
-                bn2 = ndnn.BatchNorm1dLayer(out_ch) if config.use_bn else None
-                self.res_blocks.append((conv1, conv2, shortcut, bn1, bn2))
-                self._register(f"block{i}.conv1", conv1)
-                self._register(f"block{i}.conv2", conv2)
-                self._register(f"block{i}.shortcut", shortcut)
-                for tag, bn in (("bn1", bn1), ("bn2", bn2)):
-                    if bn is not None:
-                        self._register(f"block{i}.{tag}", bn)
-                        self._bn_layers.append(bn)
-                in_ch = out_ch
-            self.final_pool = (ndnn.Pool1dLayer(mode=config.pool_mode, scope="global")
-                               if config.use_pooling else None)
-            flat = chans[-1] * (1 if config.use_pooling else self.plan[-1]["pool"])
-        self.proj = ndnn.DenseLayer(flat, config.embed_dim, rng, he=he)
+        self.stages, self.plan, self._params, self._bn_layers = {}, [], [], []
+        length = config.image_len
+        for key, name, stage in _stages(config, rng):
+            try:
+                conv_len, length = stage.lengths(length)
+            except ndnn.ShapeError as exc:
+                raise ConfigError(f"block {key}: {exc}") from exc
+            self.plan.append({"block": key, "conv": conv_len, "pool": length})
+            self.stages[name] = stage
+            for f in fields(stage):   # a stage's fields are its layers
+                layer = getattr(stage, f.name)
+                if layer is None:
+                    continue
+                # rn's input conv is registered as input.weight, input.bias
+                prefix = name if name == "input" else f"{name}.{f.name}"
+                self._register(prefix, layer)
+                if isinstance(layer, ndnn.BatchNorm1dLayer):
+                    self._bn_layers.append((prefix, layer))
+        self.proj = ndnn.DenseLayer(config.channel_plan()[-1] * self.plan[-1]["pool"],
+                                    config.embed_dim, rng, he=config.use_he_init)
         self._register("proj", self.proj)
 
     def _register(self, prefix, layer):
@@ -297,38 +329,21 @@ class CodeEncoder:
     def named_params(self):
         return list(self._params)
 
+    def named_buffers(self):
+        """Batch-norm running statistics: model state that is not trained."""
+        return [(f"{prefix}.{stat}", getattr(bn, stat)) for prefix, bn in self._bn_layers
+                for stat in ("running_mean", "running_var")]
+
     def set_training(self, flag):
-        for bn in self._bn_layers:
+        for _, bn in self._bn_layers:
             bn.set_training(flag)
 
     def forward(self, x):
         """x: Tensor (B, 1, image_len) of normalized IDs -> (B, embed_dim)."""
-        if self.config.arch == "block":
-            h = x
-            for i, (conv, bn, pool) in enumerate(self.blocks):
-                h = conv.forward(h)
-                if bn is not None:
-                    h = bn.forward(h)
-                h = ndnn.relu(h)
-                if pool is not None:
-                    h = pool.forward(h)
-                _check_finite(f"block{i}", h)
-        else:
-            h = ndnn.relu(self.input_conv.forward(x))
-            for i, (conv1, conv2, shortcut, bn1, bn2) in enumerate(self.res_blocks):
-                series = conv1.forward(h)
-                if bn1 is not None:
-                    series = bn1.forward(series)
-                series = conv2.forward(ndnn.relu(series))
-                skip = shortcut.forward(h)
-                skip = ndnn.narrow(skip, 2, 0, series.shape[2])
-                merged = series + skip
-                if bn2 is not None:
-                    merged = bn2.forward(merged)
-                h = ndnn.relu(merged)
-                _check_finite(f"block{i}", h)
-            if self.final_pool is not None:
-                h = self.final_pool.forward(h)
+        h = x
+        for name, stage in self.stages.items():
+            h = stage.forward(h)
+            _check_finite(name, h)
         flat = ndnn.reshape(h, (h.shape[0], -1))
         out = self.proj.forward(flat)
         _check_finite("proj", out)
@@ -446,14 +461,6 @@ class TextEncoder:
         out = self.proj.forward(pooled)
         _check_finite("text proj", out)
         return out
-
-
-def build_code_encoder(config, rng=None):
-    return CodeEncoder(config, rng)
-
-
-def build_text_encoder(config, vocab_size, rng=None):
-    return TextEncoder(config, vocab_size, rng)
 
 
 def embed(encoder, batch):

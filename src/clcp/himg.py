@@ -22,16 +22,12 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class HeterogeneousImage:
-    """One encoded snippet: padded IDs, true length, and the float view."""
+    """One encoded snippet: padded IDs, true length, and the ID scale."""
 
     ids: np.ndarray          # uint32, length = image_len
     true_len: int
     truncated: bool
     max_id: int
-
-    @property
-    def values(self):
-        return self.ids.astype(np.float32) / np.float32(self.max_id)
 
     def __len__(self):
         return len(self.ids)

@@ -61,12 +61,6 @@ class SamplePlan:
             if size > corpus_size:
                 raise IngestError(f"requested size {size} exceeds corpus of {corpus_size}")
 
-    @classmethod
-    def from_json(cls, path):
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(tuple(obj["train_sizes"]), tuple(obj["test_sizes"]), int(obj["seed"]))
-
-
 def content_id(code, doc):
     digest = hashlib.sha1(code.encode("utf-8") + b"\x00" + doc.encode("utf-8"))
     return "sha1:" + digest.hexdigest()[:16]

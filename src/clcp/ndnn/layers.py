@@ -46,9 +46,6 @@ class Conv1dLayer(Layer):
     def forward(self, x):
         return convpool.conv1d(x, self.weight, self.bias, self.stride)
 
-    def out_len(self, length):
-        return convpool.conv_out_len(length, self.kernel, self.stride)
-
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
@@ -76,14 +73,6 @@ class Pool1dLayer(Layer):
         if self.mode == "max":
             return convpool.max_pool1d(x, self.window, self.stride)
         return convpool.avg_pool1d(x, self.window, self.stride)
-
-    def out_len(self, length):
-        if self.scope == "global":
-            if length < 1:
-                raise ShapeError("global pooling needs length >= 1")
-            return 1
-        return convpool.conv_out_len(length, self.window, self.stride)
-
 
 class DenseLayer(Layer):
     """Affine map on the last axis: x @ W + b."""

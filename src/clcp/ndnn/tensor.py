@@ -52,12 +52,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.grad is not None})"
 
@@ -205,8 +199,11 @@ def relu(a):
 
 
 def exp(a):
-    out = Tensor(np.exp(a.data), _parents=(a,))
-    out._backward = lambda g: _accum(a, g * out.data)
+    e = np.exp(a.data)
+    out = Tensor(e, _parents=(a,))
+    # the closure holds the array, not ``out``: no cycle, so a step's graph
+    # is freed by reference counting
+    out._backward = lambda g: _accum(a, g * e)
     return out
 
 
@@ -339,10 +336,11 @@ def softmax(a, axis=-1):
 def log_softmax(a, axis=-1):
     z = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = Tensor(z - lse, _parents=(a,))
+    y = z - lse
+    out = Tensor(y, _parents=(a,))
 
     def backward(g):
-        _accum(a, g - np.exp(out.data) * g.sum(axis=axis, keepdims=True))
+        _accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
     out._backward = backward
     return out

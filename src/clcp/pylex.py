@@ -433,11 +433,6 @@ def unescape_token_text(text):
     return "".join(out)
 
 
-def format_token_lines(tokens):
-    """One token per line: ``component<TAB>escaped text``."""
-    return "".join(f"{t.component.value}\t{escape_token_text(t.text)}\n" for t in tokens)
-
-
 def parse_token_lines(text):
     out = []
     pos = 0

@@ -224,13 +224,3 @@ def generate_family(n_train, n_test, seed):
     """Disjointly instantiated train and held-out pools over the same ops."""
     return (generate_pairs(n_train, seed, "train"),
             generate_pairs(n_test, seed + 1, "heldout"))
-
-
-def op_of_record(record):
-    """Recover the operation index from a generated record's position."""
-    return int(record.id.rsplit("-", 1)[1]) % len(OPS)
-
-
-def generate_snippets(n, seed, split="train"):
-    """Code-only snippets, used to bulk up range-conformance corpora."""
-    return [r.code for r in generate_pairs(n, seed, split)]

@@ -92,20 +92,26 @@ class CLCPModel:
         params.append(("logit_scale", self.log_scale))
         return params
 
+    def named_buffers(self):
+        return [(f"code.{n}", b) for n, b in self.code_encoder.named_buffers()]
+
     def set_training(self, flag):
         self.code_encoder.set_training(flag)
         self.text_encoder.set_training(flag)
 
     def snapshot(self):
-        return {name: p.data.copy() for name, p in self.named_params()}
+        arrays = {name: p.data.copy() for name, p in self.named_params()}
+        arrays.update((name, buf.copy()) for name, buf in self.named_buffers())
+        return arrays
 
     def load_snapshot(self, arrays):
-        for name, p in self.named_params():
+        params = [(name, p.data) for name, p in self.named_params()]
+        for name, dst in params + self.named_buffers():
             src = arrays[name]
-            if src.shape != p.data.shape:
+            if src.shape != dst.shape:
                 raise ValueError(f"checkpoint shape mismatch for {name}: "
-                                 f"{src.shape} vs {p.data.shape}")
-            p.data = src.astype(p.data.dtype, copy=True)
+                                 f"{src.shape} vs {dst.shape}")
+            dst[...] = src   # in place, casting to dst's dtype: layers hold dst
 
 
 @dataclass
@@ -137,8 +143,7 @@ class TrainingAborted(RuntimeError):
 
 
 def _save_checkpoint(path, model, optimizer, state):
-    arrays = list(model.named_params())
-    arrays = [(n, p.data) for n, p in arrays]
+    arrays = [(n, p.data) for n, p in model.named_params()] + model.named_buffers()
     arrays += sorted(optimizer.state_arrays().items())
     arrays.append(("state.step", np.array([state.step], dtype=np.int64)))
     arrays.append(("state.epoch", np.array([state.epoch], dtype=np.int64)))
@@ -224,6 +229,8 @@ def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):
         config.save(out_dir / CONFIG_NAME)
         save_vocab(data.vocab, out_dir / VOCAB_NAME)
         data.text_vocab.save(out_dir / TEXT_VOCAB_NAME)
+        # a run's metrics start empty; each epoch appends one line
+        (out_dir / METRICS_NAME).write_text("", encoding="utf-8")
 
     def batch_loss(idx, train_mode):
         model.set_training(train_mode)

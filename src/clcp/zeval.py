@@ -11,13 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .encoders import apply_ablation, config_for_family
+from .encoders import ModelConfig, apply_ablation, config_for_family
 from .ingest import sample_split
 from .textclean import clean_corpus
 from .training import prepare_pairs, train
@@ -26,6 +25,7 @@ logger = logging.getLogger(__name__)
 
 DELTAS = ("none", "+BN", "-Pool", "-Init")
 FAMILIES = ("lp", "gp", "rn")
+_CELL_FIELDS = ("blocks", "arch", "pooling", "use_bn", "use_pooling", "use_he_init")
 
 
 @dataclass
@@ -45,7 +45,8 @@ class EvalResult:
     failed: str = ""
 
     def __post_init__(self):
-        assert self.L == 0 or abs(self.ea * self.L - 1.0) < 1e-12
+        if self.L != 0 and abs(self.ea * self.L - 1.0) >= 1e-12:
+            raise ValueError(f"ea must be 1/L: got ea={self.ea} for L={self.L}")
 
 
 def zero_shot_match(code_emb, text_emb, direction="code2text"):
@@ -76,16 +77,29 @@ def evaluate_pairs(model, vocabulary, text_vocab, pairs, direction="code2text"):
     return zero_shot_match(code, text, direction)
 
 
-def _run_cell(args):
-    """One ladder cell: train at a size, evaluate both regimes. Picklable."""
-    (config, train_records, fixed_test, growing_test, variant, train_size,
-     direction) = args
+@dataclass
+class _Cell:
+    """One ladder cell's inputs; picklable for worker processes."""
+
+    config: ModelConfig
+    train_records: list
+    fixed_test: list
+    growing_test: list
+    variant: str
+    train_size: int
+    direction: str
+
+
+def _run_cell(cell):
+    """One ladder cell: train at a size, evaluate both regimes."""
+    config, variant, train_size = cell.config, cell.variant, cell.train_size
     results = []
     try:
-        outcome = train(train_records, config)
-        for regime, test_records in (("fixed", fixed_test), ("growing", growing_test)):
+        outcome = train(cell.train_records, config)
+        for regime, test_records in (("fixed", cell.fixed_test),
+                                     ("growing", cell.growing_test)):
             res = evaluate_pairs(outcome.model, outcome.vocab, outcome.text_vocab,
-                                 test_records, direction)
+                                 test_records, cell.direction)
             res.config_id = config.config_id()
             res.variant = variant
             res.train_size = train_size
@@ -101,15 +115,8 @@ def _run_cell(args):
     return results
 
 
-def default_workers():
-    try:
-        return max(1, int(os.environ.get("CLCP_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_ladder(records, plan, configs, variant="raw", direction="code2text",
-               workers=None, zero_shot=True):
+               workers=1, zero_shot=True):
     """Train-and-evaluate every (train size, config) cell of the ladder.
 
     ``variant="cleaned"`` applies the description-cleaning pipeline to the
@@ -129,9 +136,8 @@ def run_ladder(records, plan, configs, variant="raw", direction="code2text",
         growing_size = plan.test_sizes[min(size_idx, len(plan.test_sizes) - 1)]
         growing_test = split.test_subset(growing_size)
         for config in configs:
-            jobs.append((config, train_records, fixed_test, growing_test, variant,
-                         train_size, direction))
-    workers = workers or default_workers()
+            jobs.append(_Cell(config, train_records, fixed_test, growing_test, variant,
+                              train_size, direction))
     results = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -156,20 +162,17 @@ class AblationCell:
 
 
 def run_ablations(records, plan, families=FAMILIES, blocks=3, deltas=DELTAS,
-                  variant="raw", base_config=None, workers=None, zero_shot=True):
+                  variant="raw", base_config=None, workers=1, zero_shot=True):
     """The {family} x {none, +BN, -Pool, -Init} matrix over the ladder.
 
+    Each cell takes every ``base_config`` field except the ones it sets itself.
     Returns (cells, flags): flags report whether the expected qualitative
     directions were observed; they are never asserted.
     """
     overrides = {}
     if base_config is not None:
-        overrides = {k: getattr(base_config, k) for k in
-                     ("kernel", "stride", "pool_window", "pool_stride", "pool_mode",
-                      "embed_dim", "image_len", "text_vocab", "text_embed",
-                      "text_layers", "text_heads", "text_ff", "text_max_len",
-                      "optimizer", "lr", "batch_size", "max_epochs", "patience",
-                      "val_fraction", "seed")}
+        overrides = {f.name: getattr(base_config, f.name) for f in fields(ModelConfig)
+                     if f.name not in _CELL_FIELDS}
     cells = []
     mean_by_key = {}
     ea = 1.0 / plan.test_sizes[0]

@@ -136,12 +136,13 @@ class TestResidualBlocks:
         enc = CodeEncoder(cfg)
         rng = np.random.default_rng(1)
         x = ndnn.Tensor(rng.random((1, 1, cfg.image_len), dtype=np.float32))
-        conv1, conv2, shortcut, _, _ = enc.res_blocks[0]
+        stage = enc.stages["block0"]
+        conv1, conv2, shortcut = stage.conv1, stage.conv2, stage.shortcut
         conv1.weight.data[:] = 0
         conv1.bias.data[:] = 0
         conv2.weight.data[:] = 0
         conv2.bias.data[:] = 0
-        h = ndnn.relu(enc.input_conv.forward(x))
+        h = ndnn.relu(enc.stages["input"].conv.forward(x))
         series = conv2.forward(ndnn.relu(conv1.forward(h)))
         skip = shortcut.forward(h)
         merged = series + ndnn.narrow(skip, 2, 0, series.shape[2])
@@ -212,6 +213,6 @@ class TestEmbed:
     def test_nan_activation_reported_with_layer(self):
         cfg = small_cfg()
         enc = CodeEncoder(cfg)
-        enc.blocks[1][0].weight.data[:] = np.nan
+        enc.stages["block1"].conv.weight.data[:] = np.nan
         with pytest.raises(ndnn.NumericError, match="block1"):
             embed(enc, np.ones((1, 1, cfg.image_len), dtype=np.float32))

@@ -19,7 +19,8 @@ MAX_ID = 13811
 class TestMakeImage:
     def test_pad_and_normalize(self):
         img = make_image([1], image_len=4, max_id=MAX_ID)
-        np.testing.assert_allclose(img.values, [1 / MAX_ID, 0, 0, 0], rtol=1e-6)
+        values = images_to_batch(img.ids[None, :], img.max_id)[0, 0]
+        np.testing.assert_allclose(values, [1 / MAX_ID, 0, 0, 0], rtol=1e-6)
         assert img.true_len == 1 and not img.truncated
 
     def test_exact_length_identity(self):
@@ -34,7 +35,8 @@ class TestMakeImage:
 
     def test_values_bounded(self):
         img = make_image([1, MAX_ID, 7], image_len=5, max_id=MAX_ID)
-        assert img.values.min() >= 0.0 and img.values.max() <= 1.0
+        values = images_to_batch(img.ids[None, :], img.max_id)
+        assert values.min() >= 0.0 and values.max() <= 1.0
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):

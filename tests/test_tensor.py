@@ -1,4 +1,7 @@
 """Autodiff engine: forward values and gradients of the primitive ops."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -203,3 +206,18 @@ class TestGradients:
         out = nd.tsum(x * x)
         out.backward(np.zeros(()))
         np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("op", [nd.exp, lambda t: nd.log_softmax(t, axis=1)],
+                         ids=["exp", "log_softmax"])
+def test_output_freed_without_cycle_collector(op):
+    x = nd.Tensor(np.ones((2, 3)), requires_grad=True)
+    gc.disable()
+    try:
+        out = op(x)
+        output = weakref.ref(out.data)
+        nd.tsum(out).backward()
+        del out
+        assert output() is None
+    finally:
+        gc.enable()

@@ -1,4 +1,7 @@
 """Contrastive loss properties and the training loop."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,44 @@ class TestTrainLoop:
             np.testing.assert_array_equal(p1.data, p2.data)
         assert again.state.best_epoch == out.state.best_epoch
         assert len(again.metrics) == len(out.metrics)
+
+    def test_bn_statistics_reloaded_and_restored_from_best_epoch(self, tmp_path):
+        # lr 0 freezes the weights: only the BN running statistics move
+        pairs = generate_pairs(48, seed=13)
+        cfg = tiny_cfg(max_epochs=4, patience=4, val_fraction=0.25, lr=0.0, seed=1,
+                       use_bn=True)
+        out = train(pairs, cfg, out_dir=tmp_path)
+        assert out.state.best_epoch < len(out.metrics) - 1   # later steps moved them
+        best = ndnn.load_arrays(tmp_path / "checkpoint.ndnc")   # written at the best epoch
+        assert out.model.named_buffers()
+        for name, buf in out.model.named_buffers():
+            np.testing.assert_array_equal(buf, best[name])
+        again = load_run(tmp_path)
+        batch = np.random.default_rng(0).random((8, 1, cfg.image_len), dtype=np.float32)
+        np.testing.assert_array_equal(again.model.encode_code(batch).data,
+                                      out.model.encode_code(batch).data)
+
+    def test_second_run_replaces_metrics(self, tmp_path):
+        pairs = generate_pairs(32, seed=10)
+        train(pairs, tiny_cfg(max_epochs=3, patience=3), out_dir=tmp_path)
+        out = train(pairs, tiny_cfg(max_epochs=3, patience=3, seed=1), out_dir=tmp_path)
+        assert load_run(tmp_path).metrics == out.metrics
+
+    def test_step_graph_freed_by_reference_counting(self):
+        cfg = tiny_cfg()
+        model = CLCPModel(cfg, text_vocab_size=32)
+        rng = np.random.default_rng(0)
+        code = rng.random((4, 1, cfg.image_len), dtype=np.float32)
+        text = rng.integers(0, 32, size=(4, cfg.text_max_len))
+        gc.disable()
+        try:
+            loss, sim = model.pair_loss(code, text)
+            activation = weakref.ref(sim.data)
+            loss.backward()
+            del loss, sim
+            assert activation() is None
+        finally:
+            gc.enable()
 
     def test_temperature_clamped(self):
         pairs = generate_pairs(16, seed=11)

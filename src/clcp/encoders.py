@@ -74,6 +74,11 @@ class ModelConfig:
             raise ConfigError("kernel/stride: must be >= 1")
         if self.text_embed % self.text_heads:
             raise ConfigError("text_heads: must divide text_embed")
+        if self.text_vocab < 2:
+            raise ConfigError(
+                f"text_vocab: must be >= 2 (pad + OOV), got {self.text_vocab}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer: must be 'adam' or 'sgd', got {self.optimizer!r}")
         return self

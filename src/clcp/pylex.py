@@ -42,10 +42,6 @@ class Component(enum.Enum):
     NEWLINE = "Newline"
     PLACEHOLDER = "Placeholder"
 
-    @property
-    def order(self):
-        return _COMPONENT_ORDER[self]
-
     def __lt__(self, other):
         if not isinstance(other, Component):
             return NotImplemented

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .encoders import (
     TextVocabulary,
     embed,
 )
-from .himg import encode_corpus, images_to_batch
+from .himg import encode_streams, images_to_batch
 from .ndnn import Tensor
 from .pylex import load_default_tables, tokenize
 from .vocab import build_vocab, load_vocab, save_vocab
@@ -177,21 +177,24 @@ class PreparedData:
     text_ids: np.ndarray     # (N, T) int64
     vocab: object
     text_vocab: TextVocabulary
+    code_truncated: int      # snippets longer than image_len
+    text_truncated: int      # docs longer than text_max_len
 
 
-def prepare_pairs(pairs, config, vocab=None, text_vocab=None, tables=None):
-    """Tokenize, build vocabularies if absent, and tensorize a pair list."""
-    tables = tables or load_default_tables()
+def prepare_pairs(pairs, config, vocab=None, text_vocab=None):
+    """Tokenize each snippet once, build vocabularies if absent, and tensorize."""
+    tables = load_default_tables()
+    streams = [tokenize(r.code, tables) for r in pairs]
+    docs = [r.doc for r in pairs]
     if vocab is None:
-        vocab = build_vocab([tokenize(r.code, tables) for r in pairs], tables=tables)
+        vocab = build_vocab(streams, tables=tables)
     if text_vocab is None:
-        text_vocab = TextVocabulary.build([r.doc for r in pairs],
-                                          max_size=config.text_vocab)
-    matrix, _, _ = encode_corpus([r.code for r in pairs], vocab, config.image_len,
-                                 tables, on_exhaust="recycle")
-    code_batch = images_to_batch(matrix, vocab.max_id)
-    text_ids, _ = text_vocab.encode_batch([r.doc for r in pairs], config.text_max_len)
-    return PreparedData(code_batch, text_ids, vocab, text_vocab)
+        text_vocab = TextVocabulary.build(docs, max_size=config.text_vocab)
+    matrix, _, code_truncated = encode_streams(streams, vocab, config.image_len,
+                                               on_exhaust="recycle")
+    text_ids, text_truncated = text_vocab.encode_batch(docs, config.text_max_len)
+    return PreparedData(images_to_batch(matrix, vocab.max_id), text_ids, vocab,
+                        text_vocab, code_truncated, text_truncated)
 
 
 def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):

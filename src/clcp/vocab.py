@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .pylex import (
-    BuiltinTables,
     Component,
     component_from_label,
     escape_token_text,
@@ -116,10 +115,6 @@ class IdRanges:
             if lo <= id_ <= hi:
                 return c
         raise DecodeError(f"ID {id_} lies outside every component range")
-
-    def contains(self, component, id_):
-        lo, hi = self.range_for(component)
-        return lo <= id_ <= hi
 
 
 def _fixed_block(component, keys, ranges):
@@ -366,14 +361,14 @@ FORMAT_HEADER = "clcp-vocab"
 
 
 def vocab_to_text(vocabulary):
-    """Byte-deterministic line format: sections in fixed order, sorted by ID."""
+    """Byte-deterministic line format: sections in fixed order, sorted by ID.
+
+    Builtin tables follow ``Component`` definition order.
+    """
     lines = [f"{FORMAT_HEADER}\t{vocabulary.version}"]
     for component, lo, hi in vocabulary.ranges.table:
         lines.append(f"range\t{component.value}\t{lo}\t{hi}")
-    for component in (Component.KEYWORD, Component.BUILTIN_CLASS, Component.BUILTIN_METHOD,
-                      Component.BUILTIN_METH_CALL, Component.BUILTIN_ATTRIBUTE,
-                      Component.BUILTIN_ATTR_CALL, Component.OPERATOR) + SYMBOL_POOL:
-        table = vocabulary.builtins.get(component, {})
+    for component, table in sorted(vocabulary.builtins.items()):
         for text, id_ in sorted(table.items(), key=lambda kv: kv[1]):
             lines.append(f"builtin\t{component.value}\t{escape_token_text(text)}\t{id_}")
     for text, id_ in sorted(vocabulary.numbers.items(), key=lambda kv: kv[1]):

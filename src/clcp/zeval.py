@@ -12,7 +12,7 @@ import csv
 import io
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -96,16 +96,19 @@ def _run_cell(cell):
     results = []
     try:
         outcome = train(cell.train_records, config)
-        for regime, test_records in (("fixed", cell.fixed_test),
-                                     ("growing", cell.growing_test)):
-            res = evaluate_pairs(outcome.model, outcome.vocab, outcome.text_vocab,
-                                 test_records, cell.direction)
-            res.config_id = config.config_id()
-            res.variant = variant
-            res.train_size = train_size
-            res.regime = regime
-            res.seed = config.seed
-            results.append(res)
+
+        def score(test_records):
+            return evaluate_pairs(outcome.model, outcome.vocab, outcome.text_vocab,
+                                  test_records, cell.direction)
+
+        fixed = score(cell.fixed_test)
+        # on the first rung both regimes hold the same test list: score it once
+        growing = (fixed if cell.growing_test is cell.fixed_test
+                   else score(cell.growing_test))
+        for regime, res in (("fixed", fixed), ("growing", growing)):
+            results.append(replace(res, config_id=config.config_id(), variant=variant,
+                                   train_size=train_size, regime=regime,
+                                   seed=config.seed))
     except Exception as exc:  # cell failures must not sink the ladder
         logger.warning("cell %s@%d failed: %s", config.config_id(), train_size, exc)
         failed = EvalResult(L=1, correct=0, acc=0.0, ea=1.0,
@@ -134,7 +137,8 @@ def run_ladder(records, plan, configs, variant="raw", direction="code2text",
     for size_idx, train_size in enumerate(plan.train_sizes):
         train_records = split.train_subset(train_size)
         growing_size = plan.test_sizes[min(size_idx, len(plan.test_sizes) - 1)]
-        growing_test = split.test_subset(growing_size)
+        growing_test = (fixed_test if growing_size == fixed_size
+                        else split.test_subset(growing_size))
         for config in configs:
             jobs.append(_Cell(config, train_records, fixed_test, growing_test, variant,
                               train_size, direction))
@@ -232,15 +236,6 @@ def render_ablation_table(cells):
     rows = [[c.family, str(c.blocks), c.delta, f"{c.mean_acc:.4f}",
              f"{c.diff_vs_base:+.4f}"] for c in cells]
     return _render_table(headers, rows)
-
-
-def ablations_to_csv(cells):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["family", "blocks", "delta", "mean_acc", "diff_vs_base"])
-    for c in cells:
-        writer.writerow([c.family, c.blocks, c.delta, c.mean_acc, c.diff_vs_base])
-    return buf.getvalue()
 
 
 def _render_table(headers, rows):

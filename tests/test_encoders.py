@@ -100,6 +100,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="blocks"):
             ModelConfig(blocks=8).validate()
 
+    def test_text_vocab_and_batch_size_bounds(self):
+        with pytest.raises(ConfigError, match="text_vocab"):
+            ModelConfig(text_vocab=1).validate()
+        with pytest.raises(ConfigError, match="batch_size"):
+            ModelConfig(batch_size=0).validate()
+        ModelConfig(text_vocab=2, batch_size=1).validate()
+
     def test_default_channel_plan_doubles_capped(self):
         cfg = ModelConfig(blocks=5).validate()
         assert cfg.channel_plan() == (16, 32, 64, 128, 128)

@@ -1,11 +1,12 @@
 """Contrastive loss properties and the training loop."""
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from clcp import ndnn
+from clcp import himg, ndnn, pylex, training
 from clcp.encoders import config_for_family
 from clcp.ndnn import Tensor
 from clcp.synth import generate_pairs
@@ -14,6 +15,7 @@ from clcp.training import (
     TrainingAborted,
     clip_loss,
     load_run,
+    prepare_pairs,
     similarity_matrix,
     train,
 )
@@ -189,3 +191,29 @@ class TestTrainLoop:
         out = train(pairs, cfg)
         assert out.state.seed == 77
         assert out.state.step == 2 * 2  # 32 pairs / batch 16 = 2 steps per epoch
+
+
+class TestPreparePairs:
+    def test_tokenizes_each_snippet_once(self, monkeypatch):
+        pairs = generate_pairs(6, seed=13)
+        calls = []
+
+        def counting_tokenize(src, tables=None):
+            calls.append(src)
+            return pylex.tokenize(src, tables)
+
+        # both modules that import tokenize directly
+        monkeypatch.setattr(training, "tokenize", counting_tokenize)
+        monkeypatch.setattr(himg, "tokenize", counting_tokenize)
+        prepare_pairs(pairs, tiny_cfg())
+        assert sorted(calls) == sorted(r.code for r in pairs)
+
+    def test_truncation_counts_kept(self):
+        pairs = generate_pairs(4, seed=14)
+        long = dataclasses.replace(pairs[0], code="x = 1\n" * 40,
+                                   doc=" ".join(["word"] * 30))
+        cfg = tiny_cfg(image_len=32, text_max_len=12)
+        data = prepare_pairs(pairs + [long], cfg)
+        assert data.code_truncated >= 1 and data.text_truncated >= 1
+        short = prepare_pairs([long], cfg, vocab=data.vocab, text_vocab=data.text_vocab)
+        assert (short.code_truncated, short.text_truncated) == (1, 1)

@@ -1,5 +1,5 @@
 """The ablation ladder on a tiny synthetic plan, its failure path and reports."""
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -12,6 +12,7 @@ from clcp.zeval import (
     FAMILIES,
     EvalResult,
     render_ablation_table,
+    render_results_table,
     results_to_csv,
     run_ablations,
 )
@@ -68,6 +69,24 @@ def test_base_config_reaches_every_cell(ablation):
         assert all(getattr(config, n) == getattr(BASE, n) for n in shared)
 
 
+def test_shared_test_list_scored_once_per_cell(records, monkeypatch):
+    sizes = []
+    evaluate_pairs = zeval.evaluate_pairs
+
+    def counting_evaluate_pairs(model, vocabulary, text_vocab, pairs, direction):
+        sizes.append(len(pairs))
+        return evaluate_pairs(model, vocabulary, text_vocab, pairs, direction)
+
+    monkeypatch.setattr(zeval, "evaluate_pairs", counting_evaluate_pairs)
+    results = zeval.run_ladder(records, PLAN, [BASE])
+    fixed, growing = PLAN.test_sizes
+    # the first rung's growing size is the fixed size: one evaluation, two rows
+    assert sizes == [fixed, fixed, growing]
+    first = [r for r in results if r.train_size == PLAN.train_sizes[0]]
+    assert [r.regime for r in first] == ["fixed", "growing"]
+    assert replace(first[1], regime="fixed") == first[0]
+
+
 def test_geometry_that_cannot_fit_marks_cells_failed(records):
     too_short = ModelConfig(image_len=8, channels=(4, 4, 4), max_epochs=1, patience=1)
     cells, _ = run_ablations(records, PLAN, families=("lp", "rn"), deltas=("none",),
@@ -86,4 +105,5 @@ def test_reports_have_one_row_per_result(ablation):
     cells, _, _ = ablation
     results = [r for c in cells for r in c.cells]
     assert len(results_to_csv(results).splitlines()) == 1 + len(results)
+    assert len(render_results_table(results).splitlines()) == 2 + len(results)
     assert len(render_ablation_table(cells).splitlines()) == 2 + len(cells)

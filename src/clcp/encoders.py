@@ -1,15 +1,17 @@
 """Encoder architectures mapping code images and descriptions to one space.
 
-Three code-encoder families share one config record: ``lp`` (conv blocks with
-local pooling), ``gp`` (same, but the last block pools globally), and ``rn``
-(1D residual blocks with a global pool).  The text side is a small
-from-scratch transformer over a word-level vocabulary; ``text_layers=0``
-degenerates to a mean of embeddings, which trains fast at desk scale.
+Each experiment axis is one table here.  ``ModelConfig.family`` picks one of
+``FAMILIES``: ``lp`` (conv blocks with local max pooling), ``gp`` (same, but
+the last block pools globally), or ``rn`` (1D residual blocks with a global
+pool).  ``ABLATIONS`` maps each ablation tag (+BN, -Pool, -Init) to the one
+config flag it sets.  The text side is a small from-scratch transformer over a
+word-level vocabulary; ``text_layers=0`` degenerates to a mean of embeddings,
+which trains fast at desk scale.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,20 +24,24 @@ class ConfigError(ValueError):
     pass
 
 
+FAMILIES = ("lp", "gp", "rn")
+# tag -> (flag, value); config_id appends the tags in this order
+ABLATIONS = {"+BN": ("use_bn", True), "-Pool": ("use_pooling", False),
+             "-Init": ("use_he_init", False)}
+
+
 @dataclass
 class ModelConfig:
     """Architecture plus training hyperparameters; one flat record."""
 
     # code encoder
+    family: str = "lp"           # one of FAMILIES
     blocks: int = 3
     kernel: int = 5
     stride: int = 1
-    pool_window: int = 2
+    pool_window: int = 2         # local max pool; rn pools only globally
     pool_stride: int = 2
-    pool_mode: str = "max"       # max | avg
-    pooling: str = "local"       # local | global
-    arch: str = "block"          # block | residual
-    use_bn: bool = False
+    use_bn: bool = False         # the three ablation flags, see ABLATIONS
     use_pooling: bool = True
     use_he_init: bool = True
     channels: tuple[int, ...] = ()   # empty -> 16 doubling, capped at 128
@@ -51,8 +57,7 @@ class ModelConfig:
     # contrastive head and optimization
     temperature_init: float = 1.0 / 0.07
     temperature_max: float = 100.0
-    optimizer: str = "adam"
-    lr: float = 1e-3
+    lr: float = 1e-3             # Adam step size
     batch_size: int = 32
     max_epochs: int = 30
     patience: int = 5
@@ -62,16 +67,15 @@ class ModelConfig:
     def validate(self):
         if not 3 <= self.blocks <= 7:
             raise ConfigError(f"blocks: must be in 3..7, got {self.blocks}")
-        if self.arch not in ("block", "residual"):
-            raise ConfigError(f"arch: must be 'block' or 'residual', got {self.arch!r}")
-        if self.pooling not in ("local", "global"):
-            raise ConfigError(f"pooling: must be 'local' or 'global', got {self.pooling!r}")
-        if self.pool_mode not in ("max", "avg"):
-            raise ConfigError(f"pool_mode: must be 'max' or 'avg', got {self.pool_mode!r}")
+        if self.family not in FAMILIES:
+            raise ConfigError(
+                f"family: must be one of {', '.join(FAMILIES)}, got {self.family!r}")
         if self.embed_dim < 8:
             raise ConfigError(f"embed_dim: must be >= 8, got {self.embed_dim}")
         if self.kernel < 1 or self.stride < 1:
             raise ConfigError("kernel/stride: must be >= 1")
+        if self.pool_window < 1 or self.pool_stride < 1:
+            raise ConfigError("pool_window/pool_stride: must be >= 1")
         if self.text_embed % self.text_heads:
             raise ConfigError("text_heads: must divide text_embed")
         if self.text_vocab < 2:
@@ -79,8 +83,8 @@ class ModelConfig:
                 f"text_vocab: must be >= 2 (pad + OOV), got {self.text_vocab}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer: must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction: must be in [0, 1), got {self.val_fraction}")
         return self
 
     def channel_plan(self):
@@ -91,20 +95,10 @@ class ModelConfig:
             return tuple(self.channels)
         return tuple(min(16 * 2 ** i, 128) for i in range(self.blocks))
 
-    def family(self):
-        if self.arch == "residual":
-            return "rn"
-        return "gp" if self.pooling == "global" else "lp"
-
     def config_id(self):
-        tags = [f"{self.family()}{self.blocks}"]
-        if self.use_bn:
-            tags.append("+BN")
-        if not self.use_pooling:
-            tags.append("-Pool")
-        if not self.use_he_init:
-            tags.append("-Init")
-        return "".join(tags)
+        return f"{self.family}{self.blocks}" + "".join(
+            tag for tag, (flag, value) in ABLATIONS.items()
+            if getattr(self, flag) == value)
 
     # flat key=value file, every field addressable
     def to_text(self):
@@ -159,29 +153,17 @@ def _parse_field(name, raw):
 
 def config_for_family(family, blocks=3, **overrides):
     """Convenience constructor for the lp / gp / rn baselines."""
-    if family == "lp":
-        cfg = ModelConfig(blocks=blocks, arch="block", pooling="local", **overrides)
-    elif family == "gp":
-        cfg = ModelConfig(blocks=blocks, arch="block", pooling="global", **overrides)
-    elif family == "rn":
-        cfg = ModelConfig(blocks=blocks, arch="residual", pooling="global", **overrides)
-    else:
-        raise ConfigError(f"family: must be lp, gp, or rn, got {family!r}")
-    return cfg.validate()
+    return ModelConfig(family=family, blocks=blocks, **overrides).validate()
 
 
 def apply_ablation(config, delta):
     """Return a copy of ``config`` with one ablation flag flipped."""
-    from dataclasses import replace
     if delta == "none":
         return replace(config)
-    if delta == "+BN":
-        return replace(config, use_bn=True)
-    if delta == "-Pool":
-        return replace(config, use_pooling=False)
-    if delta == "-Init":
-        return replace(config, use_he_init=False)
-    raise ConfigError(f"delta: unknown ablation {delta!r}")
+    if delta not in ABLATIONS:
+        raise ConfigError(f"delta: unknown ablation {delta!r}")
+    flag, value = ABLATIONS[delta]
+    return replace(config, **{flag: value})
 
 
 # -- the code encoder: a list of named stages ---------------------------------
@@ -246,7 +228,7 @@ class _ResidualStage:
 
 def _stages(config, rng):
     """The encoder's stages as (plan key, name, stage), built in RNG-draw order."""
-    residual = config.arch == "residual"
+    residual = config.family == "rn"
     chans = config.channel_plan()
 
     def conv(in_ch, out_ch, kernel, stride):
@@ -259,8 +241,7 @@ def _stages(config, rng):
     def pool(scope):
         if not config.use_pooling:
             return None
-        return ndnn.Pool1dLayer(config.pool_window, config.pool_stride,
-                                config.pool_mode, scope)
+        return ndnn.Pool1dLayer(config.pool_window, config.pool_stride, scope)
 
     stages = []
     if residual:
@@ -274,7 +255,7 @@ def _stages(config, rng):
                                    conv(in_ch, out_ch, 1, config.stride),
                                    bn(out_ch), bn(out_ch))
         else:
-            global_here = config.pooling == "global" and i == len(chans) - 1
+            global_here = config.family == "gp" and i == len(chans) - 1
             stage = _ConvStage(main, bn(out_ch),
                                pool("global" if global_here else "local"))
         stages.append((i, f"block{i}", stage))

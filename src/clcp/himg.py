@@ -8,15 +8,11 @@ float view, ids / max_id, all in [0, 1].
 """
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
+from . import ndnn
 from .pylex import load_default_tables, tokenize
 from .vocab import NamespaceScope, assign_ids
-
-MAGIC = b"HIMG"
-FORMAT_VERSION = 1
 
 
 def encode_streams(streams, vocabulary, image_len, on_exhaust="error"):
@@ -52,27 +48,18 @@ def images_to_batch(matrix, max_id):
 
 
 def write_images(path, matrix, max_id):
-    """Binary corpus file: header (image_len, max_id, count), then u32 rows."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.uint32)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IIIQ", FORMAT_VERSION, matrix.shape[1], max_id,
-                            matrix.shape[0]))
-        f.write(matrix.astype("<u4").tobytes())
+    """Binary corpus file: an ndnn array file holding ``ids`` (N, L) u32 and
+    ``max_id``."""
+    ndnn.save_arrays(path, [("ids", np.asarray(matrix, dtype="<u4")),
+                            ("max_id", np.array([max_id], dtype=np.int64))])
 
 
 def read_images(path):
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ValueError(f"{path} is not an encoded-corpus file")
-        version, image_len, max_id, count = struct.unpack("<IIIQ", f.read(20))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported corpus format version {version}")
-        buf = f.read(count * image_len * 4)
-        if len(buf) != count * image_len * 4:
-            raise ValueError("truncated corpus file")
-        matrix = np.frombuffer(buf, dtype="<u4").reshape(count, image_len).copy()
-    return matrix, max_id
+    arrays = ndnn.load_arrays(path)
+    ids = arrays.get("ids")
+    if ids is None or ids.ndim != 2 or "max_id" not in arrays:
+        raise ValueError(f"{path} is not an encoded-corpus file")
+    return ids, int(arrays["max_id"][0])
 
 
 def dump_images_text(matrix, max_id, limit=None):

@@ -24,11 +24,9 @@ from .tensor import (
     tsum,
 )
 from .convpool import (
-    avg_pool1d,
     batch_norm1d,
     conv1d,
     conv_out_len,
-    global_avg_pool1d,
     global_max_pool1d,
     max_pool1d,
 )
@@ -43,16 +41,16 @@ from .layers import (
     Pool1dLayer,
     SelfAttentionLayer,
 )
-from .optim import SGD, Adam, make_optimizer, zero_grads
+from .optim import Adam, zero_grads
 from .checkpoint import load_arrays, save_arrays
 
 __all__ = [
     "Adam", "BatchNorm1dLayer", "Conv1dLayer", "DenseLayer", "EmbeddingLayer",
-    "FeedForwardLayer", "Layer", "NumericError", "Pool1dLayer", "SGD",
-    "SelfAttentionLayer", "ShapeError", "Tensor", "add", "avg_pool1d",
-    "batch_norm1d", "clip_max", "conv1d", "conv_out_len", "diagonal", "div",
-    "embedding", "exp", "global_avg_pool1d", "global_max_pool1d", "he_init",
-    "l2_normalize", "load_arrays", "log_softmax", "make_optimizer", "matmul",
-    "max_pool1d", "mul", "narrow", "neg", "plain_init", "relu", "reshape",
-    "save_arrays", "softmax", "sub", "tmean", "transpose", "tsum", "zero_grads",
+    "FeedForwardLayer", "Layer", "NumericError", "Pool1dLayer",
+    "SelfAttentionLayer", "ShapeError", "Tensor", "add", "batch_norm1d",
+    "clip_max", "conv1d", "conv_out_len", "diagonal", "div", "embedding", "exp",
+    "global_max_pool1d", "he_init", "l2_normalize", "load_arrays", "log_softmax",
+    "matmul", "max_pool1d", "mul", "narrow", "neg", "plain_init", "relu",
+    "reshape", "save_arrays", "softmax", "sub", "tmean", "transpose", "tsum",
+    "zero_grads",
 ]

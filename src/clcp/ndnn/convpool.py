@@ -72,23 +72,6 @@ def max_pool1d(x, window, stride):
     return out
 
 
-def avg_pool1d(x, window, stride):
-    """Local average pooling; gradient distributes 1/window per position."""
-    l_out = conv_out_len(x.shape[2], window, stride)
-    win = _windows(x.data, window, stride)
-    out = Tensor(win.mean(axis=3), _parents=(x,))
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        span = stride * (l_out - 1) + 1
-        for j in range(window):
-            gx[:, :, j:j + span:stride] += g / window
-        _accum(x, gx)
-
-    out._backward = backward
-    return out
-
-
 def global_max_pool1d(x):
     """Whole-sequence max per channel, output length 1."""
     arg = x.data.argmax(axis=2)
@@ -101,14 +84,6 @@ def global_max_pool1d(x):
         _accum(x, gx)
 
     out._backward = backward
-    return out
-
-
-def global_avg_pool1d(x):
-    """Whole-sequence mean per channel, output length 1."""
-    length = x.shape[2]
-    out = Tensor(x.data.mean(axis=2, keepdims=True), _parents=(x,))
-    out._backward = lambda g: _accum(x, np.broadcast_to(g / length, x.shape).copy())
     return out
 
 

@@ -51,28 +51,21 @@ class Conv1dLayer(Layer):
 
 
 class Pool1dLayer(Layer):
-    """Max or average pooling, local (window k', step s') or global."""
+    """Max pooling, local (window k', step s') or global."""
 
-    def __init__(self, window=2, stride=2, mode="max", scope="local"):
-        if mode not in ("max", "avg"):
-            raise ValueError(f"pool mode must be 'max' or 'avg', got {mode!r}")
+    def __init__(self, window=2, stride=2, scope="local"):
         if scope not in ("local", "global"):
             raise ValueError(f"pool scope must be 'local' or 'global', got {scope!r}")
         if scope == "local" and (window < 1 or stride < 1):
             raise ShapeError("local pooling needs window and stride >= 1")
         self.window = window
         self.stride = stride
-        self.mode = mode
         self.scope = scope
 
     def forward(self, x):
         if self.scope == "global":
-            if self.mode == "max":
-                return convpool.global_max_pool1d(x)
-            return convpool.global_avg_pool1d(x)
-        if self.mode == "max":
-            return convpool.max_pool1d(x, self.window, self.stride)
-        return convpool.avg_pool1d(x, self.window, self.stride)
+            return convpool.global_max_pool1d(x)
+        return convpool.max_pool1d(x, self.window, self.stride)
 
 class DenseLayer(Layer):
     """Affine map on the last axis: x @ W + b."""

@@ -1,4 +1,4 @@
-"""SGD and Adam parameter updates."""
+"""Adam parameter updates."""
 from __future__ import annotations
 
 import numpy as np
@@ -17,24 +17,6 @@ def _check_grads(named_params):
 def zero_grads(named_params):
     for _, p in named_params:
         p.grad = None
-
-
-class SGD:
-    def __init__(self, lr=0.01):
-        self.lr = lr
-
-    def step(self, named_params):
-        """Apply one update; rejects the whole step on any non-finite gradient."""
-        named_params = list(named_params)
-        _check_grads(named_params)
-        for _, p in named_params:
-            p.data -= (self.lr * p.grad).astype(p.data.dtype, copy=False)
-
-    def state_arrays(self):
-        return {}
-
-    def load_state_arrays(self, arrays):
-        pass
 
 
 class Adam:
@@ -83,11 +65,3 @@ class Adam:
         self.t = int(arrays["adam.t"][0])
         self.m = {k[len("adam.m."):]: v for k, v in arrays.items() if k.startswith("adam.m.")}
         self.v = {k[len("adam.v."):]: v for k, v in arrays.items() if k.startswith("adam.v.")}
-
-
-def make_optimizer(name, lr):
-    if name == "sgd":
-        return SGD(lr)
-    if name == "adam":
-        return Adam(lr)
-    raise ValueError(f"unknown optimizer {name!r}")

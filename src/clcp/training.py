@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -145,11 +145,10 @@ class TrainingAborted(RuntimeError):
 def _save_checkpoint(path, model, optimizer, state):
     arrays = [(n, p.data) for n, p in model.named_params()] + model.named_buffers()
     arrays += sorted(optimizer.state_arrays().items())
-    arrays.append(("state.step", np.array([state.step], dtype=np.int64)))
-    arrays.append(("state.epoch", np.array([state.epoch], dtype=np.int64)))
-    arrays.append(("state.seed", np.array([state.seed], dtype=np.int64)))
-    arrays.append(("state.best_val", np.array([state.best_val], dtype=np.float64)))
-    arrays.append(("state.best_epoch", np.array([state.best_epoch], dtype=np.int64)))
+    arrays += [(f"state.{f.name}", np.array(
+                   [getattr(state, f.name)],
+                   dtype=np.float64 if isinstance(f.default, float) else np.int64))
+               for f in fields(TrainState)]
     ndnn.save_arrays(path, arrays)
 
 
@@ -161,14 +160,8 @@ def load_checkpoint(path, model, optimizer=None):
         opt_arrays = {n: a for n, a in arrays.items() if n.startswith("adam.")}
         if opt_arrays:
             optimizer.load_state_arrays(opt_arrays)
-    state = TrainState(
-        step=int(arrays["state.step"][0]),
-        epoch=int(arrays["state.epoch"][0]),
-        seed=int(arrays["state.seed"][0]),
-        best_val=float(arrays["state.best_val"][0]),
-        best_epoch=int(arrays["state.best_epoch"][0]),
-    )
-    return state
+    return TrainState(**{f.name: type(f.default)(arrays[f"state.{f.name}"][0])
+                         for f in fields(TrainState)})
 
 
 @dataclass
@@ -224,7 +217,7 @@ def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):
 
     data = prepare_pairs(pairs, config, vocab=vocab, text_vocab=text_vocab)
     model = CLCPModel(config, data.text_vocab.size)
-    optimizer = ndnn.make_optimizer(config.optimizer, config.lr)
+    optimizer = ndnn.Adam(config.lr)
     params = model.named_params()
     state = TrainState(seed=config.seed)
     metrics = []

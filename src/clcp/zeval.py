@@ -16,16 +16,15 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .encoders import ModelConfig, apply_ablation, config_for_family
+from .encoders import ABLATIONS, FAMILIES, ModelConfig, apply_ablation, config_for_family
 from .ingest import sample_split
 from .textclean import clean_corpus
 from .training import prepare_pairs, train
 
 logger = logging.getLogger(__name__)
 
-DELTAS = ("none", "+BN", "-Pool", "-Init")
-FAMILIES = ("lp", "gp", "rn")
-_CELL_FIELDS = ("blocks", "arch", "pooling", "use_bn", "use_pooling", "use_he_init")
+DELTAS = ("none", *ABLATIONS)
+_CELL_FIELDS = ("family", "blocks", *(flag for flag, _ in ABLATIONS.values()))
 
 
 @dataclass
@@ -193,19 +192,14 @@ def run_ablations(records, plan, families=FAMILIES, blocks=3, deltas=DELTAS,
     for cell in cells:
         base = mean_by_key.get((cell.family, "none"), float("nan"))
         cell.diff_vs_base = cell.mean_acc - base
+    # "+BN" -> bn_addition_hurts, "-Pool" -> pool_removal_hurts, ...
     flags = {
-        "pool_removal_hurts": all(
-            mean_by_key.get((f, "-Pool"), 0) < mean_by_key.get((f, "none"), 0)
-            for f in families if (f, "-Pool") in mean_by_key),
-        "init_removal_hurts": all(
-            mean_by_key.get((f, "-Init"), 0) < mean_by_key.get((f, "none"), 0)
-            for f in families if (f, "-Init") in mean_by_key),
-        "bn_addition_hurts": all(
-            mean_by_key.get((f, "+BN"), 0) < mean_by_key.get((f, "none"), 0)
-            for f in families if (f, "+BN") in mean_by_key),
-        "lp_minus_pool_below_chance":
-            mean_by_key.get(("lp", "-Pool"), float("inf")) < ea,
-    }
+        f"{delta[1:].lower()}_{'addition' if delta[0] == '+' else 'removal'}_hurts": all(
+            mean_by_key[(f, delta)] < mean_by_key.get((f, "none"), 0)
+            for f in families if (f, delta) in mean_by_key)
+        for delta in ABLATIONS}
+    flags["lp_minus_pool_below_chance"] = mean_by_key.get(("lp", "-Pool"),
+                                                          float("inf")) < ea
     return cells, flags
 
 

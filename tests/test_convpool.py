@@ -44,14 +44,9 @@ class TestPoolForward:
         x = nd.Tensor(np.array([[[1.0, 3.0, 2.0, 5.0]]]))
         np.testing.assert_array_equal(nd.max_pool1d(x, 2, 2).data, [[[3.0, 5.0]]])
 
-    def test_global_avg(self):
-        x = nd.Tensor(np.array([[[2.0, 4.0, 6.0]]]))
-        np.testing.assert_array_equal(nd.global_avg_pool1d(x).data, [[[4.0]]])
-
     def test_constant_input_any_pooling(self):
         x = nd.Tensor(np.full((2, 3, 8), 7.0))
-        for out in (nd.max_pool1d(x, 3, 2), nd.avg_pool1d(x, 3, 2),
-                    nd.global_max_pool1d(x), nd.global_avg_pool1d(x)):
+        for out in (nd.max_pool1d(x, 3, 2), nd.global_max_pool1d(x)):
             assert (out.data == 7.0).all()
 
     def test_local_too_short_raises(self):
@@ -147,16 +142,6 @@ class TestGradients:
 
         self._check(build, arrs)
 
-    def test_avg_pool_local(self):
-        rng = np.random.default_rng(22)
-        arrs = [rng.normal(size=(2, 2, 10))]
-
-        def build(arrays):
-            x = nd.Tensor(arrays[0], requires_grad=True)
-            return nd.tsum(nd.avg_pool1d(x, 4, 3)), [x]
-
-        self._check(build, arrs)
-
     def test_global_pools(self):
         rng = np.random.default_rng(23)
         arrs = [spaced_random(rng, (3, 2, 7))]
@@ -165,12 +150,7 @@ class TestGradients:
             x = nd.Tensor(arrays[0], requires_grad=True)
             return nd.tsum(nd.global_max_pool1d(x)), [x]
 
-        def build_avg(arrays):
-            x = nd.Tensor(arrays[0], requires_grad=True)
-            return nd.tsum(nd.global_avg_pool1d(x) * 2.0), [x]
-
         self._check(build_max, arrs)
-        self._check(build_avg, arrs)
 
     def test_batch_norm_training_mode(self):
         rng = np.random.default_rng(24)

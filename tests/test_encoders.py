@@ -4,6 +4,8 @@ import pytest
 
 from clcp import ndnn
 from clcp.encoders import (
+    ABLATIONS,
+    FAMILIES,
     CodeEncoder,
     ConfigError,
     ModelConfig,
@@ -33,7 +35,7 @@ class TestShapePlan:
             (508, 254), (250, 125), (121, 60)]
 
     def test_global_pool_collapses_final_block(self):
-        cfg = small_cfg(pooling="global")
+        cfg = small_cfg(family="gp")
         plan = shape_plan(cfg)
         assert plan[-1]["pool"] == 1
         assert plan[-2]["pool"] > 1
@@ -54,7 +56,7 @@ class TestShapePlan:
                 stride=int(rng.integers(1, 4)),
                 pool_window=int(rng.integers(1, 5)),
                 pool_stride=int(rng.integers(1, 4)),
-                arch=("block", "residual")[int(rng.integers(0, 2))],
+                family=("lp", "rn")[int(rng.integers(0, 2))],
             )
             try:
                 shape_plan(cfg)
@@ -69,7 +71,7 @@ class TestShapePlan:
             assert plan_ok == built
 
     def test_residual_plan_matches_forward_shape(self):
-        cfg = small_cfg(arch="residual")
+        cfg = small_cfg(family="rn")
         enc = CodeEncoder(cfg)
         out = enc.forward(ndnn.Tensor(np.zeros((2, 1, cfg.image_len), dtype=np.float32)))
         assert out.shape == (2, cfg.embed_dim)
@@ -77,7 +79,7 @@ class TestShapePlan:
 
 class TestConfig:
     def test_file_round_trip(self, tmp_path):
-        cfg = small_cfg(arch="residual", use_bn=True, lr=0.01, channels=(4, 4, 4))
+        cfg = small_cfg(family="rn", use_bn=True, lr=0.01, channels=(4, 4, 4))
         path = tmp_path / "m.cfg"
         cfg.save(path)
         again = ModelConfig.load(path)
@@ -93,6 +95,10 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
             ModelConfig.from_text("mystery=1\n")
+        # fields replaced by family, or removed with the code they selected
+        for line in ("arch=residual", "pooling=global", "pool_mode=avg", "optimizer=sgd"):
+            with pytest.raises(ConfigError, match="unknown config field"):
+                ModelConfig.from_text(line + "\n")
 
     def test_blocks_ladder_bounds(self):
         with pytest.raises(ConfigError, match="blocks"):
@@ -107,6 +113,16 @@ class TestConfig:
             ModelConfig(batch_size=0).validate()
         ModelConfig(text_vocab=2, batch_size=1).validate()
 
+    def test_val_fraction_and_pool_bounds(self):
+        for bad in (-0.1, 1.0, float("nan")):
+            with pytest.raises(ConfigError, match="val_fraction"):
+                ModelConfig(val_fraction=bad).validate()
+        with pytest.raises(ConfigError, match="pool_window"):
+            ModelConfig(pool_window=0).validate()
+        with pytest.raises(ConfigError, match="pool_stride"):
+            ModelConfig(pool_stride=0).validate()
+        ModelConfig(val_fraction=0.0, pool_window=1, pool_stride=1).validate()
+
     def test_default_channel_plan_doubles_capped(self):
         cfg = ModelConfig(blocks=5).validate()
         assert cfg.channel_plan() == (16, 32, 64, 128, 128)
@@ -117,15 +133,20 @@ class TestConfig:
         assert config_for_family("rn", 5).config_id() == "rn5"
         cfg = apply_ablation(config_for_family("lp", 3), "-Pool")
         assert cfg.config_id() == "lp3-Pool"
+        ids = {(family, delta): apply_ablation(config_for_family(family, 3), delta).config_id()
+               for family in FAMILIES for delta in ("none", *ABLATIONS)}
+        assert len(ids) == len(set(ids.values())) == 12
+        for (family, delta), config_id in ids.items():
+            assert config_id == f"{family}3" + ("" if delta == "none" else delta)
 
 
 class TestAblationFlags:
     def test_all_combinations_constructible(self):
-        for arch in ("block", "residual"):
+        for family in FAMILIES:
             for use_bn in (False, True):
                 for use_pooling in (False, True):
                     for use_he in (False, True):
-                        cfg = small_cfg(arch=arch, use_bn=use_bn,
+                        cfg = small_cfg(family=family, use_bn=use_bn,
                                         use_pooling=use_pooling, use_he_init=use_he)
                         enc = CodeEncoder(cfg)
                         x = ndnn.Tensor(np.random.default_rng(0)
@@ -139,7 +160,7 @@ class TestAblationFlags:
 
 class TestResidualBlocks:
     def test_zero_series_passes_shortcut(self):
-        cfg = small_cfg(arch="residual", channels=(4, 4, 4), use_he_init=True)
+        cfg = small_cfg(family="rn", channels=(4, 4, 4), use_he_init=True)
         enc = CodeEncoder(cfg)
         rng = np.random.default_rng(1)
         x = ndnn.Tensor(rng.random((1, 1, cfg.image_len), dtype=np.float32))

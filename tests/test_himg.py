@@ -10,6 +10,7 @@ from clcp.himg import (
     read_images,
     write_images,
 )
+from clcp.ndnn import save_arrays
 from clcp.pylex import Component, Token, load_default_tables
 from clcp.vocab import build_vocab
 
@@ -104,6 +105,10 @@ class TestBinaryFormat:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00" * 32)
+        with pytest.raises(ValueError):
+            read_images(path)
+        # a valid array file that holds no images
+        save_arrays(path, [("weight", np.zeros(3, dtype=np.float32))])
         with pytest.raises(ValueError):
             read_images(path)
 

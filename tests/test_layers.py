@@ -60,18 +60,6 @@ class TestAttention:
 
 
 class TestOptim:
-    def test_sgd_hand_step(self):
-        p = nd.Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = np.array([1.0])
-        nd.SGD(lr=0.1).step([("p", p)])
-        np.testing.assert_allclose(p.data, [0.9])
-
-    def test_sgd_zero_gradient_no_change(self):
-        p = nd.Tensor(np.array([1.5]), requires_grad=True)
-        p.grad = np.array([0.0])
-        nd.SGD(lr=0.1).step([("p", p)])
-        np.testing.assert_array_equal(p.data, [1.5])
-
     def test_adam_first_step_hand_value(self):
         # g=1: m_hat=1, v_hat=1, update = lr / (1 + eps)
         lr, eps = 1e-3, 1e-8
@@ -135,7 +123,7 @@ class TestDeterminism:
                       ("dense.weight", dense.weight), ("dense.bias", dense.bias)]
             for _ in range(20):
                 x = nd.Tensor(data_rng.normal(size=(4, 1, 16)).astype(np.float32))
-                h = nd.global_avg_pool1d(nd.relu(conv.forward(x)))
+                h = nd.global_max_pool1d(nd.relu(conv.forward(x)))
                 out = dense.forward(nd.reshape(h, (4, 4)))
                 loss = nd.tmean(out * out)
                 nd.zero_grads(params)

@@ -1,5 +1,6 @@
 """Autodiff engine: forward values and gradients of the primitive ops."""
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -221,3 +222,14 @@ def test_output_freed_without_cycle_collector(op):
         assert output() is None
     finally:
         gc.enable()
+
+
+def test_all_lists_every_public_name():
+    # the benchmark tracer wraps every function in nd.__all__ by name
+    for name in nd.__all__:
+        assert hasattr(nd, name), name
+    exported = {name for name, obj in vars(nd).items()
+                if not name.startswith("_")
+                and (inspect.isfunction(obj) or inspect.isclass(obj))
+                and obj.__module__.startswith("clcp.ndnn.")}
+    assert exported <= set(nd.__all__)

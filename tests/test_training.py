@@ -13,7 +13,9 @@ from clcp.synth import generate_pairs
 from clcp.training import (
     CLCPModel,
     TrainingAborted,
+    TrainState,
     clip_loss,
+    load_checkpoint,
     load_run,
     prepare_pairs,
     similarity_matrix,
@@ -155,6 +157,19 @@ class TestTrainLoop:
         batch = np.random.default_rng(0).random((8, 1, cfg.image_len), dtype=np.float32)
         np.testing.assert_array_equal(again.model.encode_code(batch).data,
                                       out.model.encode_code(batch).data)
+
+    def test_checkpoint_round_trips_every_state_field(self, tmp_path):
+        state = TrainState(step=7, epoch=3, seed=11, best_val=0.25, best_epoch=2,
+                           aborted=True)
+        assert all(getattr(state, f.name) != f.default
+                   for f in dataclasses.fields(TrainState))
+        model = CLCPModel(tiny_cfg(), text_vocab_size=32)
+        path = tmp_path / "checkpoint.ndnc"
+        training._save_checkpoint(path, model, ndnn.Adam(), state)
+        loaded = load_checkpoint(path, model)
+        assert loaded == state
+        for f in dataclasses.fields(TrainState):
+            assert type(getattr(loaded, f.name)) is type(f.default)
 
     def test_second_run_replaces_metrics(self, tmp_path):
         pairs = generate_pairs(32, seed=10)

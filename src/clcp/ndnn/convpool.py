@@ -55,17 +55,30 @@ def conv1d(x, weight, bias, stride):
 
 
 def max_pool1d(x, window, stride):
-    """Local max pooling; gradient routes to the first maximal index per window."""
+    """Local max pooling; gradient routes to the first maximal index per window.
+
+    One pass per window offset ``j`` over the strided slice of every window's
+    ``j``-th element keeps a running max and its offset.  The values are those
+    of ``np.max`` over each window (NaN and signed zeros included) and the
+    offsets those of ``argmax``: a strict ``>`` keeps the first maximal one,
+    and a NaN beats any number but not an earlier NaN.
+    """
     l_out = conv_out_len(x.shape[2], window, stride)
-    win = _windows(x.data, window, stride)
-    arg = win.argmax(axis=3)
-    out = Tensor(win.max(axis=3), _parents=(x,))
+    span = stride * (l_out - 1) + 1
+    out_data = x.data[:, :, 0:span:stride].copy()
+    arg = np.zeros(out_data.shape, dtype=np.intp)
+    for j in range(1, window):
+        cand = x.data[:, :, j:j + span:stride]
+        arg[(cand > out_data) | (np.isnan(cand) & ~np.isnan(out_data))] = j
+        np.maximum(out_data, cand, out=out_data)
+    out = Tensor(out_data, _parents=(x,))
 
     def backward(g):
+        # position p is offset p - l * stride of window l, so descending j adds
+        # p's contributions in ascending l: a scatter-add's order, and rounding
         gx = np.zeros_like(x.data)
-        b, c, _ = g.shape
-        pos = arg + np.arange(l_out)[None, None, :] * stride
-        np.add.at(gx, (np.arange(b)[:, None, None], np.arange(c)[None, :, None], pos), g)
+        for j in reversed(range(window)):
+            gx[:, :, j:j + span:stride] += np.where(arg == j, g, 0)
         _accum(x, gx)
 
     out._backward = backward
@@ -79,8 +92,7 @@ def global_max_pool1d(x):
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        b, c = arg.shape
-        np.add.at(gx, (np.arange(b)[:, None], np.arange(c)[None, :], arg), g[:, :, 0])
+        np.put_along_axis(gx, arg[..., None], g, axis=2)
         _accum(x, gx)
 
     out._backward = backward

@@ -170,7 +170,8 @@ def run_ablations(records, plan, families=FAMILIES, blocks=3, deltas=DELTAS,
 
     Each cell takes every ``base_config`` field except the ones it sets itself.
     Returns (cells, flags): flags report whether the expected qualitative
-    directions were observed; they are never asserted.
+    directions were observed, or None where the run held nothing to compare;
+    they are never asserted.
     """
     overrides = {}
     if base_config is not None:
@@ -192,14 +193,16 @@ def run_ablations(records, plan, families=FAMILIES, blocks=3, deltas=DELTAS,
     for cell in cells:
         base = mean_by_key.get((cell.family, "none"), float("nan"))
         cell.diff_vs_base = cell.mean_acc - base
-    # "+BN" -> bn_addition_hurts, "-Pool" -> pool_removal_hurts, ...
-    flags = {
-        f"{delta[1:].lower()}_{'addition' if delta[0] == '+' else 'removal'}_hurts": all(
-            mean_by_key[(f, delta)] < mean_by_key.get((f, "none"), 0)
-            for f in families if (f, delta) in mean_by_key)
-        for delta in ABLATIONS}
-    flags["lp_minus_pool_below_chance"] = mean_by_key.get(("lp", "-Pool"),
-                                                          float("inf")) < ea
+    # "+BN" -> bn_addition_hurts, "-Pool" -> pool_removal_hurts, ...; None
+    # when no family ran both the ablation and its base
+    flags = {}
+    for delta in ABLATIONS:
+        pairs = [(mean_by_key[(f, delta)], mean_by_key[(f, "none")]) for f in families
+                 if (f, delta) in mean_by_key and (f, "none") in mean_by_key]
+        key = f"{delta[1:].lower()}_{'addition' if delta[0] == '+' else 'removal'}_hurts"
+        flags[key] = all(acc < base for acc, base in pairs) if pairs else None
+    lp_no_pool = mean_by_key.get(("lp", "-Pool"))
+    flags["lp_minus_pool_below_chance"] = None if lp_no_pool is None else lp_no_pool < ea
     return cells, flags
 
 

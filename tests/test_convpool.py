@@ -1,6 +1,10 @@
 """Convolution, pooling, and batch-norm: hand oracles, shape law, gradients."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from clcp import ndnn as nd
 from fdcheck import check_op, spaced_random
@@ -181,3 +185,71 @@ class TestGradients:
         x = nd.Tensor(np.array([[[2.0, 2.0, 1.0]]]), requires_grad=True)
         nd.tsum(nd.max_pool1d(x, 3, 1)).backward()
         np.testing.assert_array_equal(x.grad, [[[1.0, 0.0, 0.0]]])
+        # overlapping windows over a run of equal values: each window routes to
+        # the first 3 it covers, so the first two windows share index 1
+        x = nd.Tensor(np.array([[[1.0, 3.0, 3.0, 3.0, 3.0, 0.0]]]), requires_grad=True)
+        nd.tsum(nd.max_pool1d(x, 3, 1)).backward()
+        np.testing.assert_array_equal(x.grad, [[[0.0, 2.0, 1.0, 1.0, 0.0, 0.0]]])
+
+
+def _reference_max_pool(data, window, stride, g):
+    """max/argmax over a sliding-window view, and a scatter-add backward."""
+    win = sliding_window_view(data, window, axis=2)[:, :, ::stride]
+    arg = win.argmax(axis=3)
+    b, c, l_out = arg.shape
+    gx = np.zeros_like(data)
+    pos = arg + np.arange(l_out) * stride
+    np.add.at(gx, (np.arange(b)[:, None, None], np.arange(c)[None, :, None], pos), g)
+    return win.max(axis=3), gx
+
+
+@st.composite
+def _pool_cases(draw):
+    window = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 6))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             draw(st.integers(window, window + 24)))
+    # few distinct integer values (signed zeros included), so windows tie
+    x = draw(arrays(dtype, shape, elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0])))
+    # a generic upstream gradient: where windows overlap, the order in which a
+    # position's contributions are added changes the rounding of their sum
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    l_out = (shape[2] - window) // stride + 1
+    g = rng.normal(size=shape[:2] + (l_out,)).astype(dtype)
+    return x, window, stride, g
+
+
+class TestMaxPoolProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_pool_cases())
+    def test_matches_sliding_window_reference_bit_for_bit(self, case):
+        data, window, stride, g = case
+        x = nd.Tensor(data, requires_grad=True)
+        out = nd.max_pool1d(x, window, stride)
+        out.backward(g)
+        ref_out, ref_gx = _reference_max_pool(data, window, stride, g)
+        assert out.data.dtype == ref_out.dtype and x.grad.dtype == ref_gx.dtype
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert x.grad.tobytes() == ref_gx.tobytes()
+
+
+class TestMaxPoolNaN:
+    def test_nan_reaches_its_window_output(self):
+        # the NaN sits second in its window, then first
+        for pos in (1, 4):
+            data = np.array([[[1.0, 2.0, 5.0, 0.0, 3.0, 4.0, 2.0]]])
+            data[0, 0, pos] = np.nan
+            out = nd.max_pool1d(nd.Tensor(data), 2, 2).data
+            ref, _ = _reference_max_pool(data, 2, 2, np.zeros_like(out))
+            np.testing.assert_array_equal(out, ref)
+            assert np.isnan(out[0, 0, pos // 2])
+            assert np.isnan(out).sum() == 1
+
+    def test_nan_after_first_nan_keeps_first_index(self):
+        data = np.array([[[1.0, np.nan, 7.0, np.nan]]])
+        x = nd.Tensor(data, requires_grad=True)
+        out = nd.max_pool1d(x, 4, 1)
+        assert np.isnan(out.data).all()
+        out.backward(np.ones_like(out.data))
+        np.testing.assert_array_equal(x.grad, [[[0.0, 1.0, 0.0, 0.0]]])

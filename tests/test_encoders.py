@@ -244,3 +244,12 @@ class TestEmbed:
         enc.stages["block1"].conv.weight.data[:] = np.nan
         with pytest.raises(ndnn.NumericError, match="block1"):
             embed(enc, np.ones((1, 1, cfg.image_len), dtype=np.float32))
+
+    def test_nan_through_local_pool_reported_with_block(self):
+        # kernel 1 keeps an input NaN at one conv output, the second of its
+        # pool window, so the pool alone decides whether block0 sees it
+        cfg = small_cfg(kernel=1)
+        image = np.ones((1, 1, cfg.image_len), dtype=np.float32)
+        image[0, 0, 1] = np.nan
+        with pytest.raises(ndnn.NumericError, match="block0"):
+            embed(CodeEncoder(cfg), image)

@@ -107,3 +107,10 @@ def test_reports_have_one_row_per_result(ablation):
     assert len(results_to_csv(results).splitlines()) == 1 + len(results)
     assert len(render_results_table(results).splitlines()) == 2 + len(results)
     assert len(render_ablation_table(cells).splitlines()) == 2 + len(cells)
+
+
+def test_flags_are_none_for_ablations_that_did_not_run(records, ablation):
+    _, flags = run_ablations(records, PLAN, families=("lp",), deltas=("none",),
+                             base_config=BASE)
+    assert flags == dict.fromkeys(ablation[1])
+    assert all(isinstance(v, bool) for v in ablation[1].values())

@@ -135,8 +135,6 @@ class ModelConfig:
 
 
 def _parse_field(name, raw):
-    if name == "channels":
-        return tuple(int(x) for x in raw.split(",") if x) if raw else ()
     proto = getattr(ModelConfig(), name)
     if isinstance(proto, bool):
         if raw.lower() in ("true", "1", "yes"):
@@ -144,10 +142,13 @@ def _parse_field(name, raw):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    if isinstance(proto, int):
-        return int(raw)
-    if isinstance(proto, float):
-        return float(raw)
+    try:
+        if name == "channels":
+            return tuple(int(x) for x in raw.split(",") if x)
+        if isinstance(proto, (int, float)):
+            return type(proto)(raw)
+    except ValueError:
+        raise ConfigError(f"{name}: expected {type(proto).__name__}, got {raw!r}") from None
     return raw
 
 
@@ -353,14 +354,13 @@ class TextVocabulary:
         return _WORD_RE.findall(text.lower())
 
     @classmethod
-    def build(cls, docs, max_size=2000, min_count=1):
+    def build(cls, docs, max_size=2000):
         counts = {}
         for doc in docs:
             for word in cls.tokenize(doc):
                 counts[word] = counts.get(word, 0) + 1
-        ranked = sorted(((c, w) for w, c in counts.items() if c >= min_count),
-                        key=lambda cw: (-cw[0], cw[1]))
-        table = {w: i + 2 for i, (_, w) in enumerate(ranked[:max_size - 2])}
+        ranked = sorted(counts, key=lambda w: (-counts[w], w))
+        table = {w: i + 2 for i, w in enumerate(ranked[:max_size - 2])}
         return cls(table)
 
     @property

@@ -23,13 +23,20 @@ class IngestError(ValueError):
 
 @dataclass(frozen=True)
 class PairRecord:
-    """One (code, description) pair with a stable string key."""
+    """One (code, description) pair with a stable string key.
+
+    An empty ``id`` becomes ``content_id(code, doc)``.
+    """
 
     id: str
     code: str
     doc: str
 
     def __post_init__(self):
+        if not isinstance(self.code, str) or not isinstance(self.doc, str):
+            raise IngestError(f"record {self.id}: code and doc must be strings")
+        if not self.id:
+            object.__setattr__(self, "id", content_id(self.code, self.doc))
         if not self.code:
             raise IngestError(f"record {self.id}: empty code")
         if not self.doc.strip():
@@ -94,10 +101,8 @@ def load_pairs(path, limit=None, code_field="code", doc_field="docstring",
         total += 1
         try:
             obj = json.loads(line)
-            code = obj[code_field]
-            doc = obj[doc_field]
-            rid = str(obj[id_field]) if id_field else content_id(code, doc)
-            records.append(PairRecord(rid, code, doc))
+            rid = str(obj[id_field]) if id_field else ""
+            records.append(PairRecord(rid, obj[code_field], obj[doc_field]))
         except (json.JSONDecodeError, KeyError, TypeError, IngestError):
             skipped += 1
             continue
@@ -119,7 +124,6 @@ def first_sentence(doc):
 
 @dataclass
 class SplitResult:
-    plan: SamplePlan
     train_ids: list[str]   # prefix order; subsets are prefixes of this list
     test_ids: list[str]
     by_id: dict[str, PairRecord] = field(repr=False)
@@ -173,31 +177,4 @@ def sample_split(records, plan, zero_shot=True):
             f"requested size {max_test} exceeds eligible test pool of {len(test)} "
             f"(zero-shot filter={zero_shot})")
     by_id = {r.id: r for r in unique}
-    return SplitResult(plan, [r.id for r in train], [r.id for r in test], by_id)
-
-
-def write_split_manifest(split, path):
-    """JSONL: one header line with seed and counts, then one line per id."""
-    with open(path, "w", encoding="utf-8") as f:
-        header = {"seed": split.plan.seed,
-                  "train_sizes": list(split.plan.train_sizes),
-                  "test_sizes": list(split.plan.test_sizes),
-                  "train_count": len(split.train_ids),
-                  "test_count": len(split.test_ids)}
-        f.write(json.dumps(header, sort_keys=True) + "\n")
-        for rank, rid in enumerate(split.train_ids):
-            f.write(json.dumps({"role": "train", "rank": rank, "id": rid}) + "\n")
-        for rank, rid in enumerate(split.test_ids):
-            f.write(json.dumps({"role": "test", "rank": rank, "id": rid}) + "\n")
-
-
-def read_split_manifest(path):
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = json.loads(lines[0])
-    train, test = [], []
-    for line in lines[1:]:
-        obj = json.loads(line)
-        (train if obj["role"] == "train" else test).append((obj["rank"], obj["id"]))
-    train_ids = [i for _, i in sorted(train)]
-    test_ids = [i for _, i in sorted(test)]
-    return header, train_ids, test_ids
+    return SplitResult([r.id for r in train], [r.id for r in test], by_id)

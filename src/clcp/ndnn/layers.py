@@ -95,10 +95,10 @@ class BatchNorm1dLayer(Layer):
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
 
-    def forward(self, x, update_running=True):
+    def forward(self, x):
         return convpool.batch_norm1d(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            self.eps, self.momentum, self.training, update_running)
+            self.eps, self.momentum, self.training)
 
     def set_training(self, flag):
         self.training = flag

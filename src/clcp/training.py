@@ -116,7 +116,11 @@ class CLCPModel:
 
 @dataclass
 class TrainState:
-    """Everything needed to restore a run exactly at fixed precision."""
+    """Loop counters a checkpoint saves beside the parameters, buffers and Adam state.
+
+    The generator state and the epoch permutation are not saved, so a
+    checkpoint restores the model and optimizer but cannot resume the run.
+    """
 
     step: int = 0
     epoch: int = 0

@@ -262,10 +262,6 @@ class NamespaceScope:
     def texts_for(self, id_):
         return self._texts.get(id_)
 
-    def metadata(self):
-        return {"on_exhaust": self.on_exhaust,
-                "recycled": sorted(c.value for c in self.recycled)}
-
 
 def assign_ids(tokens, vocabulary, scope):
     """Map classified tokens to numeric IDs.

@@ -8,8 +8,6 @@ ladder.  Ladder sizes here are desk-scale stand-ins for the full-corpus runs
 """
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -112,7 +110,8 @@ def _run_cell(cell):
         logger.warning("cell %s@%d failed: %s", config.config_id(), train_size, exc)
         failed = EvalResult(L=1, correct=0, acc=0.0, ea=1.0,
                             config_id=config.config_id(), variant=variant,
-                            train_size=train_size, failed=str(exc))
+                            direction=cell.direction, train_size=train_size,
+                            seed=config.seed, failed=str(exc))
         results.append(failed)
     return results
 
@@ -204,42 +203,3 @@ def run_ablations(records, plan, families=FAMILIES, blocks=3, deltas=DELTAS,
     lp_no_pool = mean_by_key.get(("lp", "-Pool"))
     flags["lp_minus_pool_below_chance"] = None if lp_no_pool is None else lp_no_pool < ea
     return cells, flags
-
-
-# -- reporting ---------------------------------------------------------------
-
-_CSV_FIELDS = ("config_id", "variant", "direction", "regime", "train_size", "L",
-               "correct", "acc", "ea", "seed", "failed")
-
-
-def results_to_csv(results):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_CSV_FIELDS)
-    for r in results:
-        writer.writerow([getattr(r, f) for f in _CSV_FIELDS])
-    return buf.getvalue()
-
-
-def render_results_table(results):
-    headers = ["config", "variant", "regime", "train", "L", "acc", "ea", "status"]
-    rows = [[r.config_id, r.variant, r.regime, str(r.train_size), str(r.L),
-             f"{r.acc:.4f}", f"{r.ea:.4f}", r.failed or "ok"] for r in results]
-    return _render_table(headers, rows)
-
-
-def render_ablation_table(cells):
-    headers = ["family", "blocks", "delta", "mean_acc", "diff_vs_base"]
-    rows = [[c.family, str(c.blocks), c.delta, f"{c.mean_acc:.4f}",
-             f"{c.diff_vs_base:+.4f}"] for c in cells]
-    return _render_table(headers, rows)
-
-
-def _render_table(headers, rows):
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in rows)
-    return "\n".join(lines) + "\n"

@@ -100,6 +100,12 @@ class TestConfig:
             with pytest.raises(ConfigError, match="unknown config field"):
                 ModelConfig.from_text(line + "\n")
 
+    def test_unparsable_value_names_field(self):
+        for line in ("blocks=three", "lr=fast", "channels=4,x,4"):
+            field_name = line.partition("=")[0]
+            with pytest.raises(ConfigError, match=f"^{field_name}: "):
+                ModelConfig.from_text(line + "\n")
+
     def test_blocks_ladder_bounds(self):
         with pytest.raises(ConfigError, match="blocks"):
             ModelConfig(blocks=2).validate()

@@ -1,16 +1,8 @@
-"""Image assembly: padding, truncation, normalization, binary round-trip."""
+"""Image assembly: padding, truncation, normalization, the batch view."""
 import numpy as np
 import pytest
 
-from clcp.himg import (
-    dump_images_text,
-    encode_corpus,
-    encode_streams,
-    images_to_batch,
-    read_images,
-    write_images,
-)
-from clcp.ndnn import save_arrays
+from clcp.himg import encode_corpus, encode_streams, images_to_batch
 from clcp.pylex import Component, Token, load_default_tables
 from clcp.vocab import build_vocab
 
@@ -90,32 +82,3 @@ class TestEncode:
         assert batch.shape == (1, 1, 4)
         assert batch.dtype == np.float32
         np.testing.assert_allclose(batch[0, 0], [1 / MAX_ID, 1.0, 0.0, 0.0], rtol=1e-6)
-
-
-class TestBinaryFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        matrix = rng.integers(0, MAX_ID + 1, size=(5, 12)).astype(np.uint32)
-        path = tmp_path / "imgs.bin"
-        write_images(path, matrix, MAX_ID)
-        loaded, max_id = read_images(path)
-        assert max_id == MAX_ID
-        np.testing.assert_array_equal(loaded, matrix)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"\x00" * 32)
-        with pytest.raises(ValueError):
-            read_images(path)
-        # a valid array file that holds no images
-        save_arrays(path, [("weight", np.zeros(3, dtype=np.float32))])
-        with pytest.raises(ValueError):
-            read_images(path)
-
-    def test_debug_dump(self):
-        matrix = np.array([[3, 4, 0, 0], [5, 0, 0, 0]], dtype=np.uint32)
-        dump = dump_images_text(matrix, MAX_ID)
-        lines = dump.strip().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1] == "0\t2\t3 4"
-        assert lines[2] == "1\t1\t5"

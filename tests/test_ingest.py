@@ -9,9 +9,7 @@ from clcp.ingest import (
     SamplePlan,
     first_sentence,
     load_pairs,
-    read_split_manifest,
     sample_split,
-    write_split_manifest,
 )
 
 
@@ -41,6 +39,15 @@ class TestLoadPairs:
             encoding="utf-8")
         result = load_pairs(path)
         assert len(result.records) == 2 and result.skipped == 1
+
+    def test_non_string_fields_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        rows = [{"code": f"x = {i}", "docstring": f"sets x to {i}"} for i in range(4)]
+        rows += [{"code": 7, "docstring": "numeric code"},
+                 {"code": "y = 1", "docstring": 5}]
+        write_jsonl(path, rows)
+        result = load_pairs(path)
+        assert len(result.records) == 4 and result.skipped == 2
 
     def test_mostly_malformed_is_fatal(self, tmp_path):
         path = tmp_path / "wrong.jsonl"
@@ -124,16 +131,3 @@ class TestSampleSplit:
 
     def test_first_sentence_normalization(self):
         assert first_sentence("Return  the union. &gt;&gt;&gt;") == "return the union"
-
-
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        records = make_records(12)
-        plan = SamplePlan((4, 6), (3,), seed=2)
-        split = sample_split(records, plan, zero_shot=False)
-        path = tmp_path / "split.jsonl"
-        write_split_manifest(split, path)
-        header, train_ids, test_ids = read_split_manifest(path)
-        assert header["seed"] == 2
-        assert header["train_sizes"] == [4, 6]
-        assert train_ids == split.train_ids and test_ids == split.test_ids

@@ -148,7 +148,7 @@ class TestAssignIds:
             scope.allocate(Component.VARIABLE, f"v{i}")
         wrapped = scope.allocate(Component.VARIABLE, "extra")
         assert wrapped == 7961
-        assert scope.metadata()["recycled"] == ["Variable"]
+        assert scope.recycled == {Component.VARIABLE}
 
     def test_whitespace_expands_per_character(self, empty_vocab):
         tokens = tokenize("def f():\n    pass\n")

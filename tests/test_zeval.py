@@ -1,6 +1,7 @@
-"""The ablation ladder on a tiny synthetic plan, its failure path and reports."""
+"""Zero-shot matching and the ablation ladder on a tiny synthetic plan."""
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from clcp import zeval
@@ -11,10 +12,8 @@ from clcp.zeval import (
     DELTAS,
     FAMILIES,
     EvalResult,
-    render_ablation_table,
-    render_results_table,
-    results_to_csv,
     run_ablations,
+    zero_shot_match,
 )
 
 PLAN = SamplePlan((8, 12), (6, 8), seed=3)
@@ -101,12 +100,34 @@ def test_eval_result_rejects_wrong_chance_level():
         EvalResult(L=4, correct=1, acc=0.25, ea=0.5)
 
 
-def test_reports_have_one_row_per_result(ablation):
-    cells, _, _ = ablation
-    results = [r for c in cells for r in c.cells]
-    assert len(results_to_csv(results).splitlines()) == 1 + len(results)
-    assert len(render_results_table(results).splitlines()) == 2 + len(results)
-    assert len(render_ablation_table(cells).splitlines()) == 2 + len(cells)
+def test_failed_cell_keeps_seed_and_direction(records):
+    too_short = replace(BASE, image_len=8, seed=7)
+    results = zeval.run_ladder(records, PLAN, [too_short], direction="text2code")
+    assert results and all(r.failed for r in results)
+    assert {(r.seed, r.direction) for r in results} == {(7, "text2code")}
+
+
+def test_directions_match_rows_and_columns():
+    # code i is the unit vector e_i, so sim[i, j] = text[j, i]
+    sim = np.array([[0.9, 0.8, 0.0],
+                    [0.95, 0.1, 0.0],
+                    [0.0, 0.0, 1.0]])
+    code, text = np.eye(3), sim.T
+    code2text = zero_shot_match(code, text, "code2text")
+    text2code = zero_shot_match(code, text, "text2code")
+    # rows pick texts 0, 0, 2; columns pick codes 1, 0, 2
+    assert (code2text.correct, code2text.direction) == (2, "code2text")
+    assert (text2code.correct, text2code.direction) == (1, "text2code")
+    with pytest.raises(ValueError, match="direction"):
+        zero_shot_match(code, text, "both")
+
+
+def test_cleaned_ladder_labels_every_row(records):
+    results = zeval.run_ladder(records, PLAN, [BASE], variant="cleaned")
+    assert len(results) == 2 * len(PLAN.train_sizes)
+    assert all(r.variant == "cleaned" and not r.failed for r in results)
+    with pytest.raises(ValueError, match="variant"):
+        zeval.run_ladder(records, PLAN, [BASE], variant="stemmed")
 
 
 def test_flags_are_none_for_ablations_that_did_not_run(records, ablation):

@@ -25,29 +25,45 @@ def _windows(data, kernel, stride):
 
 
 def conv1d(x, weight, bias, stride):
-    """Valid 1D convolution: x (B, C_in, L) with weight (C_out, C_in, k)."""
+    """Valid 1D convolution: x (B, C_in, L) with weight (C_out, C_in, k).
+
+    An im2col GEMM.  The forward copies every window into one channel-major
+    matrix ``cols`` of shape (C_in*k, B*L_out), row ``i*k + j`` holding input
+    channel ``i`` at window offset ``j``, and computes ``W2 @ cols`` with
+    ``W2 = weight.reshape(C_out, C_in*k)``.  The result is returned as a
+    (B, C_out, L_out) view of that (C_out, B*L_out) product, so its memory is
+    laid out (C_out, B, L_out); the elementwise ops after it keep that layout,
+    and an upstream gradient in it reshapes to (C_out, B*L_out) for free.
+    ``cols`` lives until backward, which computes the weight gradient as
+    ``g2 @ cols.T`` and the input gradient as one GEMM ``W2.T @ g2`` whose
+    rows are added back into place one window offset at a time.
+    """
     b, c_in, length = x.shape
     c_out, c_in_w, kernel = weight.shape
     if c_in != c_in_w:
         raise ShapeError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
     l_out = conv_out_len(length, kernel, stride)
-    win = _windows(x.data, kernel, stride)
-    out_data = np.einsum("bilk,oik->bol", win, weight.data, optimize=True)
+    cols = _windows(x.data, kernel, stride).transpose(1, 3, 0, 2).reshape(
+        c_in * kernel, b * l_out)
+    w2 = weight.data.reshape(c_out, c_in * kernel)
+    out2 = w2 @ cols
     if bias is not None:
-        out_data = out_data + bias.data[:, None]
+        out2 += bias.data[:, None]
+    out_data = out2.reshape(c_out, b, l_out).transpose(1, 0, 2)
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = Tensor(out_data, _parents=parents)
 
     def backward(g):
-        _accum(weight, np.einsum("bilk,bol->oik", win, g, optimize=True))
+        g2 = g.transpose(1, 0, 2).reshape(c_out, b * l_out)
+        _accum(weight, (g2 @ cols.T).reshape(weight.shape))
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2)))
         if x.requires_grad:
+            gcols = (w2.T @ g2).reshape(c_in, kernel, b, l_out)
             gx = np.zeros_like(x.data)
             span = stride * (l_out - 1) + 1
             for j in range(kernel):
-                gx[:, :, j:j + span:stride] += np.einsum(
-                    "bol,oi->bil", g, weight.data[:, :, j], optimize=True)
+                gx[:, :, j:j + span:stride] += gcols[:, j].transpose(1, 0, 2)
             _accum(x, gx)
 
     out._backward = backward

@@ -30,6 +30,8 @@ class Adam:
         self.t = 0
         self.m = {}
         self.v = {}
+        # scratch for the update, sized to the largest parameter; not state
+        self._num = self._den = np.empty(0)
 
     def step(self, named_params):
         named_params = list(named_params)
@@ -49,8 +51,21 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
-            update = self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.data -= update.astype(p.data.dtype, copy=False)
+            # lr * (m / b1t) / (sqrt(v / b2t) + eps), one op at a time in place
+            num, den = self._scratch(m.size, m.shape)
+            np.divide(m, b1t, out=num)
+            np.multiply(self.lr, num, out=num)
+            np.divide(v, b2t, out=den)
+            np.sqrt(den, out=den)
+            np.add(den, self.eps, out=den)
+            np.divide(num, den, out=num)
+            p.data -= num.astype(p.data.dtype, copy=False)
+
+    def _scratch(self, size, shape):
+        if self._num.size < size:
+            self._num = np.empty(size)
+            self._den = np.empty(size)
+        return self._num[:size].reshape(shape), self._den[:size].reshape(shape)
 
     def state_arrays(self):
         """Moment buffers plus the step counter, for checkpointing."""

@@ -232,10 +232,18 @@ def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):
         # a run's metrics start empty; each epoch appends one line
         (out_dir / METRICS_NAME).write_text("", encoding="utf-8")
 
-    def batch_loss(idx, train_mode):
-        model.set_training(train_mode)
+    def train_step(idx):
+        # the graph, with every op's saved inputs, dies on return, so it is
+        # freed before the next step's forward builds its own
+        model.set_training(True)
         loss, _ = model.pair_loss(data.code_batch[idx], data.text_ids[idx])
-        return loss
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise ndnn.NumericError("loss became non-finite")
+        ndnn.zero_grads(params)
+        loss.backward()
+        optimizer.step(params)
+        return value
 
     def validation_loss():
         idx = val_idx if len(val_idx) else train_idx
@@ -262,13 +270,7 @@ def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):
             if len(chunk) < 2 and len(perm) > 1:
                 continue  # a trailing singleton batch carries no signal
             try:
-                loss = batch_loss(chunk, train_mode=True)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    raise ndnn.NumericError("loss became non-finite")
-                ndnn.zero_grads(params)
-                loss.backward()
-                optimizer.step(params)
+                value = train_step(chunk)
             except ndnn.NumericError as exc:
                 state.aborted = True
                 model.load_snapshot(best_snapshot)

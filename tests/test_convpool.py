@@ -1,7 +1,7 @@
 """Convolution, pooling, and batch-norm: hand oracles, shape law, gradients."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
@@ -15,6 +15,11 @@ def _conv(x, w, b, stride=1):
                      nd.Tensor(np.asarray(w, dtype=np.float64)),
                      None if b is None else nd.Tensor(np.asarray(b, dtype=np.float64)),
                      stride)
+
+
+def _channel_major(a):
+    """The same values with (C, B, L) memory, the layout conv1d returns."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
 class TestConvForward:
@@ -136,6 +141,19 @@ class TestGradients:
 
         self._check(build, arrs)
 
+    def test_conv1d_channel_major_input(self):
+        # an input laid out (C, B, L), as every conv after the first sees it
+        rng = np.random.default_rng(26)
+        arrs = [rng.normal(size=(3, 2, 10)), rng.normal(size=(2, 2, 3)), rng.normal(size=2)]
+
+        def build(arrays):
+            x = nd.Tensor(_channel_major(arrays[0]), requires_grad=True)
+            w = nd.Tensor(arrays[1], requires_grad=True)
+            b = nd.Tensor(arrays[2], requires_grad=True)
+            return nd.tsum(nd.conv1d(x, w, b, 1) * 0.7), [x, w, b]
+
+        self._check(build, arrs)
+
     def test_max_pool_local(self):
         rng = np.random.default_rng(21)
         arrs = [spaced_random(rng, (2, 2, 9))]
@@ -232,6 +250,77 @@ class TestMaxPoolProperty:
         assert out.data.dtype == ref_out.dtype and x.grad.dtype == ref_gx.dtype
         assert out.data.tobytes() == ref_out.tobytes()
         assert x.grad.tobytes() == ref_gx.tobytes()
+
+
+def _reference_conv(x, w, b, stride, g):
+    """Output and x/w/b gradients of a valid conv, one window at a time in float64."""
+    x, w, b, g = (np.asarray(a, dtype=np.float64) for a in (x, w, b, g))
+    batch = x.shape[0]
+    c_out, _, kernel = w.shape
+    l_out = g.shape[2]
+    out = np.empty((batch, c_out, l_out))
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for n in range(batch):
+        for o in range(c_out):
+            for l in range(l_out):
+                seg = x[n, :, l * stride:l * stride + kernel]
+                out[n, o, l] = (w[o] * seg).sum() + b[o]
+                gw[o] += g[n, o, l] * seg
+                gx[n, :, l * stride:l * stride + kernel] += g[n, o, l] * w[o]
+    return out, gx, gw, g.sum(axis=(0, 2))
+
+
+def _conv_case(batch, c_in, c_out, length, kernel, stride, dtype=np.float64,
+               x_channel_major=False, g_channel_major=False, seed=0):
+    """x, weight, bias, stride and an upstream gradient, standard normal."""
+    rng = np.random.default_rng(seed)
+    l_out = (length - kernel) // stride + 1
+    x, w, b, g = (rng.normal(size=s).astype(dtype) for s in
+                  ((batch, c_in, length), (c_out, c_in, kernel), (c_out,),
+                   (batch, c_out, l_out)))
+    return (_channel_major(x) if x_channel_major else x, w, b, stride,
+            _channel_major(g) if g_channel_major else g)
+
+
+@st.composite
+def _conv_cases(draw):
+    kernel = draw(st.integers(1, 5))
+    return _conv_case(draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+                      draw(st.integers(1, 4)), draw(st.integers(kernel, kernel + 20)),
+                      kernel, draw(st.integers(1, 7)),
+                      draw(st.sampled_from([np.float32, np.float64])),
+                      draw(st.booleans()), draw(st.booleans()),
+                      draw(st.integers(0, 2**32 - 1)))
+
+
+# Each output or gradient entry is a sum of at most 63 products here, so its
+# rounding error is below 63 units of roundoff times the sum of the terms'
+# magnitudes; the tolerance is a multiple of that sum with room to spare.
+CONV_TOL = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-13}
+
+
+class TestConvProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_conv_cases())
+    @example(_conv_case(1, 1, 3, 9, 3, 1))                        # C_in = 1, batch 1
+    @example(_conv_case(2, 3, 2, 7, 1, 1, x_channel_major=True))  # k = 1
+    @example(_conv_case(2, 2, 3, 12, 3, 2, np.float32,
+                        x_channel_major=True, g_channel_major=True))   # stride > 1
+    @example(_conv_case(3, 2, 2, 15, 2, 5, g_channel_major=True))      # stride > kernel
+    def test_matches_loop_reference(self, case):
+        data, weight, bias, stride, g = case
+        x = nd.Tensor(data, requires_grad=True)
+        w = nd.Tensor(weight, requires_grad=True)
+        b = nd.Tensor(bias, requires_grad=True)
+        out = nd.conv1d(x, w, b, stride)
+        out.backward(g)
+        ref = _reference_conv(data, weight, bias, stride, g)
+        # the same sums over the terms' magnitudes
+        mag = _reference_conv(*(np.abs(a) for a in (data, weight, bias)), stride, np.abs(g))
+        tol = CONV_TOL[data.dtype]
+        for got, want, size in zip((out.data, x.grad, w.grad, b.grad), ref, mag):
+            assert got.dtype == data.dtype and got.shape == want.shape
+            assert (np.abs(got - want) <= tol * size).all()
 
 
 class TestMaxPoolNaN:

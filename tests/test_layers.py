@@ -89,6 +89,40 @@ class TestOptim:
         assert clone.t == 3
         np.testing.assert_array_equal(clone.m["p"], opt.m["p"])
 
+    def test_adam_matches_textbook_formula_bit_for_bit(self):
+        # the update written as one expression, with fresh temporaries per step
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(7)
+        # sizes shrink and grow, so the scratch is reused at several sizes
+        inits = [("small", rng.normal(size=(3, 2)).astype(np.float32)),
+                 ("large", rng.normal(size=(5, 4, 3)).astype(np.float32)),
+                 ("scalar", np.array(0.5)),
+                 ("mid", rng.normal(size=7))]
+        params = [(n, nd.Tensor(a.copy(), requires_grad=True)) for n, a in inits]
+        ref = {n: (a.copy(), np.zeros(a.shape), np.zeros(a.shape)) for n, a in inits}
+        opt = nd.Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 21):
+            for name, p in params:
+                p.grad = rng.normal(size=p.shape).astype(p.dtype)
+                data, m, v = ref[name]
+                m *= b1
+                m += (1.0 - b1) * p.grad
+                v *= b2
+                v += (1.0 - b2) * (p.grad * p.grad)
+                update = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+                data -= update.astype(data.dtype, copy=False)
+            opt.step(params)
+        for name, p in params:
+            data, m, v = ref[name]
+            assert p.data.dtype == data.dtype
+            assert p.data.tobytes() == data.tobytes()
+            assert opt.m[name].tobytes() == m.tobytes()
+            assert opt.v[name].tobytes() == v.tobytes()
+        # the scratch buffers are not optimizer state
+        assert sorted(opt.state_arrays()) == ["adam.m.large", "adam.m.mid", "adam.m.scalar",
+                                              "adam.m.small", "adam.t", "adam.v.large",
+                                              "adam.v.mid", "adam.v.scalar", "adam.v.small"]
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

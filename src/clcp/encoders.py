@@ -4,9 +4,9 @@ Each experiment axis is one table here.  ``ModelConfig.family`` picks one of
 ``FAMILIES``: ``lp`` (conv blocks with local max pooling), ``gp`` (same, but
 the last block pools globally), or ``rn`` (1D residual blocks with a global
 pool).  ``ABLATIONS`` maps each ablation tag (+BN, -Pool, -Init) to the one
-config flag it sets.  The text side is a small from-scratch transformer over a
-word-level vocabulary; ``text_layers=0`` degenerates to a mean of embeddings,
-which trains fast at desk scale.
+config flag it sets.  The text side embeds a word-level vocabulary, adds
+learned position rows, takes the mean over non-pad positions and projects it
+to the shared space.
 """
 from __future__ import annotations
 
@@ -50,9 +50,6 @@ class ModelConfig:
     # text encoder
     text_vocab: int = 2000
     text_embed: int = 64
-    text_layers: int = 0
-    text_heads: int = 4
-    text_ff: int = 128
     text_max_len: int = 32
     # contrastive head and optimization
     temperature_init: float = 1.0 / 0.07
@@ -76,8 +73,16 @@ class ModelConfig:
             raise ConfigError("kernel/stride: must be >= 1")
         if self.pool_window < 1 or self.pool_stride < 1:
             raise ConfigError("pool_window/pool_stride: must be >= 1")
-        if self.text_embed % self.text_heads:
-            raise ConfigError("text_heads: must divide text_embed")
+        if self.channels:
+            if len(self.channels) != self.blocks:
+                raise ConfigError(
+                    f"channels: expected {self.blocks} entries, got {len(self.channels)}")
+            if min(self.channels) < 1:
+                raise ConfigError(f"channels: entries must be >= 1, got {self.channels}")
+        if self.text_embed < 1:
+            raise ConfigError(f"text_embed: must be >= 1, got {self.text_embed}")
+        if self.text_max_len < 1:
+            raise ConfigError(f"text_max_len: must be >= 1, got {self.text_max_len}")
         if self.text_vocab < 2:
             raise ConfigError(
                 f"text_vocab: must be >= 2 (pad + OOV), got {self.text_vocab}")
@@ -88,10 +93,8 @@ class ModelConfig:
         return self
 
     def channel_plan(self):
+        """Per-block output channels; call on a validated config."""
         if self.channels:
-            if len(self.channels) != self.blocks:
-                raise ConfigError(
-                    f"channels: expected {self.blocks} entries, got {len(self.channels)}")
             return tuple(self.channels)
         return tuple(min(16 * 2 ** i, 128) for i in range(self.blocks))
 
@@ -402,32 +405,23 @@ class TextVocabulary:
 
 
 class TextEncoder:
-    """Word embeddings + positions, optional attention blocks, masked mean."""
+    """Word embeddings plus positions, a mean over non-pad positions, then a
+    projection to d."""
 
     def __init__(self, config, vocab_size, rng=None):
         config.validate()
         self.config = config
         rng = rng or np.random.default_rng(config.seed + 101)
-        he = config.use_he_init
         e = config.text_embed
         self.embed = ndnn.EmbeddingLayer(vocab_size, e, rng)
         self.pos = Tensor(rng.normal(0.0, 0.02, size=(config.text_max_len, e))
                           .astype(np.float32), requires_grad=True)
-        self.blocks = [(ndnn.SelfAttentionLayer(e, config.text_heads, rng, he=he),
-                        ndnn.FeedForwardLayer(e, config.text_ff, rng, he=he))
-                       for _ in range(config.text_layers)]
-        self.proj = ndnn.DenseLayer(e, config.embed_dim, rng, he=he)
+        self.proj = ndnn.DenseLayer(e, config.embed_dim, rng, he=config.use_he_init)
         self._params = [("embed.weight", self.embed.weight), ("pos", self.pos)]
-        for i, (attn, ff) in enumerate(self.blocks):
-            self._params.extend((f"attn{i}.{n}", p) for n, p in attn.params())
-            self._params.extend((f"ff{i}.{n}", p) for n, p in ff.params())
         self._params.extend((f"proj.{n}", p) for n, p in self.proj.params())
 
     def named_params(self):
         return list(self._params)
-
-    def set_training(self, flag):
-        pass
 
     def forward(self, ids):
         """ids: int array (B, T) with 0 = pad -> (B, embed_dim)."""
@@ -437,10 +431,6 @@ class TextEncoder:
                 f"text ids must be (B, {self.config.text_max_len}), got {ids.shape}")
         pad_mask = ids == PAD_WORD_ID
         h = self.embed.forward(ids) + self.pos
-        for i, (attn, ff) in enumerate(self.blocks):
-            h = h + attn.forward(h, pad_mask)
-            h = h + ff.forward(h)
-            _check_finite(f"text block{i}", h)
         keep = Tensor((~pad_mask).astype(h.dtype)[:, :, None])
         counts = np.maximum(keep.data.sum(axis=1), 1.0)
         pooled = ndnn.tsum(h * keep, axis=1) * Tensor((1.0 / counts).astype(h.dtype))

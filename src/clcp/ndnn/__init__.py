@@ -6,7 +6,6 @@ from .tensor import (
     add,
     clip_max,
     diagonal,
-    div,
     embedding,
     exp,
     l2_normalize,
@@ -14,11 +13,8 @@ from .tensor import (
     matmul,
     mul,
     narrow,
-    neg,
     relu,
     reshape,
-    softmax,
-    sub,
     tmean,
     transpose,
     tsum,
@@ -36,21 +32,17 @@ from .layers import (
     Conv1dLayer,
     DenseLayer,
     EmbeddingLayer,
-    FeedForwardLayer,
     Layer,
     Pool1dLayer,
-    SelfAttentionLayer,
 )
 from .optim import Adam, zero_grads
 from .checkpoint import load_arrays, save_arrays
 
 __all__ = [
     "Adam", "BatchNorm1dLayer", "Conv1dLayer", "DenseLayer", "EmbeddingLayer",
-    "FeedForwardLayer", "Layer", "NumericError", "Pool1dLayer",
-    "SelfAttentionLayer", "ShapeError", "Tensor", "add", "batch_norm1d",
-    "clip_max", "conv1d", "conv_out_len", "diagonal", "div", "embedding", "exp",
-    "global_max_pool1d", "he_init", "l2_normalize", "load_arrays", "log_softmax",
-    "matmul", "max_pool1d", "mul", "narrow", "neg", "plain_init", "relu",
-    "reshape", "save_arrays", "softmax", "sub", "tmean", "transpose", "tsum",
-    "zero_grads",
+    "Layer", "NumericError", "Pool1dLayer", "ShapeError", "Tensor", "add",
+    "batch_norm1d", "clip_max", "conv1d", "conv_out_len", "diagonal", "embedding",
+    "exp", "global_max_pool1d", "he_init", "l2_normalize", "load_arrays",
+    "log_softmax", "matmul", "max_pool1d", "mul", "narrow", "plain_init", "relu",
+    "reshape", "save_arrays", "tmean", "transpose", "tsum", "zero_grads",
 ]

@@ -115,13 +115,12 @@ def global_max_pool1d(x):
     return out
 
 
-def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, training,
-                 update_running=True):
+def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, training):
     """Per-channel standardization of (B, C, L) with learned scale and shift.
 
-    Training mode normalizes with biased batch statistics over (B, L) and,
-    when asked, updates the running buffers in place; eval mode uses the
-    running buffers.  Training requires batch size >= 2.
+    Training mode normalizes with biased batch statistics over (B, L) and
+    updates the running buffers in place; eval mode uses the running buffers.
+    Training requires batch size >= 2.
     """
     if x.ndim != 3:
         raise ShapeError(f"batch_norm1d expects (B, C, L), got {x.shape}")
@@ -132,11 +131,10 @@ def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, train
         n = x.shape[0] * x.shape[2]
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
     else:
         mean, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + eps)

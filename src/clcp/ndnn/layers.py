@@ -10,17 +10,14 @@ import numpy as np
 
 from . import convpool
 from .init import he_init, plain_init
-from .tensor import ShapeError, Tensor, matmul, relu, reshape, softmax, transpose
+from .tensor import ShapeError, Tensor, matmul
 
 
 class Layer:
-    """Base: no parameters, identity training-mode switch."""
+    """Base: no parameters."""
 
     def params(self):
         return []
-
-    def set_training(self, flag):
-        pass
 
 
 def _weight(shape, fan_in, rng, he, dtype):
@@ -122,61 +119,3 @@ class EmbeddingLayer(Layer):
 
     def params(self):
         return [("weight", self.weight)]
-
-
-class SelfAttentionLayer(Layer):
-    """Multi-head self-attention over (B, T, E) with key-side pad masking."""
-
-    def __init__(self, embed_dim, heads, rng, he=True, dtype=np.float32):
-        if embed_dim % heads != 0:
-            raise ShapeError(f"embed dim {embed_dim} not divisible by {heads} heads")
-        self.embed_dim = embed_dim
-        self.heads = heads
-        self.head_dim = embed_dim // heads
-        self.wq = DenseLayer(embed_dim, embed_dim, rng, he, dtype)
-        self.wk = DenseLayer(embed_dim, embed_dim, rng, he, dtype)
-        self.wv = DenseLayer(embed_dim, embed_dim, rng, he, dtype)
-        self.wo = DenseLayer(embed_dim, embed_dim, rng, he, dtype)
-
-    def _split_heads(self, x, b, t):
-        x = reshape(x, (b, t, self.heads, self.head_dim))
-        x = transpose(x, (0, 2, 1, 3))
-        return reshape(x, (b * self.heads, t, self.head_dim))
-
-    def forward(self, x, pad_mask=None):
-        """pad_mask: bool (B, T), True where the position is padding."""
-        b, t, _ = x.shape
-        q = self._split_heads(self.wq.forward(x), b, t)
-        k = self._split_heads(self.wk.forward(x), b, t)
-        v = self._split_heads(self.wv.forward(x), b, t)
-        scores = matmul(q, transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(self.head_dim))
-        if pad_mask is not None:
-            bias = np.where(pad_mask[:, None, None, :], -1e9, 0.0).astype(x.dtype)
-            bias = np.broadcast_to(bias, (b, self.heads, t, t)).reshape(b * self.heads, t, t)
-            scores = scores + Tensor(bias)
-        attn = softmax(scores, axis=-1)
-        ctx = matmul(attn, v)
-        ctx = reshape(ctx, (b, self.heads, t, self.head_dim))
-        ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, t, self.embed_dim))
-        return self.wo.forward(ctx)
-
-    def params(self):
-        out = []
-        for prefix, layer in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
-            out.extend((f"{prefix}.{n}", p) for n, p in layer.params())
-        return out
-
-
-class FeedForwardLayer(Layer):
-    """Two dense layers with a ReLU in between."""
-
-    def __init__(self, embed_dim, hidden_dim, rng, he=True, dtype=np.float32):
-        self.fc1 = DenseLayer(embed_dim, hidden_dim, rng, he, dtype)
-        self.fc2 = DenseLayer(hidden_dim, embed_dim, rng, he, dtype)
-
-    def forward(self, x):
-        return self.fc2.forward(relu(self.fc1.forward(x)))
-
-    def params(self):
-        return [(f"fc1.{n}", p) for n, p in self.fc1.params()] + \
-               [(f"fc2.{n}", p) for n, p in self.fc2.params()]

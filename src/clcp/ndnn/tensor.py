@@ -59,25 +59,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     # -- autodiff ----------------------------------------------------------
 
@@ -148,17 +133,6 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    out = Tensor(a.data - b.data, _parents=(a, b))
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    out._backward = backward
-    return out
-
-
 def mul(a, b):
     out = Tensor(a.data * b.data, _parents=(a, b))
 
@@ -167,23 +141,6 @@ def mul(a, b):
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
     out._backward = backward
-    return out
-
-
-def div(a, b):
-    out = Tensor(a.data / b.data, _parents=(a, b))
-
-    def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    out._backward = backward
-    return out
-
-
-def neg(a):
-    out = Tensor(-a.data, _parents=(a,))
-    out._backward = lambda g: _accum(a, -g)
     return out
 
 
@@ -314,20 +271,7 @@ def matmul(a, b):
     return out
 
 
-# -- softmax family ------------------------------------------------------------
-
-
-def softmax(a, axis=-1):
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s, _parents=(a,))
-
-    def backward(g):
-        _accum(a, s * (g - (g * s).sum(axis=axis, keepdims=True)))
-
-    out._backward = backward
-    return out
+# -- log-softmax ---------------------------------------------------------------
 
 
 def log_softmax(a, axis=-1):

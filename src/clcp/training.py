@@ -97,7 +97,6 @@ class CLCPModel:
 
     def set_training(self, flag):
         self.code_encoder.set_training(flag)
-        self.text_encoder.set_training(flag)
 
     def snapshot(self):
         arrays = {name: p.data.copy() for name, p in self.named_params()}

@@ -66,11 +66,17 @@ def zero_shot_match(code_emb, text_emb, direction="code2text"):
 
 
 def evaluate_pairs(model, vocabulary, text_vocab, pairs, direction="code2text"):
-    """Embed held-out pairs with a trained bundle and match them."""
+    """Embed held-out pairs with a trained bundle and match them.
+
+    Pairs are embedded ``batch_size`` at a time: a forward keeps every op's
+    inputs for a backward, so one whole-set forward would hold them all.
+    """
     data = prepare_pairs(pairs, model.config, vocab=vocabulary, text_vocab=text_vocab)
     model.set_training(False)
-    code = model.encode_code(data.code_batch).data
-    text = model.encode_text(data.text_ids).data
+    step = model.config.batch_size
+    chunks = [slice(start, start + step) for start in range(0, len(pairs), step)]
+    code = np.concatenate([model.encode_code(data.code_batch[c]).data for c in chunks])
+    text = np.concatenate([model.encode_text(data.text_ids[c]).data for c in chunks])
     return zero_shot_match(code, text, direction)
 
 

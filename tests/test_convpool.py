@@ -89,7 +89,7 @@ class TestBatchNorm:
             nd.Tensor(np.asarray(x, dtype=np.float64)),
             nd.Tensor(np.asarray(gamma, dtype=np.float64)),
             nd.Tensor(np.asarray(beta, dtype=np.float64)),
-            np.zeros(c), np.ones(c), eps, 0.1, training, update_running=False)
+            np.zeros(c), np.ones(c), eps, 0.1, training)
 
     def test_constant_channel_gives_beta(self):
         x = np.full((3, 2, 4), 5.0)
@@ -183,7 +183,7 @@ class TestGradients:
             gamma = nd.Tensor(arrays[1], requires_grad=True)
             beta = nd.Tensor(arrays[2], requires_grad=True)
             out = nd.batch_norm1d(x, gamma, beta, np.zeros(3), np.ones(3),
-                                  1e-5, 0.1, True, update_running=False)
+                                  1e-5, 0.1, True)
             w = nd.Tensor(np.linspace(0.5, 1.5, out.size).reshape(out.shape))
             return nd.tsum(out * w), [x, gamma, beta]
 

@@ -20,8 +20,7 @@ from clcp.encoders import (
 
 def small_cfg(**kw):
     base = dict(blocks=3, image_len=96, channels=(4, 8, 8), embed_dim=8,
-                text_vocab=64, text_embed=8, text_heads=2, text_ff=16,
-                text_max_len=6)
+                text_vocab=64, text_embed=8, text_max_len=6)
     base.update(kw)
     return ModelConfig(**base).validate()
 
@@ -96,7 +95,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mystery"):
             ModelConfig.from_text("mystery=1\n")
         # fields replaced by family, or removed with the code they selected
-        for line in ("arch=residual", "pooling=global", "pool_mode=avg", "optimizer=sgd"):
+        for line in ("arch=residual", "pooling=global", "pool_mode=avg", "optimizer=sgd",
+                     "text_layers=0", "text_heads=4", "text_ff=128"):
             with pytest.raises(ConfigError, match="unknown config field"):
                 ModelConfig.from_text(line + "\n")
 
@@ -118,6 +118,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="batch_size"):
             ModelConfig(batch_size=0).validate()
         ModelConfig(text_vocab=2, batch_size=1).validate()
+
+    def test_channels_and_text_sizes_bounds(self):
+        for bad in ((8, 8), (0, 8, 8), (8, -1, 8)):
+            with pytest.raises(ConfigError, match="^channels: "):
+                ModelConfig(channels=bad).validate()
+        with pytest.raises(ConfigError, match="^text_embed: "):
+            ModelConfig(text_embed=0).validate()
+        with pytest.raises(ConfigError, match="^text_max_len: "):
+            ModelConfig(text_max_len=0).validate()
+        ModelConfig(channels=(1, 1, 1), text_embed=1, text_max_len=1).validate()
 
     def test_val_fraction_and_pool_bounds(self):
         for bad in (-0.1, 1.0, float("nan")):
@@ -203,7 +213,7 @@ class TestTextSide:
         assert TextVocabulary.load(path).word_to_id == vocab.word_to_id
 
     def test_degenerate_zero_layer_runs(self):
-        cfg = small_cfg(text_layers=0)
+        cfg = small_cfg()
         enc = TextEncoder(cfg, vocab_size=32)
         ids = np.array([[2, 3, 0, 0, 0, 0]])
         out = enc.forward(ids)
@@ -211,9 +221,8 @@ class TestTextSide:
 
     def test_pad_positions_cannot_leak(self):
         # perturbing what the model sees at pad slots (their position rows and
-        # the pad embedding row) must be invisible through masked attention
-        # and masked mean pooling
-        cfg = small_cfg(text_layers=2)
+        # the pad embedding row) must be invisible through masked mean pooling
+        cfg = small_cfg()
         enc = TextEncoder(cfg, vocab_size=32)
         ids = np.array([[2, 3, 4, 0, 0, 0], [5, 6, 0, 0, 0, 0]])
         base = enc.forward(ids).data.copy()
@@ -223,7 +232,7 @@ class TestTextSide:
         np.testing.assert_allclose(out[1], base[1], atol=1e-5)
 
     def test_batch_composition_independence(self):
-        cfg = small_cfg(text_layers=1)
+        cfg = small_cfg()
         enc = TextEncoder(cfg, vocab_size=32)
         a = np.array([[2, 3, 4, 0, 0, 0]])
         b = np.array([[5, 6, 7, 8, 0, 0]])

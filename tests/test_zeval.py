@@ -8,6 +8,7 @@ from clcp import zeval
 from clcp.encoders import ModelConfig
 from clcp.ingest import SamplePlan
 from clcp.synth import generate_family
+from clcp.training import CLCPModel, prepare_pairs
 from clcp.zeval import (
     DELTAS,
     FAMILIES,
@@ -19,8 +20,8 @@ from clcp.zeval import (
 PLAN = SamplePlan((8, 12), (6, 8), seed=3)
 # text_max_len is off its default, so a dropped base field shows
 BASE = ModelConfig(image_len=64, channels=(4, 4, 4), embed_dim=8, text_vocab=64,
-                   text_embed=8, text_heads=2, text_ff=16, text_max_len=7,
-                   max_epochs=1, patience=1, batch_size=8, val_fraction=0.0)
+                   text_embed=8, text_max_len=7, max_epochs=1, patience=1,
+                   batch_size=8, val_fraction=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,31 @@ def test_shared_test_list_scored_once_per_cell(records, monkeypatch):
     first = [r for r in results if r.train_size == PLAN.train_sizes[0]]
     assert [r.regime for r in first] == ["fixed", "growing"]
     assert replace(first[1], regime="fixed") == first[0]
+
+
+def test_evaluation_embeds_batch_size_rows_at_a_time(records):
+    config = replace(BASE, batch_size=4)
+    pairs = records[:10]
+    data = prepare_pairs(pairs, config)
+    model = CLCPModel(config, data.text_vocab.size)
+    rows = []
+    forward = model.code_encoder.forward
+
+    def recording_forward(x):
+        rows.append(x.shape[0])
+        return forward(x)
+
+    model.code_encoder.forward = recording_forward
+    result = zeval.evaluate_pairs(model, data.vocab, data.text_vocab, pairs)
+    assert max(rows) <= 4 and sum(rows) == 10
+    assert result.L == 10
+
+
+def test_worker_processes_give_the_serial_rows(records):
+    configs = [replace(BASE, family="lp"), replace(BASE, family="rn")]
+    serial = zeval.run_ladder(records, PLAN, configs)
+    assert len(serial) == 2 * len(configs) * len(PLAN.train_sizes)
+    assert zeval.run_ladder(records, PLAN, configs, workers=2) == serial
 
 
 def test_geometry_that_cannot_fit_marks_cells_failed(records):

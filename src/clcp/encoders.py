@@ -10,6 +10,7 @@ to the shared space.
 """
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -386,22 +387,15 @@ class TextVocabulary:
             n_truncated += int(trunc)
         return out, n_truncated
 
-    def to_text(self):
-        lines = [f"{w}\t{i}" for w, i in sorted(self.word_to_id.items(),
-                                                key=lambda kv: kv[1])]
-        return "\n".join(lines) + "\n" if lines else ""
-
     def save(self, path):
-        Path(path).write_text(self.to_text(), encoding="utf-8")
+        """Write the words as a JSON list in ID order; IDs start at 2."""
+        words = sorted(self.word_to_id, key=self.word_to_id.get)
+        Path(path).write_text(json.dumps(words, indent=0) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path):
-        table = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if line:
-                word, id_ = line.split("\t")
-                table[word] = int(id_)
-        return cls(table)
+        words = json.loads(Path(path).read_text(encoding="utf-8"))
+        return cls({word: i + 2 for i, word in enumerate(words)})
 
 
 class TextEncoder:

@@ -63,10 +63,6 @@ class SamplePlan:
             if any(a > b for a, b in zip(sizes, sizes[1:])):
                 raise IngestError(f"{name} must be non-decreasing")
 
-    def validate_against(self, corpus_size):
-        for size in self.train_sizes + self.test_sizes:
-            if size > corpus_size:
-                raise IngestError(f"requested size {size} exceeds corpus of {corpus_size}")
 
 def content_id(code, doc):
     digest = hashlib.sha1(code.encode("utf-8") + b"\x00" + doc.encode("utf-8"))
@@ -155,7 +151,6 @@ def sample_split(records, plan, zero_shot=True):
         if rec.id not in seen:
             seen.add(rec.id)
             unique.append(rec)
-    plan.validate_against(len(unique))
     max_train = max(plan.train_sizes)
     max_test = max(plan.test_sizes)
     if max_train + max_test > len(unique):

@@ -1,51 +1,32 @@
-"""Flat binary checkpoints: a manifest header, then raw buffers in order.
+"""Named-array checkpoints in numpy's ``.npz`` format.
 
-Layout: magic ``NDNC``, u32 format version, u64 manifest length, manifest as
-UTF-8 JSON listing (name, shape, dtype) in write order, then each buffer's
-raw little-endian bytes, C-contiguous, in manifest order.
+A checkpoint is a zip archive holding one ``.npy`` member per name, in write
+order.  Loading never unpickles, so a checkpoint holds plain arrays only, and
+the archive's per-member CRC-32 makes a damaged file fail to load instead of
+loading with changed values.
 """
 from __future__ import annotations
 
-import json
-import struct
+import zipfile
 
 import numpy as np
 
-MAGIC = b"NDNC"
-FORMAT_VERSION = 1
-
 
 def save_arrays(path, named_arrays):
-    """Write named arrays; order of the iterable defines the manifest order."""
-    items = [(name, np.ascontiguousarray(arr)) for name, arr in named_arrays]
-    manifest = [{"name": n, "shape": list(a.shape), "dtype": a.dtype.str} for n, a in items]
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    """Write named arrays; order of the iterable defines the member order."""
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for _, arr in items:
-            f.write(arr.tobytes())
+        np.savez(f, allow_pickle=False, **dict(named_arrays))
 
 
 def load_arrays(path):
     """Read a checkpoint back into an ordered dict of name -> array."""
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        (mlen,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(mlen).decode("utf-8"))
-        out = {}
-        for entry in manifest:
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise ValueError(f"truncated checkpoint at {entry['name']}")
-            out[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    return out
+    try:
+        # a bare .npy file loads as an ndarray, which has no ``with``: TypeError
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a checkpoint file: {exc}") from exc
+    for name, arr in arrays.items():
+        if not isinstance(arr, np.ndarray):   # a member that is not an .npy file
+            raise ValueError(f"{path} is not a checkpoint file: {name!r} is not an array")
+    return arrays

@@ -22,7 +22,7 @@ from importlib import resources
 
 
 class Component(enum.Enum):
-    """Token categories; definition order is the canonical total order."""
+    """Token categories."""
 
     KEYWORD = "Keyword"
     BUILTIN_CLASS = "BuiltinClass"
@@ -42,13 +42,7 @@ class Component(enum.Enum):
     NEWLINE = "Newline"
     PLACEHOLDER = "Placeholder"
 
-    def __lt__(self, other):
-        if not isinstance(other, Component):
-            return NotImplemented
-        return _COMPONENT_ORDER[self] < _COMPONENT_ORDER[other]
 
-
-_COMPONENT_ORDER = {c: i for i, c in enumerate(Component)}
 _BY_LABEL = {c.value: c for c in Component}
 
 
@@ -405,14 +399,7 @@ def member_key(token):
 
 # -- golden corpus format ----------------------------------------------------------
 
-_TOKEN_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t"}
 _TOKEN_UNESCAPES = {"\\\\": "\\", "\\n": "\n", "\\t": "\t"}
-
-
-def escape_token_text(text):
-    for raw, esc in _TOKEN_ESCAPES.items():
-        text = text.replace(raw, esc)
-    return text
 
 
 def unescape_token_text(text):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,10 @@ from .vocab import build_vocab, load_vocab, save_vocab
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_NAME = "checkpoint.ndnc"
+CHECKPOINT_NAME = "checkpoint.npz"
 CONFIG_NAME = "config.cfg"
-VOCAB_NAME = "vocab.tsv"
-TEXT_VOCAB_NAME = "textvocab.tsv"
+VOCAB_NAME = "vocab.json"
+TEXT_VOCAB_NAME = "textvocab.json"
 METRICS_NAME = "metrics.jsonl"
 
 
@@ -58,13 +58,10 @@ def clip_loss(sim):
 class CLCPModel:
     """Both encoders plus the learnable logit scale."""
 
-    def __init__(self, config, text_vocab_size, rng=None):
-        config.validate()
+    def __init__(self, config, text_vocab_size):
         self.config = config
-        rng = rng or np.random.default_rng(config.seed)
-        self.code_encoder = CodeEncoder(config, rng)
-        self.text_encoder = TextEncoder(config, text_vocab_size,
-                                        np.random.default_rng(config.seed + 101))
+        self.code_encoder = CodeEncoder(config)
+        self.text_encoder = TextEncoder(config, text_vocab_size)
         self.log_scale = Tensor(np.array([np.log(config.temperature_init)],
                                          dtype=np.float32), requires_grad=True)
 
@@ -117,8 +114,9 @@ class CLCPModel:
 class TrainState:
     """Loop counters a checkpoint saves beside the parameters, buffers and Adam state.
 
-    The generator state and the epoch permutation are not saved, so a
-    checkpoint restores the model and optimizer but cannot resume the run.
+    The checkpoint holds them as one JSON record, its ``"state"`` member.  The
+    generator state and the epoch permutation are not saved, so a checkpoint
+    restores the model and optimizer but cannot resume the run.
     """
 
     step: int = 0
@@ -148,23 +146,16 @@ class TrainingAborted(RuntimeError):
 def _save_checkpoint(path, model, optimizer, state):
     arrays = [(n, p.data) for n, p in model.named_params()] + model.named_buffers()
     arrays += sorted(optimizer.state_arrays().items())
-    arrays += [(f"state.{f.name}", np.array(
-                   [getattr(state, f.name)],
-                   dtype=np.float64 if isinstance(f.default, float) else np.int64))
-               for f in fields(TrainState)]
+    arrays.append(("state", np.array(json.dumps(asdict(state)))))
     ndnn.save_arrays(path, arrays)
 
 
 def load_checkpoint(path, model, optimizer=None):
     arrays = ndnn.load_arrays(path)
-    model.load_snapshot({n: a for n, a in arrays.items()
-                         if not n.startswith(("adam.", "state."))})
+    model.load_snapshot(arrays)
     if optimizer is not None:
-        opt_arrays = {n: a for n, a in arrays.items() if n.startswith("adam.")}
-        if opt_arrays:
-            optimizer.load_state_arrays(opt_arrays)
-    return TrainState(**{f.name: type(f.default)(arrays[f"state.{f.name}"][0])
-                         for f in fields(TrainState)})
+        optimizer.load_state_arrays(arrays)
+    return TrainState(**json.loads(arrays["state"].item()))
 
 
 @dataclass

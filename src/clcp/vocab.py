@@ -9,6 +9,7 @@ value and never assigned.
 """
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -17,10 +18,8 @@ from pathlib import Path
 from .pylex import (
     Component,
     component_from_label,
-    escape_token_text,
     load_default_tables,
     member_key,
-    unescape_token_text,
 )
 
 PAD_ID = 0
@@ -75,10 +74,10 @@ class IdRanges:
     table: tuple[tuple[Component, int, int], ...] = DEFAULT_RANGE_TABLE
 
     def __post_init__(self):
-        spans = sorted((lo, hi, c) for c, lo, hi in self.table)
+        spans = sorted((lo, hi, c.value) for c, lo, hi in self.table)
         for (lo, hi, c), (lo2, hi2, c2) in zip(spans, spans[1:]):
             if lo2 <= hi:
-                raise VocabError(f"ranges overlap: {c.value} and {c2.value}")
+                raise VocabError(f"ranges overlap: {c} and {c2}")
         if spans[0][0] <= PAD_ID:
             raise VocabError("ID 0 is reserved for padding")
         object.__setattr__(self, "_by_component", {c: (lo, hi) for c, lo, hi in self.table})
@@ -357,60 +356,46 @@ FORMAT_HEADER = "clcp-vocab"
 
 
 def vocab_to_text(vocabulary):
-    """Byte-deterministic line format: sections in fixed order, sorted by ID.
+    """Byte-deterministic JSON with sorted keys; tables are keyed by component label.
 
-    Builtin tables follow ``Component`` definition order.
+    ``ranges`` keeps the range table's order, each token table maps text to
+    ID, and ``lookup_lists`` is keyed by the call ID as a string.
     """
-    lines = [f"{FORMAT_HEADER}\t{vocabulary.version}"]
-    for component, lo, hi in vocabulary.ranges.table:
-        lines.append(f"range\t{component.value}\t{lo}\t{hi}")
-    for component, table in sorted(vocabulary.builtins.items()):
-        for text, id_ in sorted(table.items(), key=lambda kv: kv[1]):
-            lines.append(f"builtin\t{component.value}\t{escape_token_text(text)}\t{id_}")
-    for text, id_ in sorted(vocabulary.numbers.items(), key=lambda kv: kv[1]):
-        lines.append(f"number\t{escape_token_text(text)}\t{id_}")
-    for component in (Component.METHOD_CALL, Component.ATTRIBUTE_CALL):
-        for key, id_ in sorted(vocabulary.calls[component].items(), key=lambda kv: kv[1]):
-            lines.append(f"call\t{component.value}\t{escape_token_text(key)}\t{id_}")
-    for id_ in sorted(vocabulary.lookup_lists):
-        for text in vocabulary.lookup_lists[id_]:
-            lines.append(f"list\t{id_}\t{escape_token_text(text)}")
-    return "\n".join(lines) + "\n"
+    return json.dumps({
+        "format": FORMAT_HEADER,
+        "version": vocabulary.version,
+        "ranges": [[c.value, lo, hi] for c, lo, hi in vocabulary.ranges.table],
+        "builtins": {c.value: table for c, table in vocabulary.builtins.items()},
+        "numbers": vocabulary.numbers,
+        "calls": {c.value: table for c, table in vocabulary.calls.items()},
+        "lookup_lists": {str(id_): texts for id_, texts in vocabulary.lookup_lists.items()},
+    }, sort_keys=True, indent=0) + "\n"
 
 
 def vocab_from_text(text):
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(FORMAT_HEADER + "\t"):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        doc = None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_HEADER:
         raise VocabError("not a vocabulary file")
-    version = lines[0].split("\t")[1]
-    table = []
-    builtins = {}
-    numbers = {}
-    calls = {Component.METHOD_CALL: {}, Component.ATTRIBUTE_CALL: {}}
-    lookup = {}
-    for line in lines[1:]:
-        kind, *fields = line.split("\t")
-        if kind == "range":
-            label, lo, hi = fields
-            table.append((component_from_label(label), int(lo), int(hi)))
-        elif kind == "builtin":
-            label, text, id_ = fields
-            component = component_from_label(label)
-            builtins.setdefault(component, {})[unescape_token_text(text)] = int(id_)
-        elif kind == "number":
-            text, id_ = fields
-            numbers[unescape_token_text(text)] = int(id_)
-        elif kind == "call":
-            label, key, id_ = fields
-            calls[component_from_label(label)][unescape_token_text(key)] = int(id_)
-        elif kind == "list":
-            id_, text = fields
-            lookup.setdefault(int(id_), []).append(unescape_token_text(text))
-        else:
-            raise VocabError(f"unknown vocabulary line kind {kind!r}")
-    lookup_lists = {k: tuple(v) for k, v in lookup.items()}
-    return Vocabulary(IdRanges(tuple(table)), builtins, numbers, calls, lookup_lists,
-                      version=version)
+
+    def by_component(tables):
+        return {component_from_label(label): table for label, table in tables.items()}
+
+    try:
+        tables = [doc["numbers"], *doc["builtins"].values(), *doc["calls"].values()]
+        for id_ in [*(b for _, *bounds in doc["ranges"] for b in bounds),
+                    *(i for table in tables for i in table.values())]:
+            if type(id_) is not int:
+                raise VocabError(f"ID {id_!r} is not an integer")
+        ranges = IdRanges(tuple((component_from_label(label), lo, hi)
+                                for label, lo, hi in doc["ranges"]))
+        lookup_lists = {int(id_): tuple(texts) for id_, texts in doc["lookup_lists"].items()}
+        return Vocabulary(ranges, by_component(doc["builtins"]), doc["numbers"],
+                          by_component(doc["calls"]), lookup_lists, version=doc["version"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise VocabError(f"malformed vocabulary file: {exc!r}") from exc
 
 
 def save_vocab(vocabulary, path):

@@ -53,6 +53,8 @@ def zero_shot_match(code_emb, text_emb, direction="code2text"):
     if code_emb.shape != text_emb.shape:
         raise ValueError(f"embedding batches differ: {code_emb.shape} vs {text_emb.shape}")
     n = code_emb.shape[0]
+    if n == 0:
+        raise ValueError("the held-out embedding batches are empty")
     sim = code_emb @ text_emb.T
     if direction == "code2text":
         preds = sim.argmax(axis=1)
@@ -71,6 +73,8 @@ def evaluate_pairs(model, vocabulary, text_vocab, pairs, direction="code2text"):
     Pairs are embedded ``batch_size`` at a time: a forward keeps every op's
     inputs for a backward, so one whole-set forward would hold them all.
     """
+    if not pairs:
+        raise ValueError("the held-out pair list is empty")
     data = prepare_pairs(pairs, model.config, vocab=vocabulary, text_vocab=text_vocab)
     model.set_training(False)
     step = model.config.batch_size

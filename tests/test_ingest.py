@@ -84,12 +84,6 @@ class TestSamplePlan:
         with pytest.raises(IngestError):
             SamplePlan((0,), (1,), seed=0)
 
-    def test_validate_against_corpus(self):
-        plan = SamplePlan((4,), (2,), seed=0)
-        with pytest.raises(IngestError, match="457000"):
-            SamplePlan((457000,), (2,), seed=0).validate_against(456360)
-        plan.validate_against(10)
-
 
 class TestSampleSplit:
     def test_prefix_consistency(self):
@@ -117,6 +111,8 @@ class TestSampleSplit:
         records = make_records(10)
         with pytest.raises(IngestError, match="11"):
             sample_split(records, SamplePlan((11,), (2,), seed=0), zero_shot=False)
+        with pytest.raises(IngestError, match="test 11"):
+            sample_split(records, SamplePlan((2,), (11,), seed=0), zero_shot=False)
 
     def test_zero_shot_filters_shared_first_sentences(self):
         shared = [PairRecord(f"s{i}", f"a = {i}", "shared sentence here. more text")

@@ -1,6 +1,11 @@
 """Layer containers: init statistics, optimizers, checkpoints, determinism."""
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from clcp import ndnn as nd
 
@@ -106,6 +111,81 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             nd.load_arrays(path)
+
+
+def _flip_data_byte(path):
+    """Invert one byte inside the stored data of the member named ``x``."""
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(np.arange(16, dtype=np.int64).tobytes()) + 9] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-40])
+
+
+def _non_npy_zip(path):
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("notes.txt", "not an array")
+
+
+def _bare_npy(path):
+    with open(path, "wb") as f:
+        np.save(f, np.arange(4))
+
+
+class TestCheckpointRejections:
+    """Every damaged or foreign file raises ValueError, never loads silently."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda p: p.write_bytes(np.random.default_rng(0).bytes(256)),
+        lambda p: p.write_bytes(b""),
+        _bare_npy,
+        _non_npy_zip,
+        _truncate,
+        _flip_data_byte,
+    ], ids=["random-bytes", "empty", "bare-npy", "non-npy-zip", "truncated",
+            "flipped-byte"])
+    def test_rejected(self, tmp_path, damage):
+        path = tmp_path / "checkpoint.npz"
+        nd.save_arrays(path, [("x", np.arange(16, dtype=np.int64)),
+                              ("y", np.ones(3, dtype=np.float32))])
+        nd.load_arrays(path)   # intact, it loads
+        damage(path)
+        with pytest.raises(ValueError, match="not a checkpoint file"):
+            nd.load_arrays(path)
+
+
+@st.composite
+def _named_arrays(draw):
+    # np.savez takes members as keywords, so names carry a prefix that keeps
+    # them clear of its own parameter names, as checkpoint keys do
+    suffixes = draw(st.lists(st.text("abcxyz019._", min_size=1, max_size=8),
+                             unique=True, max_size=6))
+    dtypes = st.sampled_from([np.float32, np.float64, np.int64, np.bool_])
+    shapes = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+    return [(f"p.{s}", draw(arrays(draw(dtypes), shapes))) for s in suffixes]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("checkpoint") / "c.npz"
+
+
+class TestCheckpointProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(_named_arrays())
+    @example([("p.scalar", np.array(2.5)), ("p.empty", np.zeros((0, 3), np.int64)),
+              ("p.mask", np.array([True, False]))])
+    @example([])
+    def test_round_trip_keeps_names_order_dtypes_and_bits(self, checkpoint_path, named):
+        nd.save_arrays(checkpoint_path, named)
+        loaded = nd.load_arrays(checkpoint_path)
+        assert list(loaded) == [name for name, _ in named]
+        for name, arr in named:
+            got = loaded[name]
+            assert (got.dtype, got.shape) == (arr.dtype, arr.shape)
+            assert got.tobytes() == arr.tobytes()
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Contrastive loss properties and the training loop."""
 import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -128,7 +129,7 @@ class TestTrainLoop:
         with pytest.raises(TrainingAborted) as err:
             train(pairs, cfg, out_dir=tmp_path)
         assert err.value.result.state.aborted
-        assert (tmp_path / "checkpoint.ndnc").exists()
+        assert (tmp_path / training.CHECKPOINT_NAME).exists()
 
     def test_run_directory_round_trip(self, tmp_path):
         pairs = generate_pairs(32, seed=10)
@@ -149,7 +150,7 @@ class TestTrainLoop:
                        use_bn=True)
         out = train(pairs, cfg, out_dir=tmp_path)
         assert out.state.best_epoch < len(out.metrics) - 1   # later steps moved them
-        best = ndnn.load_arrays(tmp_path / "checkpoint.ndnc")   # written at the best epoch
+        best = ndnn.load_arrays(tmp_path / training.CHECKPOINT_NAME)   # written at the best epoch
         assert out.model.named_buffers()
         for name, buf in out.model.named_buffers():
             np.testing.assert_array_equal(buf, best[name])
@@ -164,12 +165,21 @@ class TestTrainLoop:
         assert all(getattr(state, f.name) != f.default
                    for f in dataclasses.fields(TrainState))
         model = CLCPModel(tiny_cfg(), text_vocab_size=32)
-        path = tmp_path / "checkpoint.ndnc"
+        path = tmp_path / training.CHECKPOINT_NAME
         training._save_checkpoint(path, model, ndnn.Adam(), state)
         loaded = load_checkpoint(path, model)
         assert loaded == state
         for f in dataclasses.fields(TrainState):
             assert type(getattr(loaded, f.name)) is type(f.default)
+
+    def test_checkpoint_state_is_one_json_member(self, tmp_path):
+        state = TrainState(step=4, epoch=1, seed=3, best_val=float("inf"))
+        path = tmp_path / training.CHECKPOINT_NAME
+        training._save_checkpoint(path, CLCPModel(tiny_cfg(), text_vocab_size=32),
+                                  ndnn.Adam(), state)
+        arrays = ndnn.load_arrays(path)
+        assert [name for name in arrays if name.startswith("state")] == ["state"]
+        assert json.loads(arrays["state"].item()) == dataclasses.asdict(state)
 
     def test_second_run_replaces_metrics(self, tmp_path):
         pairs = generate_pairs(32, seed=10)

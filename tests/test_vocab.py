@@ -1,6 +1,10 @@
 """Vocabulary: range conformance, determinism, namespace reuse, round-trip."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clcp.pylex import Component, tokenize
 from clcp.vocab import (
@@ -9,6 +13,7 @@ from clcp.vocab import (
     NamespaceScope,
     RangeExhausted,
     DecodeError,
+    VocabError,
     assign_ids,
     build_vocab,
     decode,
@@ -110,6 +115,62 @@ class TestBuildVocab:
         save_vocab(build_vocab(streams), p1)
         save_vocab(build_vocab(streams), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def golden_streams(golden_sources):
+    return [tokenize(src) for src in golden_sources.values()]
+
+
+class TestVocabFile:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_reserialises_byte_identically(self, golden_streams, data):
+        picks = data.draw(st.sets(st.integers(0, len(golden_streams) - 1), max_size=12))
+        vocab = build_vocab([golden_streams[i] for i in sorted(picks)])
+        # whitespace and newline texts exercise the escaping
+        assert "\n" in vocab.builtins[Component.NEWLINE]
+        assert "\t" in vocab.builtins[Component.WHITESPACE]
+        text = vocab_to_text(vocab)
+        again = vocab_from_text(text)
+        assert again == vocab
+        assert vocab_to_text(again) == text
+
+    @staticmethod
+    def _edited(vocab, edit):
+        doc = json.loads(vocab_to_text(vocab))
+        edit(doc)
+        return json.dumps(doc)
+
+    def test_rejects_non_vocabulary_file(self):
+        for text in ("", "word\t2\n", '{"numbers": {}}', "[1, 2]"):
+            with pytest.raises(VocabError, match="not a vocabulary file"):
+                vocab_from_text(text)
+
+    def test_rejects_missing_or_mistyped_section(self, empty_vocab):
+        def drop_numbers(doc):
+            del doc["numbers"]
+
+        def list_for_table(doc):
+            doc["calls"] = []
+
+        for edit in (drop_numbers, list_for_table):
+            with pytest.raises(VocabError, match="malformed vocabulary file"):
+                vocab_from_text(self._edited(empty_vocab, edit))
+
+    def test_rejects_unknown_component_label(self, empty_vocab):
+        def rename(doc):
+            doc["builtins"]["Keywords"] = doc["builtins"].pop("Keyword")
+
+        with pytest.raises(ValueError, match="unknown component label 'Keywords'"):
+            vocab_from_text(self._edited(empty_vocab, rename))
+
+    def test_rejects_non_integer_id(self, empty_vocab):
+        def stringify(doc):
+            doc["builtins"]["Keyword"]["if"] = "5"
+
+        with pytest.raises(VocabError, match="not an integer"):
+            vocab_from_text(self._edited(empty_vocab, stringify))
 
 
 class TestAssignIds:

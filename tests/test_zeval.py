@@ -105,6 +105,15 @@ def test_evaluation_embeds_batch_size_rows_at_a_time(records):
     assert result.L == 10
 
 
+def test_empty_held_out_list_is_named(records):
+    data = prepare_pairs(records[:4], BASE)
+    model = CLCPModel(BASE, data.text_vocab.size)
+    with pytest.raises(ValueError, match="held-out pair list is empty"):
+        zeval.evaluate_pairs(model, data.vocab, data.text_vocab, [])
+    with pytest.raises(ValueError, match="held-out embedding batches are empty"):
+        zero_shot_match(np.zeros((0, 8)), np.zeros((0, 8)))
+
+
 def test_worker_processes_give_the_serial_rows(records):
     configs = [replace(BASE, family="lp"), replace(BASE, family="rn")]
     serial = zeval.run_ladder(records, PLAN, configs)

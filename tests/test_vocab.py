@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clcp.pylex import Component, tokenize
+from clcp.pylex import Component, Token, tokenize
 from clcp.vocab import (
     DEFAULT_RANGE_TABLE,
     IdRanges,
@@ -210,6 +210,11 @@ class TestAssignIds:
         wrapped = scope.allocate(Component.VARIABLE, "extra")
         assert wrapped == 7961
         assert scope.recycled == {Component.VARIABLE}
+
+    def test_unknown_builtin_text_is_named(self, empty_vocab):
+        tok = Token("nope", Component.KEYWORD, (0, 4))
+        with pytest.raises(VocabError, match="Keyword token 'nope'"):
+            assign_ids([tok], empty_vocab, NamespaceScope())
 
     def test_whitespace_expands_per_character(self, empty_vocab):
         tokens = tokenize("def f():\n    pass\n")

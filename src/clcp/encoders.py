@@ -91,6 +91,10 @@ class ModelConfig:
             raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction: must be in [0, 1), got {self.val_fraction}")
+        # a logit scale of 0 zeroes every gradient; a negative one has no log
+        for name in ("temperature_init", "temperature_max"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name}: must be > 0, got {getattr(self, name)}")
         return self
 
     def channel_plan(self):
@@ -269,16 +273,6 @@ def _stages(config, rng):
     return stages
 
 
-def shape_plan(config):
-    """Per-stage output lengths: a list of {"block", "conv", "pool"}.
-
-    Raises ConfigError naming the block whose input is shorter than a window.
-    It walks the stages of a freshly built encoder, so construction succeeds
-    exactly when this plan does.
-    """
-    return CodeEncoder(config).plan
-
-
 def _check_finite(name, tensor):
     if not np.isfinite(tensor.data).all():
         raise ndnn.NumericError(f"non-finite activations after {name}")
@@ -286,7 +280,9 @@ def _check_finite(name, tensor):
 
 class CodeEncoder:
     """A list of named stages (conv blocks or residual blocks), then a
-    projection to d."""
+    projection to d.  ``plan`` lists each stage's {"block", "conv", "pool"}
+    output lengths; construction raises ConfigError naming the block whose
+    input is shorter than a window."""
 
     def __init__(self, config, rng=None):
         config.validate()

@@ -92,6 +92,8 @@ def load_pairs(path, limit=None, code_field="code", doc_field="docstring",
     skipped = 0
     total = 0
     for line in text.splitlines():
+        if limit is not None and len(records) >= limit:
+            break
         if not line.strip():
             continue
         total += 1
@@ -101,9 +103,6 @@ def load_pairs(path, limit=None, code_field="code", doc_field="docstring",
             records.append(PairRecord(rid, obj[code_field], obj[doc_field]))
         except (json.JSONDecodeError, KeyError, TypeError, IngestError):
             skipped += 1
-            continue
-        if limit is not None and len(records) >= limit:
-            break
     if total and skipped > total / 2:
         raise IngestError(f"{path}: {skipped}/{total} lines malformed; wrong file?")
     return LoadResult(records, skipped, total)

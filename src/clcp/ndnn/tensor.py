@@ -21,15 +21,14 @@ class NumericError(RuntimeError):
 class Tensor:
     """A dense n-dimensional array with an optional same-shape gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         if isinstance(data, Tensor):
             raise TypeError("cannot wrap a Tensor in a Tensor")
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self.name = name
         self._parents = _parents
         self._backward = _backward
 

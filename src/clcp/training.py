@@ -101,13 +101,17 @@ class CLCPModel:
         return arrays
 
     def load_snapshot(self, arrays):
-        params = [(name, p.data) for name, p in self.named_params()]
-        for name, dst in params + self.named_buffers():
-            src = arrays[name]
-            if src.shape != dst.shape:
-                raise ValueError(f"checkpoint shape mismatch for {name}: "
-                                 f"{src.shape} vs {dst.shape}")
-            dst[...] = src   # in place, casting to dst's dtype: layers hold dst
+        """Copy every parameter and buffer in place, after checking them all."""
+        targets = [(name, p.data) for name, p in self.named_params()] + self.named_buffers()
+        missing = [name for name, _ in targets if name not in arrays]
+        if missing:
+            raise ValueError(f"missing members: {', '.join(missing)}")
+        for name, dst in targets:
+            if arrays[name].shape != dst.shape:
+                raise ValueError(f"shape mismatch for {name}: "
+                                 f"{arrays[name].shape} vs {dst.shape}")
+        for name, dst in targets:
+            dst[...] = arrays[name]   # in place, casting to dst's dtype: layers hold dst
 
 
 @dataclass
@@ -152,7 +156,12 @@ def _save_checkpoint(path, model, optimizer, state):
 
 def load_checkpoint(path, model, optimizer=None):
     arrays = ndnn.load_arrays(path)
-    model.load_snapshot(arrays)
+    if "state" not in arrays:
+        raise ValueError(f"checkpoint {path}: missing members: state")
+    try:
+        model.load_snapshot(arrays)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
     if optimizer is not None:
         optimizer.load_state_arrays(arrays)
     return TrainState(**json.loads(arrays["state"].item()))

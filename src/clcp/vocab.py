@@ -1,17 +1,17 @@
 """Numeric ID assignment for classified tokens.
 
-Every component owns a contiguous, disjoint ID range.  Built-in tokens get
-fixed IDs in table order; user-defined tokens (classes, methods, variables)
-get namespace-scoped IDs that restart in every scope; call composites are
-abstracted by member name and carry reverse-lookup lists; number literals mix
-a corpus-frequency fixed set with a scope-local tail.  ID 0 is the padding
-value and never assigned.
+Every component owns a contiguous, disjoint ID range.  ``Vocabulary.fixed``
+holds one text->ID table per component: built-ins and the operator pool in
+table order; numbers, and calls abstracted by member name, in corpus-frequency
+order, leaving a scope-local tail for unseen keys.  User-defined tokens
+(classes, methods, variables) get namespace-scoped IDs that restart in every
+scope.  ID 0 is the padding value and never assigned.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,28 +128,28 @@ def _top_keys(counter, limit):
     return [k for k, _ in ordered[:limit]]
 
 
+def _corpus_key(tok):
+    """Frequency key of a corpus-keyed token: a number's text, a call's member name."""
+    return tok.text if tok.component is Component.NUMBER else member_key(tok)
+
+
 @dataclass
 class Vocabulary:
-    """Deterministic token-to-ID maps honoring the component ranges."""
+    """Deterministic token-to-ID maps honoring the component ranges.
+
+    ``fixed`` maps every component that is not user-scoped to its text->ID
+    table: built-in names, operator-pool symbols (whitespace per character,
+    the placeholder as ``"STR"``), numbers by text and calls by member name.
+    ``lookup_lists`` maps each fixed call ID to the concrete texts it stands for.
+    """
 
     ranges: IdRanges
-    builtins: dict[Component, dict[str, int]]
-    numbers: dict[str, int]
-    calls: dict[Component, dict[str, int]]
+    fixed: dict[Component, dict[str, int]]
     lookup_lists: dict[int, tuple[str, ...]]
-    version: str = "1"
 
     def __post_init__(self):
-        rev = {}
-        for component, table in self.builtins.items():
-            for text, id_ in table.items():
-                rev[id_] = (component, text)
-        for text, id_ in self.numbers.items():
-            rev[id_] = (Component.NUMBER, text)
-        for component, table in self.calls.items():
-            for key, id_ in table.items():
-                rev[id_] = (component, key)
-        self._reverse = rev
+        self._reverse = {id_: (component, text) for component, table in self.fixed.items()
+                         for text, id_ in table.items()}
 
     @property
     def max_id(self):
@@ -168,55 +168,35 @@ def build_vocab(token_streams, ranges=None, tables=None):
     ranges = ranges or IdRanges()
     tables = tables or load_default_tables()
 
-    builtins = {
-        Component.KEYWORD: _fixed_block(Component.KEYWORD, tables.keywords, ranges),
-        Component.BUILTIN_CLASS: _fixed_block(Component.BUILTIN_CLASS, tables.classes, ranges),
-        Component.BUILTIN_METHOD: _fixed_block(Component.BUILTIN_METHOD, tables.functions, ranges),
-        Component.BUILTIN_METH_CALL: _fixed_block(
-            Component.BUILTIN_METH_CALL, tables.dotted_functions, ranges),
-        Component.BUILTIN_ATTRIBUTE: _fixed_block(
-            Component.BUILTIN_ATTRIBUTE, tables.dotted_attributes, ranges),
-        Component.BUILTIN_ATTR_CALL: _fixed_block(
-            Component.BUILTIN_ATTR_CALL, tables.dotted_attributes, ranges),
-    }
-    symbol_texts = [text for text, _ in tables.symbols]
-    if len(symbol_texts) > ranges.capacity(Component.OPERATOR):
-        raise RangeExhausted(Component.OPERATOR, ranges.capacity(Component.OPERATOR))
-    op_lo, _ = ranges.range_for(Component.OPERATOR)
-    for component in (Component.OPERATOR,) + tuple(SYMBOL_POOL):
-        builtins[component] = {}
-    for i, (text, component) in enumerate(tables.symbols):
-        builtins[component][text] = op_lo + i
+    fixed = {component: _fixed_block(component, keys, ranges) for component, keys in (
+        (Component.KEYWORD, tables.keywords),
+        (Component.BUILTIN_CLASS, tables.classes),
+        (Component.BUILTIN_METHOD, tables.functions),
+        (Component.BUILTIN_METH_CALL, tables.dotted_functions),
+        (Component.BUILTIN_ATTRIBUTE, tables.dotted_attributes),
+        (Component.BUILTIN_ATTR_CALL, tables.dotted_attributes),
+    )}
+    # the symbol pool shares the Operator range, keyed by (text, component)
+    pool = _fixed_block(Component.OPERATOR, tables.symbols, ranges)
+    for component in (Component.OPERATOR, *SYMBOL_POOL):
+        fixed[component] = {text: id_ for (text, c), id_ in pool.items() if c is component}
 
-    number_counts = Counter()
-    call_counts = {Component.METHOD_CALL: Counter(), Component.ATTRIBUTE_CALL: Counter()}
-    call_texts = {Component.METHOD_CALL: {}, Component.ATTRIBUTE_CALL: {}}
+    counts = {component: Counter() for component in CORPUS_KEYED}
+    texts = defaultdict(set)
     for stream in token_streams:
         for tok in stream:
-            if tok.component is Component.NUMBER:
-                number_counts[tok.text] += 1
-            elif tok.component in call_counts:
-                key = member_key(tok)
-                call_counts[tok.component][key] += 1
-                call_texts[tok.component].setdefault(key, set()).add(tok.text)
-
-    numbers = {}
-    lo, _ = ranges.range_for(Component.NUMBER)
-    for i, key in enumerate(_top_keys(number_counts, ranges.fixed_capacity(Component.NUMBER))):
-        numbers[key] = lo + i
-
-    calls = {}
-    lookup_lists = {}
-    for component in (Component.METHOD_CALL, Component.ATTRIBUTE_CALL):
-        lo, _ = ranges.range_for(component)
-        table = {}
-        for i, key in enumerate(_top_keys(call_counts[component],
-                                          ranges.fixed_capacity(component))):
-            table[key] = lo + i
-            lookup_lists[lo + i] = tuple(sorted(call_texts[component][key]))
-        calls[component] = table
-
-    return Vocabulary(ranges, builtins, numbers, calls, lookup_lists)
+            counter = counts.get(tok.component)
+            if counter is not None:
+                key = _corpus_key(tok)
+                counter[key] += 1
+                texts[tok.component, key].add(tok.text)
+    for component in CORPUS_KEYED:
+        fixed[component] = _fixed_block(
+            component, _top_keys(counts[component], ranges.fixed_capacity(component)), ranges)
+    lookup_lists = {id_: tuple(sorted(texts[component, key]))
+                    for component in CORPUS_KEYED if component is not Component.NUMBER
+                    for key, id_ in fixed[component].items()}
+    return Vocabulary(ranges, fixed, lookup_lists)
 
 
 class NamespaceScope:
@@ -269,45 +249,28 @@ def assign_ids(tokens, vocabulary, scope):
     recovers the exact text.
     """
     ids = []
-    ranges = vocabulary.ranges
+    fixed = vocabulary.fixed
     for tok in tokens:
         component = tok.component
         if component is Component.WHITESPACE:
-            table = vocabulary.builtins[Component.WHITESPACE]
+            table = fixed[component]
             ids.extend(table[ch] for ch in tok.text)
-            continue
-        if component is Component.PLACEHOLDER:
-            ids.append(vocabulary.builtins[Component.PLACEHOLDER]["STR"])
-            continue
-        if component is Component.NEWLINE:
-            ids.append(vocabulary.builtins[Component.NEWLINE][tok.text])
-            continue
-        table = vocabulary.builtins.get(component)
-        if table is not None and component not in CORPUS_KEYED:
-            try:
-                ids.append(table[tok.text])
-            except KeyError:
-                raise VocabError(
-                    f"{component.value} token {tok.text!r} missing from builtin table"
-                ) from None
-            continue
-        if component is Component.NUMBER:
-            id_ = vocabulary.numbers.get(tok.text)
-            ids.append(id_ if id_ is not None
-                       else scope.allocate(component, tok.text))
-            continue
-        if component in (Component.METHOD_CALL, Component.ATTRIBUTE_CALL):
-            key = member_key(tok)
-            id_ = vocabulary.calls[component].get(key)
+        elif component in USER_SCOPED:
+            ids.append(scope.allocate(component, tok.text))
+        elif component in CORPUS_KEYED:
+            key = _corpus_key(tok)
+            id_ = fixed[component].get(key)
             ids.append(id_ if id_ is not None
                        else scope.allocate(component, key, concrete_text=tok.text))
-            continue
-        if component in USER_SCOPED:
-            ids.append(scope.allocate(component, tok.text))
-            continue
-        raise VocabError(f"cannot assign an ID to component {component.value}")
+        else:
+            text = "STR" if component is Component.PLACEHOLDER else tok.text
+            id_ = fixed.get(component, {}).get(text)
+            if id_ is None:
+                raise VocabError(f"{component.value} token {text!r} missing from its fixed table")
+            ids.append(id_)
+    max_id = vocabulary.ranges.max_id
     for id_ in ids:
-        if not 1 <= id_ <= ranges.max_id:
+        if not 1 <= id_ <= max_id:
             raise VocabError(f"assigned ID {id_} escapes the table ranges")
     return ids
 
@@ -356,18 +319,16 @@ FORMAT_HEADER = "clcp-vocab"
 
 
 def vocab_to_text(vocabulary):
-    """Byte-deterministic JSON with sorted keys; tables are keyed by component label.
+    """Byte-deterministic JSON with sorted keys.
 
-    ``ranges`` keeps the range table's order, each token table maps text to
-    ID, and ``lookup_lists`` is keyed by the call ID as a string.
+    ``ranges`` keeps the range table's order; ``fixed`` holds one text->ID
+    table per component label (built-ins, operator pool, numbers and calls);
+    ``lookup_lists`` is keyed by the call ID as a string.
     """
     return json.dumps({
         "format": FORMAT_HEADER,
-        "version": vocabulary.version,
         "ranges": [[c.value, lo, hi] for c, lo, hi in vocabulary.ranges.table],
-        "builtins": {c.value: table for c, table in vocabulary.builtins.items()},
-        "numbers": vocabulary.numbers,
-        "calls": {c.value: table for c, table in vocabulary.calls.items()},
+        "fixed": {c.value: table for c, table in vocabulary.fixed.items()},
         "lookup_lists": {str(id_): texts for id_, texts in vocabulary.lookup_lists.items()},
     }, sort_keys=True, indent=0) + "\n"
 
@@ -379,21 +340,16 @@ def vocab_from_text(text):
         doc = None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_HEADER:
         raise VocabError("not a vocabulary file")
-
-    def by_component(tables):
-        return {component_from_label(label): table for label, table in tables.items()}
-
     try:
-        tables = [doc["numbers"], *doc["builtins"].values(), *doc["calls"].values()]
         for id_ in [*(b for _, *bounds in doc["ranges"] for b in bounds),
-                    *(i for table in tables for i in table.values())]:
+                    *(i for table in doc["fixed"].values() for i in table.values())]:
             if type(id_) is not int:
                 raise VocabError(f"ID {id_!r} is not an integer")
         ranges = IdRanges(tuple((component_from_label(label), lo, hi)
                                 for label, lo, hi in doc["ranges"]))
         lookup_lists = {int(id_): tuple(texts) for id_, texts in doc["lookup_lists"].items()}
-        return Vocabulary(ranges, by_component(doc["builtins"]), doc["numbers"],
-                          by_component(doc["calls"]), lookup_lists, version=doc["version"])
+        fixed = {component_from_label(label): table for label, table in doc["fixed"].items()}
+        return Vocabulary(ranges, fixed, lookup_lists)
     except (KeyError, TypeError, AttributeError) as exc:
         raise VocabError(f"malformed vocabulary file: {exc!r}") from exc
 

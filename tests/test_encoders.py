@@ -14,7 +14,6 @@ from clcp.encoders import (
     apply_ablation,
     config_for_family,
     embed,
-    shape_plan,
 )
 
 
@@ -29,20 +28,20 @@ class TestShapePlan:
     def test_worked_example(self):
         cfg = ModelConfig(blocks=3, image_len=512, kernel=5, stride=1,
                           pool_window=2, pool_stride=2).validate()
-        plan = shape_plan(cfg)
+        plan = CodeEncoder(cfg).plan
         assert [(p["conv"], p["pool"]) for p in plan] == [
             (508, 254), (250, 125), (121, 60)]
 
     def test_global_pool_collapses_final_block(self):
         cfg = small_cfg(family="gp")
-        plan = shape_plan(cfg)
+        plan = CodeEncoder(cfg).plan
         assert plan[-1]["pool"] == 1
         assert plan[-2]["pool"] > 1
 
     def test_bad_geometry_names_block(self):
         cfg = small_cfg(image_len=12, kernel=5, pool_window=4, pool_stride=4)
         with pytest.raises(ConfigError, match="block"):
-            shape_plan(cfg)
+            CodeEncoder(cfg).plan
 
     def test_construction_fails_iff_dry_run_fails(self):
         rng = np.random.default_rng(0)
@@ -58,7 +57,7 @@ class TestShapePlan:
                 family=("lp", "rn")[int(rng.integers(0, 2))],
             )
             try:
-                shape_plan(cfg)
+                CodeEncoder(cfg).plan
                 plan_ok = True
             except ConfigError:
                 plan_ok = False
@@ -138,6 +137,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="pool_stride"):
             ModelConfig(pool_stride=0).validate()
         ModelConfig(val_fraction=0.0, pool_window=1, pool_stride=1).validate()
+
+    def test_logit_scale_bounds(self):
+        # a scale of 0 zeroes every gradient, a negative one aborts training
+        for field_name in ("temperature_init", "temperature_max"):
+            for bad in (0.0, -1.0):
+                with pytest.raises(ConfigError, match=f"^{field_name}: "):
+                    ModelConfig(**{field_name: bad}).validate()
+        ModelConfig(temperature_init=1e-3, temperature_max=1e-3).validate()
 
     def test_default_channel_plan_doubles_capped(self):
         cfg = ModelConfig(blocks=5).validate()

@@ -67,6 +67,16 @@ class TestLoadPairs:
         result = load_pairs(path, limit=2, code_field="src", doc_field="text")
         assert len(result.records) == 2
 
+    def test_limit_stops_before_the_next_line(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        good = [json.dumps({"code": f"x = {i}", "docstring": f"doc {i}"}) for i in range(4)]
+        path.write_text("\n".join([good[0], "{not json}", good[1], "", good[2], good[3]])
+                        + "\n", encoding="utf-8")
+        counts = {limit: (len(r.records), r.skipped, r.total_lines)
+                  for limit in (0, 1, 2, 4, 9) for r in [load_pairs(path, limit=limit)]}
+        assert counts == {0: (0, 0, 0), 1: (1, 0, 1), 2: (2, 1, 3),
+                          4: (4, 1, 5), 9: (4, 1, 5)}
+
     def test_file_order_preserved(self, tmp_path):
         path = tmp_path / "ordered.jsonl"
         write_jsonl(path, [{"code": f"x = {i}", "docstring": f"doc num {i}"}

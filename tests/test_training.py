@@ -181,6 +181,36 @@ class TestTrainLoop:
         assert [name for name in arrays if name.startswith("state")] == ["state"]
         assert json.loads(arrays["state"].item()) == dataclasses.asdict(state)
 
+    @pytest.mark.parametrize("member", ["logit_scale", "state"])
+    def test_checkpoint_missing_member_is_named(self, tmp_path, member):
+        train(generate_pairs(32, seed=10), tiny_cfg(max_epochs=1, patience=1),
+              out_dir=tmp_path)
+        path = tmp_path / training.CHECKPOINT_NAME
+        arrays = ndnn.load_arrays(path)
+        del arrays[member]
+        ndnn.save_arrays(path, arrays.items())
+        with pytest.raises(ValueError, match=f"{training.CHECKPOINT_NAME}.*missing.*{member}"):
+            load_run(tmp_path)
+
+    def test_failed_load_leaves_model_unchanged(self, tmp_path):
+        path = tmp_path / training.CHECKPOINT_NAME
+        training._save_checkpoint(path, CLCPModel(tiny_cfg(seed=1), text_vocab_size=32),
+                                  ndnn.Adam(), TrainState())
+        arrays = ndnn.load_arrays(path)
+        del arrays["logit_scale"]
+        ndnn.save_arrays(path, arrays.items())
+        model = CLCPModel(tiny_cfg(), text_vocab_size=32)
+        before = model.snapshot()
+        with pytest.raises(ValueError, match="missing members: logit_scale"):
+            load_checkpoint(path, model)
+        after = model.snapshot()
+        # the seed-1 weights differ, so a partial load would show
+        first = next(iter(before))
+        assert not np.array_equal(before[first], arrays[first])
+        assert after.keys() == before.keys()
+        for name, arr in before.items():
+            np.testing.assert_array_equal(after[name], arr)
+
     def test_second_run_replaces_metrics(self, tmp_path):
         pairs = generate_pairs(32, seed=10)
         train(pairs, tiny_cfg(max_epochs=3, patience=3), out_dir=tmp_path)

@@ -63,13 +63,14 @@ class TestIdRanges:
 
 class TestBuildVocab:
     def test_keywords_take_1_to_35(self, empty_vocab):
-        ids = sorted(empty_vocab.builtins[Component.KEYWORD].values())
+        ids = sorted(empty_vocab.fixed[Component.KEYWORD].values())
         assert ids == list(range(1, 36))
 
     def test_empty_corpus_has_only_builtin_maps(self, empty_vocab):
-        assert empty_vocab.numbers == {}
-        assert all(not t for t in empty_vocab.calls.values())
-        classes = empty_vocab.builtins[Component.BUILTIN_CLASS]
+        assert empty_vocab.fixed[Component.NUMBER] == {}
+        assert all(not empty_vocab.fixed[c]
+                   for c in (Component.METHOD_CALL, Component.ATTRIBUTE_CALL))
+        classes = empty_vocab.fixed[Component.BUILTIN_CLASS]
         assert sorted(classes.values()) == list(range(36, 36 + len(classes)))
         assert max(classes.values()) <= 54
 
@@ -77,7 +78,7 @@ class TestBuildVocab:
         a = tokenize("def fa(a_param):\n    return a_param.strip()\n")
         b = tokenize("def fb(address):\n    return address.strip()\n")
         vocab = build_vocab([a, b])
-        strip_id = vocab.calls[Component.ATTRIBUTE_CALL]["strip"]
+        strip_id = vocab.fixed[Component.ATTRIBUTE_CALL]["strip"]
         lo, hi = vocab.ranges.range_for(Component.ATTRIBUTE_CALL)
         assert lo <= strip_id <= hi
         assert vocab.lookup_lists[strip_id] == ("a_param.strip", "address.strip")
@@ -86,9 +87,9 @@ class TestBuildVocab:
         a = tokenize("x = 7\ny = 7\nz = 3\nw = 5\n")
         vocab = build_vocab([a])
         lo, _ = vocab.ranges.range_for(Component.NUMBER)
-        assert vocab.numbers["7"] == lo        # most frequent
-        assert vocab.numbers["3"] == lo + 1    # tie broken lexicographically
-        assert vocab.numbers["5"] == lo + 2
+        assert vocab.fixed[Component.NUMBER]["7"] == lo        # most frequent
+        assert vocab.fixed[Component.NUMBER]["3"] == lo + 1    # tie broken lexicographically
+        assert vocab.fixed[Component.NUMBER]["5"] == lo + 2
 
     def test_deterministic_serialization(self):
         streams = [tokenize("def f(a):\n    return a.strip() + 1\n"),
@@ -129,8 +130,8 @@ class TestVocabFile:
         picks = data.draw(st.sets(st.integers(0, len(golden_streams) - 1), max_size=12))
         vocab = build_vocab([golden_streams[i] for i in sorted(picks)])
         # whitespace and newline texts exercise the escaping
-        assert "\n" in vocab.builtins[Component.NEWLINE]
-        assert "\t" in vocab.builtins[Component.WHITESPACE]
+        assert "\n" in vocab.fixed[Component.NEWLINE]
+        assert "\t" in vocab.fixed[Component.WHITESPACE]
         text = vocab_to_text(vocab)
         again = vocab_from_text(text)
         assert again == vocab
@@ -148,26 +149,26 @@ class TestVocabFile:
                 vocab_from_text(text)
 
     def test_rejects_missing_or_mistyped_section(self, empty_vocab):
-        def drop_numbers(doc):
-            del doc["numbers"]
+        def drop_fixed(doc):
+            del doc["fixed"]
 
         def list_for_table(doc):
-            doc["calls"] = []
+            doc["fixed"] = []
 
-        for edit in (drop_numbers, list_for_table):
+        for edit in (drop_fixed, list_for_table):
             with pytest.raises(VocabError, match="malformed vocabulary file"):
                 vocab_from_text(self._edited(empty_vocab, edit))
 
     def test_rejects_unknown_component_label(self, empty_vocab):
         def rename(doc):
-            doc["builtins"]["Keywords"] = doc["builtins"].pop("Keyword")
+            doc["fixed"]["Keywords"] = doc["fixed"].pop("Keyword")
 
         with pytest.raises(ValueError, match="unknown component label 'Keywords'"):
             vocab_from_text(self._edited(empty_vocab, rename))
 
     def test_rejects_non_integer_id(self, empty_vocab):
         def stringify(doc):
-            doc["builtins"]["Keyword"]["if"] = "5"
+            doc["fixed"]["Keyword"]["if"] = "5"
 
         with pytest.raises(VocabError, match="not an integer"):
             vocab_from_text(self._edited(empty_vocab, stringify))

@@ -76,6 +76,25 @@ class Adam:
             out[f"adam.v.{name}"] = arr
         return out
 
+    def check_state_arrays(self, arrays, named_params):
+        """Raise ValueError unless ``arrays`` holds a loadable state for these parameters.
+
+        ``adam.t`` is always needed; after a step, so is each parameter's pair
+        of moments, in the parameter's shape.
+        """
+        if "adam.t" not in arrays:
+            raise ValueError("missing members: adam.t")
+        if int(arrays["adam.t"][0]) == 0:
+            return
+        needed = [(f"adam.{moment}.{name}", p.data.shape)
+                  for name, p in named_params for moment in "mv"]
+        missing = [key for key, _ in needed if key not in arrays]
+        if missing:
+            raise ValueError(f"missing members: {', '.join(missing)}")
+        for key, shape in needed:
+            if arrays[key].shape != shape:
+                raise ValueError(f"shape mismatch for {key}: {arrays[key].shape} vs {shape}")
+
     def load_state_arrays(self, arrays):
         self.t = int(arrays["adam.t"][0])
         self.m = {k[len("adam.m."):]: v for k, v in arrays.items() if k.startswith("adam.m.")}

@@ -10,7 +10,9 @@ The front end turns source text into classified tokens in three stages:
 * ``classify`` fuses dotted composites (``a.strip``) into single tokens and
   resolves identifier components against the built-in tables.
 
-The concatenation of token texts always reproduces the lexed source exactly.
+A ``Token`` is a named tuple ``(text, component, span)``; whitespace and
+newline tokens (``LAYOUT``) are the only ones that are not significant.  The
+concatenation of token texts always reproduces the lexed source exactly.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 
 class Component(enum.Enum):
@@ -42,6 +45,11 @@ class Component(enum.Enum):
     NEWLINE = "Newline"
     PLACEHOLDER = "Placeholder"
 
+    # Every token and every dict lookup on the front end's path hashes a
+    # Component; Enum's default hash runs Python code on the member name.
+    # Members are singletons compared by identity, so the identity hash agrees.
+    __hash__ = object.__hash__
+
 
 _BY_LABEL = {c.value: c for c in Component}
 
@@ -53,16 +61,16 @@ def component_from_label(label):
         raise ValueError(f"unknown component label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical unit: text, component class, and (start, end) offsets."""
 
     text: str
     component: Component
     span: tuple[int, int]
 
-    def is_significant(self):
-        return self.component not in (Component.WHITESPACE, Component.NEWLINE)
+
+#: Components of layout tokens; every other token is significant.
+LAYOUT = frozenset((Component.WHITESPACE, Component.NEWLINE))
 
 
 class LexError(ValueError):
@@ -92,9 +100,6 @@ class BuiltinTables:
         object.__setattr__(self, "_function_set", frozenset(self.functions))
         object.__setattr__(self, "_dotted_function_set", frozenset(self.dotted_functions))
         object.__setattr__(self, "_dotted_attribute_set", frozenset(self.dotted_attributes))
-
-    def is_keyword(self, text):
-        return text in self._keyword_set
 
 
 def _read_lines(name):
@@ -127,8 +132,10 @@ def load_default_tables():
 _STRING_PREFIX = frozenset(
     p for p in ("r", "b", "u", "f", "rb", "br", "fr", "rf", "bf", "fb")
 )
-_IDENT_START = re.compile(r"[A-Za-z_]")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# A run of text copied unchanged: anything but a comment, a quote or an
+# identifier directly followed by a quote (which may be a string prefix).
+_PLAIN_RE = re.compile(r"(?:[^#\"'A-Za-z_]+|[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_\"']))+")
 
 
 def _scan_string(src, i):
@@ -169,34 +176,43 @@ def clean_code(src):
     Line breaks outside literals are preserved; whitespace that only padded a
     removed comment is dropped with it.
     """
-    src = src.lstrip("﻿").replace("\r\n", "\n").replace("\r", "\n")
+    src = src.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     out = []
+    append = out.append
+    plain = _PLAIN_RE.match
     i, n = 0, len(src)
     while i < n:
+        m = plain(src, i)
+        if m is not None:
+            append(m.group())
+            i = m.end()
+            if i == n:
+                break
         ch = src[i]
         if ch == "#":
-            while out and out[-1] in (" ", "\t"):
+            while out:
+                piece = out[-1].rstrip(" \t")
+                if piece:
+                    out[-1] = piece
+                    break
                 out.pop()
-            while i < n and src[i] != "\n":
-                i += 1
+            i = src.find("\n", i)
+            if i < 0:
+                i = n
             continue
         if ch in "\"'":
             i = _scan_string(src, i)
-            out.append(PLACEHOLDER_TEXT)
+            append(PLACEHOLDER_TEXT)
             continue
-        if _IDENT_START.match(ch):
-            m = _IDENT_RE.match(src, i)
-            word = m.group()
-            end = m.end()
-            if end < n and src[end] in "\"'" and word.lower() in _STRING_PREFIX:
-                i = _scan_string(src, end)
-                out.append(PLACEHOLDER_TEXT)
-                continue
-            out.append(word)
-            i = end
+        # an identifier followed by a quote
+        end = _IDENT_RE.match(src, i).end()
+        word = src[i:end]
+        if word.lower() in _STRING_PREFIX:
+            i = _scan_string(src, end)
+            append(PLACEHOLDER_TEXT)
             continue
-        out.append(ch)
-        i += 1
+        append(word)
+        i = end
     return "".join(out)
 
 
@@ -228,45 +244,46 @@ _MASTER_RE = re.compile(
 )
 
 
+#: Component of every non-name group of ``_MASTER_RE``.
+_GROUP_COMPONENT = {
+    "string": Component.PLACEHOLDER,
+    "number": Component.NUMBER,
+    "operator": Component.OPERATOR,
+    "symbol": Component.SYMBOL,
+    "space": Component.WHITESPACE,
+    "newline": Component.NEWLINE,
+}
+
+
 def lex(src, tables=None):
     """Tokenize cleaned source; identifiers come out as provisional Variables.
 
     Whitespace is emitted as maximal same-character runs and newlines one per
     character, so the concatenation of token texts reproduces ``src``.
     """
-    tables = tables or load_default_tables()
+    keywords = (tables or load_default_tables())._keyword_set
+    group_component = _GROUP_COMPONENT
+    keyword, placeholder, variable = Component.KEYWORD, Component.PLACEHOLDER, Component.VARIABLE
     tokens = []
-    pos, n = 0, len(src)
-    while pos < n:
-        m = _MASTER_RE.match(src, pos)
-        if m is None:
-            if src[pos] in "\"'":
-                raise LexError("unterminated string literal", (pos, n))
-            raise LexError(f"unexpected character {src[pos]!r}", (pos, pos + 1))
-        kind = m.lastgroup
+    append = tokens.append
+    pos = 0
+    for m in _MASTER_RE.finditer(src):
+        span = m.span()
+        if span[0] != pos:   # finditer skipped a character no group matches
+            break
         text = m.group()
-        span = (pos, m.end())
-        if kind == "string":
-            component = Component.PLACEHOLDER
-        elif kind == "number":
-            component = Component.NUMBER
-        elif kind == "name":
-            if tables.is_keyword(text):
-                component = Component.KEYWORD
-            elif text == PLACEHOLDER_TEXT:
-                component = Component.PLACEHOLDER
-            else:
-                component = Component.VARIABLE
-        elif kind == "operator":
-            component = Component.OPERATOR
-        elif kind == "symbol":
-            component = Component.SYMBOL
-        elif kind == "space":
-            component = Component.WHITESPACE
+        kind = m.lastgroup
+        if kind == "name":
+            component = (keyword if text in keywords else
+                         placeholder if text == PLACEHOLDER_TEXT else variable)
         else:
-            component = Component.NEWLINE
-        tokens.append(Token(text, component, span))
-        pos = m.end()
+            component = group_component[kind]
+        append(Token(text, component, span))
+        pos = span[1]
+    if pos < len(src):
+        if src[pos] in "\"'":
+            raise LexError("unterminated string literal", (pos, len(src)))
+        raise LexError(f"unexpected character {src[pos]!r}", (pos, pos + 1))
     return tokens
 
 
@@ -277,7 +294,7 @@ def _collect_def_names(tokens):
     names = set()
     prev = None
     for tok in tokens:
-        if not tok.is_significant():
+        if tok.component in LAYOUT:
             continue
         if prev is not None and prev.component is Component.KEYWORD \
                 and prev.text == "def" and tok.component is Component.VARIABLE:
@@ -288,7 +305,7 @@ def _collect_def_names(tokens):
 
 def _next_significant(tokens, i):
     for j in range(i, len(tokens)):
-        if tokens[j].is_significant():
+        if tokens[j].component not in LAYOUT:
             return tokens[j]
     return None
 
@@ -324,25 +341,32 @@ def classify(tokens, tables=None):
     """
     tables = tables or load_default_tables()
     def_names = _collect_def_names(tokens)
+    variable, keyword, symbol = Component.VARIABLE, Component.KEYWORD, Component.SYMBOL
     out = []
-    i = 0
-    while i < len(tokens):
+    append = out.append
+    prev = None   # the last significant token of out
+    i, n = 0, len(tokens)
+    while i < n:
         tok = tokens[i]
-        if tok.component is not Component.VARIABLE:
-            out.append(tok)
+        component = tok.component
+        if component is not variable:
+            append(tok)
+            if component not in LAYOUT:
+                prev = tok
             i += 1
             continue
-        prev = next((t for t in reversed(out) if t.is_significant()), None)
-        if prev is not None and prev.component is Component.KEYWORD:
+        if prev is not None and prev.component is keyword:
             if prev.text == "def":
-                out.append(Token(tok.text, Component.METHOD, tok.span))
+                prev = Token(tok.text, Component.METHOD, tok.span)
+                append(prev)
                 i += 1
                 continue
             if prev.text == "class":
-                out.append(Token(tok.text, Component.CLASS, tok.span))
+                prev = Token(tok.text, Component.CLASS, tok.span)
+                append(prev)
                 i += 1
                 continue
-        after_dot = (prev is not None and prev.component is Component.SYMBOL
+        after_dot = (prev is not None and prev.component is symbol
                      and prev.text == "." and prev.span[1] == tok.span[0])
         segments, end = _fuse_dotted(tokens, i)
         called = _is_call(_next_significant(tokens, end))
@@ -350,11 +374,12 @@ def classify(tokens, tables=None):
             text = ".".join(segments)
             span = (tok.span[0], tokens[end - 1].span[1])
             component = _classify_dotted(segments, called, after_dot, def_names, tables)
-            out.append(Token(text, component, span))
-            i = end
-            continue
-        out.append(Token(tok.text, _classify_bare(tok.text, called, tables), tok.span))
-        i += 1
+        else:
+            text, span = tok.text, tok.span
+            component = _classify_bare(text, called, tables)
+        prev = Token(text, component, span)
+        append(prev)
+        i = end
     return out
 
 

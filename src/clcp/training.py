@@ -159,6 +159,8 @@ def load_checkpoint(path, model, optimizer=None):
     if "state" not in arrays:
         raise ValueError(f"checkpoint {path}: missing members: state")
     try:
+        if optimizer is not None:
+            optimizer.check_state_arrays(arrays, model.named_params())
         model.load_snapshot(arrays)
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None

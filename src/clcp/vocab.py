@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .pylex import (
+    PLACEHOLDER_TEXT,
     Component,
     component_from_label,
     load_default_tables,
@@ -81,6 +82,12 @@ class IdRanges:
         if spans[0][0] <= PAD_ID:
             raise VocabError("ID 0 is reserved for padding")
         object.__setattr__(self, "_by_component", {c: (lo, hi) for c, lo, hi in self.table})
+        object.__setattr__(self, "_max_id", spans[-1][1])
+        # where a namespace scope allocates: a user-scoped component's whole
+        # range, a corpus-keyed component's fallback tail
+        object.__setattr__(self, "_scope_bounds", {
+            c: (self.tail_start(c) if c in CORPUS_KEYED else lo, hi)
+            for c, lo, hi in self.table if c in USER_SCOPED or c in CORPUS_KEYED})
 
     def range_for(self, component):
         if component in SYMBOL_POOL:
@@ -105,9 +112,16 @@ class IdRanges:
         lo, hi = self.range_for(component)
         return hi - self.fallback_tail(component) + 1
 
+    def scope_bounds(self, component):
+        """Inclusive (lo, hi) that a namespace scope allocates ``component`` from."""
+        try:
+            return self._scope_bounds[component]
+        except KeyError:
+            raise VocabError(f"no ID range for component {component.value}") from None
+
     @property
     def max_id(self):
-        return max(hi for _, _, hi in self.table)
+        return self._max_id
 
     def component_of(self, id_):
         for c, lo, hi in self.table:
@@ -216,17 +230,11 @@ class NamespaceScope:
         self._local = {c: {} for c in USER_SCOPED + CORPUS_KEYED}
         self._texts = {}
 
-    def _bounds(self, component):
-        lo, hi = self.ranges.range_for(component)
-        if component in CORPUS_KEYED:
-            lo = self.ranges.tail_start(component)
-        return lo, hi
-
     def allocate(self, component, key, concrete_text=None):
         local = self._local[component]
         id_ = local.get(key)
         if id_ is None:
-            lo, hi = self._bounds(component)
+            lo, hi = self.ranges.scope_bounds(component)
             cursor = self._cursors.get(component, lo)
             if cursor > hi:
                 if self.on_exhaust == "error":
@@ -249,29 +257,31 @@ def assign_ids(tokens, vocabulary, scope):
     recovers the exact text.
     """
     ids = []
+    append = ids.append
     fixed = vocabulary.fixed
+    allocate = scope.allocate
+    whitespace, placeholder = Component.WHITESPACE, Component.PLACEHOLDER
     for tok in tokens:
         component = tok.component
-        if component is Component.WHITESPACE:
+        if component is whitespace:
             table = fixed[component]
-            ids.extend(table[ch] for ch in tok.text)
+            ids.extend([table[ch] for ch in tok.text])
         elif component in USER_SCOPED:
-            ids.append(scope.allocate(component, tok.text))
+            append(allocate(component, tok.text))
         elif component in CORPUS_KEYED:
             key = _corpus_key(tok)
             id_ = fixed[component].get(key)
-            ids.append(id_ if id_ is not None
-                       else scope.allocate(component, key, concrete_text=tok.text))
+            append(id_ if id_ is not None else allocate(component, key, concrete_text=tok.text))
         else:
-            text = "STR" if component is Component.PLACEHOLDER else tok.text
+            text = PLACEHOLDER_TEXT if component is placeholder else tok.text
             id_ = fixed.get(component, {}).get(text)
             if id_ is None:
                 raise VocabError(f"{component.value} token {text!r} missing from its fixed table")
-            ids.append(id_)
+            append(id_)
     max_id = vocabulary.ranges.max_id
-    for id_ in ids:
-        if not 1 <= id_ <= max_id:
-            raise VocabError(f"assigned ID {id_} escapes the table ranges")
+    if ids and (min(ids) < 1 or max(ids) > max_id):
+        bad = next(id_ for id_ in ids if not 1 <= id_ <= max_id)
+        raise VocabError(f"assigned ID {bad} escapes the table ranges")
     return ids
 
 
@@ -349,9 +359,12 @@ def vocab_from_text(text):
                                 for label, lo, hi in doc["ranges"]))
         lookup_lists = {int(id_): tuple(texts) for id_, texts in doc["lookup_lists"].items()}
         fixed = {component_from_label(label): table for label, table in doc["fixed"].items()}
-        return Vocabulary(ranges, fixed, lookup_lists)
     except (KeyError, TypeError, AttributeError) as exc:
         raise VocabError(f"malformed vocabulary file: {exc!r}") from exc
+    missing = [c.value for c in Component if c not in USER_SCOPED and c not in fixed]
+    if missing:
+        raise VocabError(f"vocabulary file has no fixed table for {', '.join(missing)}")
+    return Vocabulary(ranges, fixed, lookup_lists)
 
 
 def save_vocab(vocabulary, path):

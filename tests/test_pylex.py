@@ -2,6 +2,7 @@
 import pytest
 
 from clcp.pylex import (
+    LAYOUT,
     Component,
     LexError,
     clean_code,
@@ -14,7 +15,7 @@ from clcp.pylex import (
 
 
 def sig(tokens):
-    return [(t.component.value, t.text) for t in tokens if t.is_significant()]
+    return [(t.component.value, t.text) for t in tokens if t.component not in LAYOUT]
 
 
 class TestCleanCode:

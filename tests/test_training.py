@@ -211,6 +211,49 @@ class TestTrainLoop:
         for name, arr in before.items():
             np.testing.assert_array_equal(after[name], arr)
 
+    @staticmethod
+    def _stepped_checkpoint(path):
+        """A checkpoint of a seed-1 model and an Adam that took one step."""
+        model, optimizer = CLCPModel(tiny_cfg(seed=1), text_vocab_size=32), ndnn.Adam()
+        for _, p in model.named_params():
+            p.grad = np.ones_like(p.data)
+        optimizer.step(model.named_params())
+        training._save_checkpoint(path, model, optimizer, TrainState())
+        return optimizer
+
+    def test_optimizer_state_round_trips(self, tmp_path):
+        path = tmp_path / training.CHECKPOINT_NAME
+        saved = self._stepped_checkpoint(path)
+        loaded = ndnn.Adam()
+        load_checkpoint(path, CLCPModel(tiny_cfg(), text_vocab_size=32), loaded)
+        assert loaded.t == saved.t == 1
+        for name, m in saved.m.items():
+            np.testing.assert_array_equal(loaded.m[name], m)
+            np.testing.assert_array_equal(loaded.v[name], saved.v[name])
+
+    @pytest.mark.parametrize("member,edit,message", [
+        ("adam.t", "delete", "missing members: adam.t"),
+        ("adam.v.logit_scale", "delete", "missing members: adam.v.logit_scale"),
+        ("adam.m.logit_scale", "reshape", "shape mismatch for adam.m.logit_scale"),
+    ])
+    def test_bad_optimizer_state_leaves_model_unchanged(self, tmp_path, member, edit, message):
+        path = tmp_path / training.CHECKPOINT_NAME
+        self._stepped_checkpoint(path)
+        arrays = ndnn.load_arrays(path)
+        if edit == "delete":
+            del arrays[member]
+        else:
+            arrays[member] = np.zeros((2, 2))
+        ndnn.save_arrays(path, arrays.items())
+        model, optimizer = CLCPModel(tiny_cfg(), text_vocab_size=32), ndnn.Adam()
+        before = model.snapshot()
+        with pytest.raises(ValueError, match=f"{training.CHECKPOINT_NAME}: {message}"):
+            load_checkpoint(path, model, optimizer)
+        after = model.snapshot()
+        for name, arr in before.items():
+            np.testing.assert_array_equal(after[name], arr)
+        assert (optimizer.t, optimizer.m, optimizer.v) == (0, {}, {})
+
     def test_second_run_replaces_metrics(self, tmp_path):
         pairs = generate_pairs(32, seed=10)
         train(pairs, tiny_cfg(max_epochs=3, patience=3), out_dir=tmp_path)

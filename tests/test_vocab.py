@@ -1,5 +1,9 @@
 """Vocabulary: range conformance, determinism, namespace reuse, round-trip."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,13 @@ class TestVocabFile:
         with pytest.raises(VocabError, match="not an integer"):
             vocab_from_text(self._edited(empty_vocab, stringify))
 
+    def test_rejects_missing_fixed_table(self, empty_vocab):
+        def drop_whitespace(doc):
+            del doc["fixed"]["Whitespace"]
+
+        with pytest.raises(VocabError, match="no fixed table for Whitespace"):
+            vocab_from_text(self._edited(empty_vocab, drop_whitespace))
+
 
 class TestAssignIds:
     def test_first_variable_gets_range_lo(self, empty_vocab):
@@ -216,6 +227,15 @@ class TestAssignIds:
         tok = Token("nope", Component.KEYWORD, (0, 4))
         with pytest.raises(VocabError, match="Keyword token 'nope'"):
             assign_ids([tok], empty_vocab, NamespaceScope())
+
+    @pytest.mark.parametrize("bad", ["zero", "past_max_id"])
+    def test_id_outside_the_ranges_is_named(self, bad):
+        vocab = build_vocab([])
+        bad_id = 0 if bad == "zero" else vocab.max_id + 1
+        vocab.fixed[Component.KEYWORD]["pass"] = bad_id
+        tokens = tokenize("def f():\n    pass\n    return 1\n")
+        with pytest.raises(VocabError, match=f"assigned ID {bad_id} escapes"):
+            assign_ids(tokens, vocab, NamespaceScope())
 
     def test_whitespace_expands_per_character(self, empty_vocab):
         tokens = tokenize("def f():\n    pass\n")
@@ -280,3 +300,40 @@ class TestDecode:
         decoded = decode(ids, vocab, scope)
         amb = [d for d in decoded if d.kind == "ambiguous"]
         assert amb and "a_param.strip" in amb[0].texts and "address.strip" in amb[0].texts
+
+
+_ENCODE_SYNTH = """
+import hashlib
+from clcp.himg import encode_streams
+from clcp.pylex import tokenize
+from clcp.synth import generate_pairs
+from clcp.vocab import build_vocab, vocab_to_text
+
+codes = [r.code for r in generate_pairs(256, seed=7)]
+# one member called on several receivers: its lookup list holds several texts
+codes += [f"def call_{member}_{recv}({recv}):\\n    return {recv}.{member}()\\n"
+          for recv in ("rows", "cache", "store", "queue", "items")
+          for member in ("push", "merge", "scan")]
+streams = [tokenize(code) for code in codes]
+vocab = build_vocab(streams[::2])
+matrix, _, _ = encode_streams(streams, vocab, 64, on_exhaust="recycle")
+print(hashlib.sha256(vocab_to_text(vocab).encode()).hexdigest(),
+      hashlib.sha256(matrix.tobytes()).hexdigest())
+"""
+
+
+def test_ids_do_not_depend_on_the_hash_seed():
+    """Vocabulary file and ID matrix are byte-identical under two PYTHONHASHSEEDs.
+
+    Components hash by identity and strings by a seeded hash, so any output
+    that followed set or hash order would differ between these processes.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _ENCODE_SYNTH], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1

@@ -30,3 +30,13 @@ def load_arrays(path):
         if not isinstance(arr, np.ndarray):   # a member that is not an .npy file
             raise ValueError(f"{path} is not a checkpoint file: {name!r} is not an array")
     return arrays
+
+
+def _check_members(arrays, expected):
+    """Raise ValueError unless ``arrays`` holds every ``(name, shape)`` of ``expected``."""
+    missing = [name for name, _ in expected if name not in arrays]
+    if missing:
+        raise ValueError(f"missing members: {', '.join(missing)}")
+    for name, shape in expected:
+        if arrays[name].shape != shape:
+            raise ValueError(f"shape mismatch for {name}: {arrays[name].shape} vs {shape}")

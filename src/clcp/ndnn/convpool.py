@@ -34,9 +34,10 @@ def conv1d(x, weight, bias, stride):
     (B, C_out, L_out) view of that (C_out, B*L_out) product, so its memory is
     laid out (C_out, B, L_out); the elementwise ops after it keep that layout,
     and an upstream gradient in it reshapes to (C_out, B*L_out) for free.
-    ``cols`` lives until backward, which computes the weight gradient as
-    ``g2 @ cols.T`` and the input gradient as one GEMM ``W2.T @ g2`` whose
-    rows are added back into place one window offset at a time.
+    When the result requires grad, its backward keeps ``cols`` and computes
+    the weight gradient as ``g2 @ cols.T`` and the input gradient as one GEMM
+    ``W2.T @ g2`` whose rows are added back into place one window offset at a
+    time; otherwise ``cols`` is freed on return.
     """
     b, c_in, length = x.shape
     c_out, c_in_w, kernel = weight.shape
@@ -49,9 +50,7 @@ def conv1d(x, weight, bias, stride):
     out2 = w2 @ cols
     if bias is not None:
         out2 += bias.data[:, None]
-    out_data = out2.reshape(c_out, b, l_out).transpose(1, 0, 2)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor(out_data, _parents=parents)
 
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, b * l_out)
@@ -66,8 +65,8 @@ def conv1d(x, weight, bias, stride):
                 gx[:, :, j:j + span:stride] += gcols[:, j].transpose(1, 0, 2)
             _accum(x, gx)
 
-    out._backward = backward
-    return out
+    return Tensor(out2.reshape(c_out, b, l_out).transpose(1, 0, 2), _parents=parents,
+                  _backward=backward)
 
 
 def max_pool1d(x, window, stride):
@@ -87,7 +86,6 @@ def max_pool1d(x, window, stride):
         cand = x.data[:, :, j:j + span:stride]
         arg[(cand > out_data) | (np.isnan(cand) & ~np.isnan(out_data))] = j
         np.maximum(out_data, cand, out=out_data)
-    out = Tensor(out_data, _parents=(x,))
 
     def backward(g):
         # position p is offset p - l * stride of window l, so descending j adds
@@ -97,22 +95,19 @@ def max_pool1d(x, window, stride):
             gx[:, :, j:j + span:stride] += np.where(arg == j, g, 0)
         _accum(x, gx)
 
-    out._backward = backward
-    return out
+    return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
 def global_max_pool1d(x):
     """Whole-sequence max per channel, output length 1."""
     arg = x.data.argmax(axis=2)
-    out = Tensor(x.data.max(axis=2, keepdims=True), _parents=(x,))
 
     def backward(g):
         gx = np.zeros_like(x.data)
         np.put_along_axis(gx, arg[..., None], g, axis=2)
         _accum(x, gx)
 
-    out._backward = backward
-    return out
+    return Tensor(x.data.max(axis=2, keepdims=True), _parents=(x,), _backward=backward)
 
 
 def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, training):
@@ -139,8 +134,6 @@ def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, train
         mean, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
-    out_data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
-    out = Tensor(out_data, _parents=(x, gamma, beta))
 
     def backward(g):
         _accum(gamma, (g * xhat).sum(axis=(0, 2)))
@@ -157,5 +150,5 @@ def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, train
             gx = gxhat * inv_std[None, :, None]
         _accum(x, gx)
 
-    out._backward = backward
-    return out
+    return Tensor(gamma.data[None, :, None] * xhat + beta.data[None, :, None],
+                  _parents=(x, gamma, beta), _backward=backward)

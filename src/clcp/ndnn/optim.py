@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import _check_members
 from .tensor import NumericError
 
 
@@ -82,18 +83,10 @@ class Adam:
         ``adam.t`` is always needed; after a step, so is each parameter's pair
         of moments, in the parameter's shape.
         """
-        if "adam.t" not in arrays:
-            raise ValueError("missing members: adam.t")
-        if int(arrays["adam.t"][0]) == 0:
-            return
-        needed = [(f"adam.{moment}.{name}", p.data.shape)
-                  for name, p in named_params for moment in "mv"]
-        missing = [key for key, _ in needed if key not in arrays]
-        if missing:
-            raise ValueError(f"missing members: {', '.join(missing)}")
-        for key, shape in needed:
-            if arrays[key].shape != shape:
-                raise ValueError(f"shape mismatch for {key}: {arrays[key].shape} vs {shape}")
+        _check_members(arrays, [("adam.t", (1,))])
+        if int(arrays["adam.t"][0]) != 0:
+            _check_members(arrays, [(f"adam.{moment}.{name}", p.data.shape)
+                                    for name, p in named_params for moment in "mv"])
 
     def load_state_arrays(self, arrays):
         self.t = int(arrays["adam.t"][0])

@@ -1,8 +1,12 @@
 """numpy-backed dense tensors with reverse-mode automatic differentiation.
 
-The graph is a tape: every op records its parents and a backward closure on
-the result tensor, and ``Tensor.backward`` walks the tape in reverse
-topological order.  Ops preserve the dtype of their inputs; gradient-checking
+The graph is a tape: an op whose result requires grad records its parents
+and a backward closure on that result, and ``Tensor.backward`` walks the tape
+in reverse topological order.  A result no gradient can reach records nothing,
+so a forward over inputs that do not require grad (evaluation, with the
+parameters' ``requires_grad`` off) keeps no op's inputs alive.  Closures hold
+arrays, never their own result: the tape has no cycle and is freed by
+reference counting.  Ops preserve the dtype of their inputs; gradient-checking
 tests run everything in float64, training code in float32.
 """
 from __future__ import annotations
@@ -29,8 +33,8 @@ class Tensor:
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -122,126 +126,96 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    out = Tensor(a.data + b.data, _parents=(a, b))
-
     def backward(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data + b.data, _parents=(a, b), _backward=backward)
 
 
 def mul(a, b):
-    out = Tensor(a.data * b.data, _parents=(a, b))
-
     def backward(g):
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * b.data, _parents=(a, b), _backward=backward)
 
 
 def relu(a):
     """Elementwise max(0, x); subgradient at 0 is 0."""
     mask = a.data > 0
-    out = Tensor(a.data * mask, _parents=(a,))
-    out._backward = lambda g: _accum(a, g * mask)
-    return out
+    return Tensor(a.data * mask, _parents=(a,), _backward=lambda g: _accum(a, g * mask))
 
 
 def exp(a):
     e = np.exp(a.data)
-    out = Tensor(e, _parents=(a,))
-    # the closure holds the array, not ``out``: no cycle, so a step's graph
-    # is freed by reference counting
-    out._backward = lambda g: _accum(a, g * e)
-    return out
+    return Tensor(e, _parents=(a,), _backward=lambda g: _accum(a, g * e))
 
 
 def clip_max(a, hi):
     """min(x, hi); gradient passes only where x < hi."""
     mask = a.data < hi
-    out = Tensor(np.minimum(a.data, hi), _parents=(a,))
-    out._backward = lambda g: _accum(a, g * mask)
-    return out
+    return Tensor(np.minimum(a.data, hi), _parents=(a,),
+                  _backward=lambda g: _accum(a, g * mask))
 
 
 # -- shape ops ---------------------------------------------------------------
 
 
 def reshape(a, shape):
-    out = Tensor(a.data.reshape(shape), _parents=(a,))
-    out._backward = lambda g: _accum(a, g.reshape(a.shape))
-    return out
+    return Tensor(a.data.reshape(shape), _parents=(a,),
+                  _backward=lambda g: _accum(a, g.reshape(a.shape)))
 
 
 def transpose(a, axes):
     inverse = tuple(np.argsort(axes))
-    out = Tensor(a.data.transpose(axes), _parents=(a,))
-    out._backward = lambda g: _accum(a, g.transpose(inverse))
-    return out
+    return Tensor(a.data.transpose(axes), _parents=(a,),
+                  _backward=lambda g: _accum(a, g.transpose(inverse)))
+
+
+def _index(a, index):
+    """``a.data[index]`` for an index that selects each element at most once."""
+    def backward(g):
+        gx = np.zeros_like(a.data)
+        gx[index] = g
+        _accum(a, gx)
+
+    return Tensor(a.data[index], _parents=(a,), _backward=backward)
 
 
 def narrow(a, axis, start, length):
     """Slice ``length`` elements from ``start`` along one axis."""
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out = Tensor(a.data[index], _parents=(a,))
-
-    def backward(g):
-        gx = np.zeros_like(a.data)
-        gx[index] = g
-        _accum(a, gx)
-
-    out._backward = backward
-    return out
+    return _index(a, tuple(index))
 
 
 def diagonal(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"diagonal needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    idx = np.arange(n)
-    out = Tensor(a.data[idx, idx], _parents=(a,))
-
-    def backward(g):
-        gx = np.zeros_like(a.data)
-        gx[idx, idx] = g
-        _accum(a, gx)
-
-    out._backward = backward
-    return out
+    idx = np.arange(a.shape[0])
+    return _index(a, (idx, idx))
 
 
 # -- reductions ---------------------------------------------------------------
 
 
+def _spread(g, shape, axis, keepdims):
+    """A reduction's upstream gradient, copied back out to the input ``shape``."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def tsum(a, axis=None, keepdims=False):
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,))
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
-
-    out._backward = backward
-    return out
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,),
+                  _backward=lambda g: _accum(a, _spread(g, a.shape, axis, keepdims)))
 
 
 def tmean(a, axis=None, keepdims=False):
     count = a.size if axis is None else a.shape[axis]
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims), _parents=(a,))
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy() / count)
-
-    out._backward = backward
-    return out
+    return Tensor(a.data.mean(axis=axis, keepdims=keepdims), _parents=(a,),
+                  _backward=lambda g: _accum(a, _spread(g, a.shape, axis, keepdims) / count))
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -254,7 +228,6 @@ def _swap_last(x):
 def matmul(a, b):
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul needs operands with ndim >= 2")
-    out = Tensor(np.matmul(a.data, b.data), _parents=(a, b))
 
     def backward(g):
         ga = np.matmul(g, _swap_last(b.data))
@@ -266,8 +239,7 @@ def matmul(a, b):
         _accum(a, ga)
         _accum(b, gb)
 
-    out._backward = backward
-    return out
+    return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward=backward)
 
 
 # -- log-softmax ---------------------------------------------------------------
@@ -275,15 +247,12 @@ def matmul(a, b):
 
 def log_softmax(a, axis=-1):
     z = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    y = z - lse
-    out = Tensor(y, _parents=(a,))
+    y = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
     def backward(g):
         _accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
-    out._backward = backward
-    return out
+    return Tensor(y, _parents=(a,), _backward=backward)
 
 
 # -- lookup and normalization ---------------------------------------------------
@@ -294,25 +263,21 @@ def embedding(weight, ids):
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= weight.shape[0]):
         raise ShapeError("embedding index out of range")
-    out = Tensor(weight.data[ids], _parents=(weight,))
 
     def backward(g):
         gw = np.zeros_like(weight.data)
         np.add.at(gw, ids, g)
         _accum(weight, gw)
 
-    out._backward = backward
-    return out
+    return Tensor(weight.data[ids], _parents=(weight,), _backward=backward)
 
 
 def l2_normalize(a, axis=-1, eps=1e-12):
     """Scale vectors along ``axis`` to unit Euclidean norm."""
     norm = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True)) + eps
     unit = a.data / norm
-    out = Tensor(unit, _parents=(a,))
 
     def backward(g):
         _accum(a, (g - unit * (g * unit).sum(axis=axis, keepdims=True)) / norm)
 
-    out._backward = backward
-    return out
+    return Tensor(unit, _parents=(a,), _backward=backward)

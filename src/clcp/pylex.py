@@ -220,12 +220,7 @@ def clean_code(src):
 
 _MASTER_RE = re.compile(
     r"""
-    (?P<string>
-        (?:[rRbBuUfF]{1,2})?
-        (?:\"\"\"(?:\\.|[^\\])*?\"\"\"|'''(?:\\.|[^\\])*?'''
-          |\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*')
-    )
-  | (?P<number>
+    (?P<number>
         0[xX][0-9a-fA-F_]+
       | 0[bB][01_]+
       | 0[oO][0-7_]+
@@ -246,7 +241,6 @@ _MASTER_RE = re.compile(
 
 #: Component of every non-name group of ``_MASTER_RE``.
 _GROUP_COMPONENT = {
-    "string": Component.PLACEHOLDER,
     "number": Component.NUMBER,
     "operator": Component.OPERATOR,
     "symbol": Component.SYMBOL,
@@ -260,6 +254,7 @@ def lex(src, tables=None):
 
     Whitespace is emitted as maximal same-character runs and newlines one per
     character, so the concatenation of token texts reproduces ``src``.
+    A quote or ``#`` (``clean_code`` leaves none) is an unexpected character.
     """
     keywords = (tables or load_default_tables())._keyword_set
     group_component = _GROUP_COMPONENT
@@ -281,8 +276,6 @@ def lex(src, tables=None):
         append(Token(text, component, span))
         pos = span[1]
     if pos < len(src):
-        if src[pos] in "\"'":
-            raise LexError("unterminated string literal", (pos, len(src)))
         raise LexError(f"unexpected character {src[pos]!r}", (pos, pos + 1))
     return tokens
 

@@ -25,6 +25,7 @@ from .encoders import (
 )
 from .himg import encode_streams, images_to_batch
 from .ndnn import Tensor
+from .ndnn.checkpoint import _check_members
 from .pylex import load_default_tables, tokenize
 from .vocab import build_vocab, load_vocab, save_vocab
 
@@ -93,7 +94,14 @@ class CLCPModel:
         return [(f"code.{n}", b) for n, b in self.code_encoder.named_buffers()]
 
     def set_training(self, flag):
+        """Switch batch norm's statistics and gradient recording together.
+
+        With ``flag`` false no parameter requires grad, so a forward records
+        no tape and frees each op's inputs as soon as the next op has run.
+        """
         self.code_encoder.set_training(flag)
+        for _, p in self.named_params():
+            p.requires_grad = flag
 
     def snapshot(self):
         arrays = {name: p.data.copy() for name, p in self.named_params()}
@@ -103,13 +111,7 @@ class CLCPModel:
     def load_snapshot(self, arrays):
         """Copy every parameter and buffer in place, after checking them all."""
         targets = [(name, p.data) for name, p in self.named_params()] + self.named_buffers()
-        missing = [name for name, _ in targets if name not in arrays]
-        if missing:
-            raise ValueError(f"missing members: {', '.join(missing)}")
-        for name, dst in targets:
-            if arrays[name].shape != dst.shape:
-                raise ValueError(f"shape mismatch for {name}: "
-                                 f"{arrays[name].shape} vs {dst.shape}")
+        _check_members(arrays, [(name, dst.shape) for name, dst in targets])
         for name, dst in targets:
             dst[...] = arrays[name]   # in place, casting to dst's dtype: layers hold dst
 
@@ -154,11 +156,23 @@ def _save_checkpoint(path, model, optimizer, state):
     ndnn.save_arrays(path, arrays)
 
 
-def load_checkpoint(path, model, optimizer=None):
-    arrays = ndnn.load_arrays(path)
-    if "state" not in arrays:
-        raise ValueError(f"checkpoint {path}: missing members: state")
+def _parse_state(member):
     try:
+        return TrainState(**json.loads(member.item()))
+    except (TypeError, ValueError) as exc:   # json.JSONDecodeError is a ValueError
+        raise ValueError(f"state member is not a TrainState record: {exc}") from None
+
+
+def load_checkpoint(path, model, optimizer=None):
+    """Load ``path`` into ``model`` and ``optimizer``; returns the saved TrainState.
+
+    Every member is checked before anything is written, so a damaged
+    checkpoint raises a ValueError naming the file and changes nothing.
+    """
+    arrays = ndnn.load_arrays(path)
+    try:
+        _check_members(arrays, [("state", ())])
+        state = _parse_state(arrays["state"])
         if optimizer is not None:
             optimizer.check_state_arrays(arrays, model.named_params())
         model.load_snapshot(arrays)
@@ -166,7 +180,7 @@ def load_checkpoint(path, model, optimizer=None):
         raise ValueError(f"checkpoint {path}: {exc}") from None
     if optimizer is not None:
         optimizer.load_state_arrays(arrays)
-    return TrainState(**json.loads(arrays["state"].item()))
+    return state
 
 
 @dataclass

@@ -70,8 +70,8 @@ def zero_shot_match(code_emb, text_emb, direction="code2text"):
 def evaluate_pairs(model, vocabulary, text_vocab, pairs, direction="code2text"):
     """Embed held-out pairs with a trained bundle and match them.
 
-    Pairs are embedded ``batch_size`` at a time: a forward keeps every op's
-    inputs for a backward, so one whole-set forward would hold them all.
+    Pairs are embedded ``batch_size`` at a time, so a forward's activations
+    and im2col buffers are one chunk's size however large the held-out set.
     """
     if not pairs:
         raise ValueError("the held-out pair list is empty")

@@ -1,5 +1,7 @@
 """Lexer front end: cleaning, tokenization, classification."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clcp.pylex import (
     LAYOUT,
@@ -49,6 +51,15 @@ class TestCleanCode:
     def test_crlf_normalized(self):
         assert clean_code("a = 1\r\nb = 2\r\n") == "a = 1\nb = 2\n"
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ['"', "'", '"""', "'''", "#", "\\", "\n", "\r", " ", "x", "uu", "r", "b",
+         "f", "Rb", "u", "=", "1"]), max_size=40).map("".join))
+    def test_output_holds_no_quote_or_comment(self, src):
+        # lex has no string or comment grammar: it relies on this
+        cleaned = clean_code(src)
+        assert not set("\"'#") & set(cleaned), (src, cleaned)
+
 
 class TestLex:
     def test_empty_input(self):
@@ -80,10 +91,11 @@ class TestLex:
         src = "def f(a, b):\n    c = a + b\n    return c * 2\n"
         assert "".join(t.text for t in lex(src)) == src
 
-    def test_unterminated_string_error_has_span(self):
-        with pytest.raises(LexError) as err:
+    def test_raw_quote_is_an_unexpected_character(self):
+        # lex takes cleaned source, which holds no quote
+        with pytest.raises(LexError, match="unexpected character") as err:
             lex('x = "oops')
-        assert err.value.span[0] == 4
+        assert err.value.span == (4, 5)
 
     def test_spans_ordered_and_adjacent(self):
         tokens = lex("a = b + 12\n")

@@ -222,3 +222,27 @@ def test_all_lists_every_public_name():
                 and (inspect.isfunction(obj) or inspect.isclass(obj))
                 and obj.__module__.startswith("clcp.ndnn.")}
     assert exported <= set(nd.__all__)
+
+
+def test_tape_recorded_only_where_a_gradient_can_flow():
+    a = nd.Tensor(np.ones((2, 2)))
+    b = nd.Tensor(np.ones((2, 2)), requires_grad=True)
+    plain = nd.matmul(a, a)
+    assert (plain.requires_grad, plain._parents, plain._backward) == (False, (), None)
+    mixed = nd.matmul(a, b)
+    assert mixed.requires_grad and mixed._backward is not None
+    assert mixed._parents[0] is a and mixed._parents[1] is b
+
+
+def test_untaped_intermediate_freed_by_the_next_op():
+    x = nd.Tensor(np.ones((2, 3)))
+    gc.disable()
+    try:
+        h = nd.mul(x, x)
+        intermediate = weakref.ref(h.data)
+        out = nd.relu(h)
+        del h
+        assert intermediate() is None
+        assert out._parents == ()
+    finally:
+        gc.enable()

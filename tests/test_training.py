@@ -9,7 +9,9 @@ import pytest
 
 from clcp import himg, ndnn, pylex, training
 from clcp.encoders import config_for_family
+from clcp.ingest import PairRecord
 from clcp.ndnn import Tensor
+from clcp.pylex import Component
 from clcp.synth import generate_pairs
 from clcp.training import (
     CLCPModel,
@@ -22,6 +24,7 @@ from clcp.training import (
     similarity_matrix,
     train,
 )
+from clcp.zeval import evaluate_pairs
 from fdcheck import check_op
 
 
@@ -254,6 +257,41 @@ class TestTrainLoop:
             np.testing.assert_array_equal(after[name], arr)
         assert (optimizer.t, optimizer.m, optimizer.v) == (0, {}, {})
 
+    @pytest.mark.parametrize("state", [
+        np.array("{oops"),
+        np.array(json.dumps({**dataclasses.asdict(TrainState()), "bogus": 1})),
+        np.array(3.0),
+    ], ids=["bad-json", "unknown-key", "float"])
+    def test_damaged_state_is_named_and_changes_nothing(self, tmp_path, state):
+        path = tmp_path / training.CHECKPOINT_NAME
+        self._stepped_checkpoint(path)
+        arrays = ndnn.load_arrays(path)
+        arrays["state"] = state
+        ndnn.save_arrays(path, arrays.items())
+        model, optimizer = CLCPModel(tiny_cfg(), text_vocab_size=32), ndnn.Adam()
+        before = model.snapshot()
+        with pytest.raises(ValueError, match=f"{training.CHECKPOINT_NAME}: state member"):
+            load_checkpoint(path, model, optimizer)
+        after = model.snapshot()
+        for name, arr in before.items():
+            np.testing.assert_array_equal(after[name], arr)
+        assert (optimizer.t, optimizer.m, optimizer.v) == (0, {}, {})
+
+    def test_call_composites_reach_a_trained_model(self, tmp_path, golden_dir):
+        # synth emits no call composites or user classes; the hand-tokenized
+        # golden snippets hold every component
+        pairs = [PairRecord("", p.read_text(encoding="utf-8"), f"snippet {p.stem[5:]}")
+                 for p in sorted(golden_dir.glob("snip_*.py"))]
+        out = train(pairs, tiny_cfg(max_epochs=1, patience=1), out_dir=tmp_path)
+        data = prepare_pairs(pairs, out.model.config, out.vocab, out.text_vocab)
+        ids = np.rint(data.code_batch[:, 0].astype(np.float64) * out.vocab.max_id)
+        for component in (Component.METHOD_CALL, Component.ATTRIBUTE_CALL, Component.CLASS,
+                          Component.BUILTIN_ATTRIBUTE, Component.BUILTIN_ATTR_CALL):
+            lo, hi = out.vocab.ranges.range_for(component)
+            assert ((ids >= lo) & (ids <= hi)).any(), component
+        assert out.vocab.lookup_lists
+        assert load_run(tmp_path).vocab.lookup_lists == out.vocab.lookup_lists
+
     def test_second_run_replaces_metrics(self, tmp_path):
         pairs = generate_pairs(32, seed=10)
         train(pairs, tiny_cfg(max_epochs=3, patience=3), out_dir=tmp_path)
@@ -289,6 +327,37 @@ class TestTrainLoop:
         out = train(pairs, cfg)
         assert out.state.seed == 77
         assert out.state.step == 2 * 2  # 32 pairs / batch 16 = 2 steps per epoch
+
+
+class TestTapeRecording:
+    @staticmethod
+    def _batch(cfg, n):
+        rng = np.random.default_rng(0)
+        return (rng.random((n, 1, cfg.image_len), dtype=np.float32),
+                rng.integers(0, 32, size=(n, cfg.text_max_len)))
+
+    @pytest.mark.parametrize("family", ["lp", "gp", "rn"])
+    def test_evaluation_records_no_tape(self, family):
+        cfg = dataclasses.replace(tiny_cfg(use_bn=True), family=family)
+        model = CLCPModel(cfg, text_vocab_size=32)
+        code, text = self._batch(cfg, 4)
+        model.set_training(False)
+        for out in (model.encode_code(code), model.encode_text(text),
+                    *model.pair_loss(code, text)):
+            assert (out.requires_grad, out._parents, out._backward) == (False, (), None)
+
+    def test_training_step_after_evaluation_gets_every_gradient(self):
+        pairs = generate_pairs(8, seed=3)
+        cfg = tiny_cfg(use_bn=True)
+        data = prepare_pairs(pairs, cfg)
+        fresh, evaluated = (CLCPModel(cfg, data.text_vocab.size) for _ in range(2))
+        evaluate_pairs(evaluated, data.vocab, data.text_vocab, pairs)
+        for model in (fresh, evaluated):
+            model.set_training(True)
+            model.pair_loss(data.code_batch, data.text_ids)[0].backward()
+        for (name, p), (_, q) in zip(fresh.named_params(), evaluated.named_params()):
+            assert q.grad is not None, name
+            np.testing.assert_array_equal(q.grad, p.grad)
 
 
 class TestPreparePairs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ ABLATIONS = {"+BN": ("use_bn", True), "-Pool": ("use_pooling", False),
 
 @dataclass
 class ModelConfig:
-    """Architecture plus training hyperparameters; one flat record."""
+    """Architecture plus training hyperparameters, saved as one JSON object."""
 
     # code encoder
     family: str = "lp"           # one of FAMILIES
@@ -108,56 +108,43 @@ class ModelConfig:
             tag for tag, (flag, value) in ABLATIONS.items()
             if getattr(self, flag) == value)
 
-    # flat key=value file, every field addressable
-    def to_text(self):
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "channels":
-                value = ",".join(str(c) for c in value)
-            lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
-
     def save(self, path):
-        Path(path).write_text(self.to_text(), encoding="utf-8")
-
-    @classmethod
-    def from_text(cls, text):
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in known:
-                raise ConfigError(f"{key}: unknown config field")
-            kwargs[key] = _parse_field(key, raw)
-        return cls(**kwargs)
+        Path(path).write_text(json.dumps(asdict(self), indent=0) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path):
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return record_from_json(cls, Path(path).read_text(encoding="utf-8")).validate()
 
 
-def _parse_field(name, raw):
-    proto = getattr(ModelConfig(), name)
-    if isinstance(proto, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
+def record_from_json(cls, text):
+    """Build the dataclass ``cls`` from a JSON object; a missing field keeps its default.
+
+    Each value must have the type of its field's default: an int field takes
+    no bool, a float field also takes an int, and a tuple field takes a list
+    of ints.  An unknown key or a value of another type raises a ConfigError
+    naming the key.
+    """
     try:
-        if name == "channels":
-            return tuple(int(x) for x in raw.split(",") if x)
-        if isinstance(proto, (int, float)):
-            return type(proto)(raw)
-    except ValueError:
-        raise ConfigError(f"{name}: expected {type(proto).__name__}, got {raw!r}") from None
-    return raw
+        doc = json.loads(text)
+    except (TypeError, ValueError) as exc:   # a non-string, or not JSON
+        raise ConfigError(f"not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"expected a JSON object, got {type(doc).__name__}")
+    protos = asdict(cls())
+    kwargs = {}
+    for name, value in doc.items():
+        if name not in protos:
+            raise ConfigError(f"{name}: unknown field")
+        proto = protos[name]
+        if isinstance(proto, tuple):
+            ok = isinstance(value, list) and all(type(v) is int for v in value)
+        else:
+            ok = type(value) is type(proto) or (type(proto) is float and type(value) is int)
+        if not ok:
+            expected = "a list of ints" if isinstance(proto, tuple) else type(proto).__name__
+            raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+        kwargs[name] = type(proto)(value)
+    return cls(**kwargs)
 
 
 def config_for_family(family, blocks=3, **overrides):
@@ -391,6 +378,9 @@ class TextVocabulary:
     @classmethod
     def load(cls, path):
         words = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not (isinstance(words, list) and all(type(w) is str for w in words)
+                and len(set(words)) == len(words)):
+            raise ValueError("not a JSON list of distinct words")
         return cls({word: i + 2 for i, word in enumerate(words)})
 
 

@@ -18,10 +18,12 @@ import numpy as np
 from . import ndnn
 from .encoders import (
     CodeEncoder,
+    ConfigError,
     ModelConfig,
     TextEncoder,
     TextVocabulary,
     embed,
+    record_from_json,
 )
 from .himg import encode_streams, images_to_batch
 from .ndnn import Tensor
@@ -32,7 +34,7 @@ from .vocab import build_vocab, load_vocab, save_vocab
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_NAME = "checkpoint.npz"
-CONFIG_NAME = "config.cfg"
+CONFIG_NAME = "config.json"
 VOCAB_NAME = "vocab.json"
 TEXT_VOCAB_NAME = "textvocab.json"
 METRICS_NAME = "metrics.jsonl"
@@ -120,9 +122,10 @@ class CLCPModel:
 class TrainState:
     """Loop counters a checkpoint saves beside the parameters, buffers and Adam state.
 
-    The checkpoint holds them as one JSON record, its ``"state"`` member.  The
-    generator state and the epoch permutation are not saved, so a checkpoint
-    restores the model and optimizer but cannot resume the run.
+    The checkpoint holds them as one JSON object, its ``"state"`` member, read
+    back by ``record_from_json``.  The generator state and the epoch permutation
+    are not saved, so a checkpoint restores the model and optimizer but cannot
+    resume the run.
     """
 
     step: int = 0
@@ -158,8 +161,8 @@ def _save_checkpoint(path, model, optimizer, state):
 
 def _parse_state(member):
     try:
-        return TrainState(**json.loads(member.item()))
-    except (TypeError, ValueError) as exc:   # json.JSONDecodeError is a ValueError
+        return record_from_json(TrainState, member.item())
+    except ConfigError as exc:
         raise ValueError(f"state member is not a TrainState record: {exc}") from None
 
 
@@ -275,7 +278,6 @@ def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):
     result = TrainResult(model, state, metrics, data.vocab, data.text_vocab, out_dir)
     if out_dir is not None:
         _save_checkpoint(out_dir / CHECKPOINT_NAME, model, optimizer, state)
-    stale = 0
     for epoch in range(config.max_epochs):
         state.epoch = epoch
         perm = rng.permutation(train_idx)
@@ -309,26 +311,28 @@ def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):
             state.best_val = val_loss
             state.best_epoch = epoch
             best_snapshot = model.snapshot()
-            stale = 0
             if out_dir is not None:
                 _save_checkpoint(out_dir / CHECKPOINT_NAME, model, optimizer, state)
-        else:
-            stale += 1
-            if stale >= config.patience:
-                logger.info("early stop at epoch %d (no improvement for %d epochs)",
-                            epoch, stale)
-                break
+        elif epoch - state.best_epoch >= config.patience:
+            logger.info("early stop at epoch %d (no improvement for %d epochs)",
+                        epoch, epoch - state.best_epoch)
+            break
     model.load_snapshot(best_snapshot)
     model.set_training(False)
     return result
 
 
 def load_run(run_dir):
-    """Rebuild a trained model bundle from a run directory."""
+    """Rebuild a trained model bundle from a run directory: ``config.json``,
+    ``vocab.json``, ``textvocab.json``, ``checkpoint.npz`` and, if present,
+    ``metrics.jsonl``.  A damaged file raises a ValueError naming it."""
     run_dir = Path(run_dir)
-    config = ModelConfig.load(run_dir / CONFIG_NAME)
-    vocabulary = load_vocab(run_dir / VOCAB_NAME)
-    text_vocab = TextVocabulary.load(run_dir / TEXT_VOCAB_NAME)
+    try:
+        config = ModelConfig.load(path := run_dir / CONFIG_NAME)
+        vocabulary = load_vocab(path := run_dir / VOCAB_NAME)
+        text_vocab = TextVocabulary.load(path := run_dir / TEXT_VOCAB_NAME)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     model = CLCPModel(config, text_vocab.size)
     state = load_checkpoint(run_dir / CHECKPOINT_NAME, model)
     model.set_training(False)

@@ -1,4 +1,7 @@
 """Encoder construction, shape planning, config files, text masking."""
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from clcp.encoders import (
     apply_ablation,
     config_for_family,
     embed,
+    record_from_json,
 )
 
 
@@ -77,33 +81,49 @@ class TestShapePlan:
 
 class TestConfig:
     def test_file_round_trip(self, tmp_path):
+        # non-default channels and float defaults (temperature_init = 1/0.07)
         cfg = small_cfg(family="rn", use_bn=True, lr=0.01, channels=(4, 4, 4))
-        path = tmp_path / "m.cfg"
+        path = tmp_path / "config.json"
         cfg.save(path)
         again = ModelConfig.load(path)
         assert again == cfg
-
-    def test_every_field_addressable(self):
-        from dataclasses import fields
-        cfg = ModelConfig()
-        text = cfg.to_text()
         for f in fields(ModelConfig):
-            assert f"{f.name}=" in text
+            assert type(getattr(again, f.name)) is type(getattr(cfg, f.name))
+
+    def test_every_field_addressable(self, tmp_path):
+        cfg = ModelConfig()
+        cfg.save(tmp_path / "config.json")
+        doc = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+        assert list(doc) == [f.name for f in fields(ModelConfig)]
+        # every field can be set alone; the others keep their defaults
+        one = record_from_json(ModelConfig, '{"lr": 1}')
+        assert one == ModelConfig(lr=1.0) and type(one.lr) is float
+        assert record_from_json(ModelConfig, "{}") == cfg
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError, match="mystery"):
-            ModelConfig.from_text("mystery=1\n")
+        with pytest.raises(ConfigError, match="^mystery: unknown field"):
+            record_from_json(ModelConfig, '{"mystery": 1}')
         # fields replaced by family, or removed with the code they selected
-        for line in ("arch=residual", "pooling=global", "pool_mode=avg", "optimizer=sgd",
-                     "text_layers=0", "text_heads=4", "text_ff=128"):
-            with pytest.raises(ConfigError, match="unknown config field"):
-                ModelConfig.from_text(line + "\n")
+        for key, value in (("arch", "residual"), ("pooling", "global"), ("pool_mode", "avg"),
+                           ("optimizer", "sgd"), ("text_layers", 0), ("text_heads", 4),
+                           ("text_ff", 128)):
+            with pytest.raises(ConfigError, match=f"^{key}: unknown field"):
+                record_from_json(ModelConfig, json.dumps({key: value}))
 
     def test_unparsable_value_names_field(self):
-        for line in ("blocks=three", "lr=fast", "channels=4,x,4"):
-            field_name = line.partition("=")[0]
-            with pytest.raises(ConfigError, match=f"^{field_name}: "):
-                ModelConfig.from_text(line + "\n")
+        # a value must have its field's type: no bool for an int, no number for
+        # a bool, a list of ints for a tuple
+        for field_name, value in (("blocks", "three"), ("lr", "fast"), ("channels", [4, "x", 4]),
+                                  ("blocks", True), ("blocks", 3.0), ("use_bn", 1),
+                                  ("channels", "4,4,4"), ("channels", [4, True, 4]),
+                                  ("family", None), ("seed", None)):
+            with pytest.raises(ConfigError, match=f"^{field_name}: expected "):
+                record_from_json(ModelConfig, json.dumps({field_name: value}))
+
+    @pytest.mark.parametrize("text", ["{oops", "[1]", '"lp"', "3", "null"])
+    def test_not_a_json_object_rejected(self, text):
+        with pytest.raises(ConfigError, match="JSON"):
+            record_from_json(ModelConfig, text)
 
     def test_blocks_ladder_bounds(self):
         with pytest.raises(ConfigError, match="blocks"):
@@ -218,6 +238,15 @@ class TestTextSide:
         path = tmp_path / "tv.tsv"
         vocab.save(path)
         assert TextVocabulary.load(path).word_to_id == vocab.word_to_id
+
+    @pytest.mark.parametrize("words", [{"x": 2}, [2, 3], "xy", ["x", "x", "y"]],
+                             ids=["object", "ints", "string", "repeated"])
+    def test_vocab_file_must_list_distinct_words(self, tmp_path, words):
+        # a repeated word would shift every later ID off its embedding row
+        path = tmp_path / "textvocab.json"
+        path.write_text(json.dumps(words), encoding="utf-8")
+        with pytest.raises(ValueError, match="not a JSON list of distinct words"):
+            TextVocabulary.load(path)
 
     def test_degenerate_zero_layer_runs(self):
         cfg = small_cfg()

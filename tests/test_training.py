@@ -2,6 +2,8 @@
 import dataclasses
 import gc
 import json
+import re
+import shutil
 import weakref
 
 import numpy as np
@@ -30,6 +32,14 @@ from fdcheck import check_op
 
 def loss_of(matrix):
     return float(clip_loss(Tensor(np.asarray(matrix, dtype=np.float64))).data)
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """A one-epoch run directory; copy it before damaging it."""
+    path = tmp_path_factory.mktemp("run")
+    train(generate_pairs(32, seed=10), tiny_cfg(max_epochs=1, patience=1), out_dir=path)
+    return path
 
 
 def tiny_cfg(**kw):
@@ -123,7 +133,7 @@ class TestTrainLoop:
         pairs = generate_pairs(40, seed=8)
         cfg = tiny_cfg(max_epochs=30, patience=2, val_fraction=0.2, lr=0.0)
         out = train(pairs, cfg)
-        assert len(out.metrics) <= 4  # lr 0 cannot improve: 1 best + 2 stale
+        assert len(out.metrics) == 3  # lr 0 cannot improve: 1 best + 2 stale
 
     def test_nan_loss_aborts_and_keeps_checkpoint(self, tmp_path):
         pairs = generate_pairs(32, seed=9)
@@ -261,7 +271,9 @@ class TestTrainLoop:
         np.array("{oops"),
         np.array(json.dumps({**dataclasses.asdict(TrainState()), "bogus": 1})),
         np.array(3.0),
-    ], ids=["bad-json", "unknown-key", "float"])
+        np.array(json.dumps({"step": "x", "epoch": [1], "best_val": None})),
+        np.array(json.dumps({**dataclasses.asdict(TrainState()), "step": True})),
+    ], ids=["bad-json", "unknown-key", "float", "wrong-types", "bool-for-int"])
     def test_damaged_state_is_named_and_changes_nothing(self, tmp_path, state):
         path = tmp_path / training.CHECKPOINT_NAME
         self._stepped_checkpoint(path)
@@ -291,6 +303,21 @@ class TestTrainLoop:
             assert ((ids >= lo) & (ids <= hi)).any(), component
         assert out.vocab.lookup_lists
         assert load_run(tmp_path).vocab.lookup_lists == out.vocab.lookup_lists
+
+    @pytest.mark.parametrize("name,text,message", [
+        (training.CONFIG_NAME, '{"blocks": "three"}', "blocks: expected int, got 'three'"),
+        (training.CONFIG_NAME, '{"blocks": 2}', "blocks: must be in 3..7"),
+        (training.VOCAB_NAME, "{}", "not a vocabulary file"),
+        (training.TEXT_VOCAB_NAME, "{oops", "Expecting property name"),
+        (training.TEXT_VOCAB_NAME, '["x", "x", "y"]', "not a JSON list of distinct words"),
+    ], ids=["config-type", "config-range", "vocab", "textvocab-json", "textvocab-repeat"])
+    def test_damaged_run_file_is_named(self, tmp_path, run_dir, name, text, message):
+        shutil.copytree(run_dir, tmp_path, dirs_exist_ok=True)
+        load_run(tmp_path)
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_run(tmp_path)
 
     def test_second_run_replaces_metrics(self, tmp_path):
         pairs = generate_pairs(32, seed=10)

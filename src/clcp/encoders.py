@@ -271,10 +271,9 @@ class CodeEncoder:
     output lengths; construction raises ConfigError naming the block whose
     input is shorter than a window."""
 
-    def __init__(self, config, rng=None):
+    def __init__(self, config):
         config.validate()
-        self.config = config
-        rng = rng or np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
         self.stages, self.plan, self._params, self._bn_layers = {}, [], [], []
         length = config.image_len
         for key, name, stage in _stages(config, rng):
@@ -354,20 +353,16 @@ class TextVocabulary:
     def size(self):
         return len(self.word_to_id) + 2
 
-    def encode(self, text, max_len):
-        words = self.tokenize(text)
-        truncated = len(words) > max_len
-        ids = np.zeros(max_len, dtype=np.int64)
-        for i, word in enumerate(words[:max_len]):
-            ids[i] = self.word_to_id.get(word, OOV_WORD_ID)
-        return ids, truncated
-
     def encode_batch(self, texts, max_len):
+        """(len(texts), max_len) word IDs padded with 0, and how many texts were cut."""
         out = np.zeros((len(texts), max_len), dtype=np.int64)
         n_truncated = 0
+        get = self.word_to_id.get
         for i, text in enumerate(texts):
-            out[i], trunc = self.encode(text, max_len)
-            n_truncated += int(trunc)
+            words = self.tokenize(text)
+            n_truncated += len(words) > max_len
+            ids = [get(word, OOV_WORD_ID) for word in words[:max_len]]
+            out[i, :len(ids)] = ids
         return out, n_truncated
 
     def save(self, path):
@@ -388,10 +383,10 @@ class TextEncoder:
     """Word embeddings plus positions, a mean over non-pad positions, then a
     projection to d."""
 
-    def __init__(self, config, vocab_size, rng=None):
+    def __init__(self, config, vocab_size):
         config.validate()
         self.config = config
-        rng = rng or np.random.default_rng(config.seed + 101)
+        rng = np.random.default_rng(config.seed + 101)
         e = config.text_embed
         self.embed = ndnn.EmbeddingLayer(vocab_size, e, rng)
         self.pos = Tensor(rng.normal(0.0, 0.02, size=(config.text_max_len, e))
@@ -418,12 +413,3 @@ class TextEncoder:
         _check_finite("text proj", out)
         return out
 
-
-def embed(encoder, batch):
-    """Forward plus L2 normalization; every output row has unit norm."""
-    if isinstance(encoder, TextEncoder):
-        raw = encoder.forward(batch)
-    else:
-        x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch))
-        raw = encoder.forward(x)
-    return ndnn.l2_normalize(raw, axis=1)

@@ -32,7 +32,6 @@ from .layers import (
     Conv1dLayer,
     DenseLayer,
     EmbeddingLayer,
-    Layer,
     Pool1dLayer,
 )
 from .optim import Adam, zero_grads
@@ -40,7 +39,7 @@ from .checkpoint import load_arrays, save_arrays
 
 __all__ = [
     "Adam", "BatchNorm1dLayer", "Conv1dLayer", "DenseLayer", "EmbeddingLayer",
-    "Layer", "NumericError", "Pool1dLayer", "ShapeError", "Tensor", "add",
+    "NumericError", "Pool1dLayer", "ShapeError", "Tensor", "add",
     "batch_norm1d", "clip_max", "conv1d", "conv_out_len", "diagonal", "embedding",
     "exp", "global_max_pool1d", "he_init", "l2_normalize", "load_arrays",
     "log_softmax", "matmul", "max_pool1d", "mul", "narrow", "plain_init", "relu",

@@ -15,6 +15,6 @@ def he_init(shape, fan_in, rng, dtype=np.float32):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
 
 
-def plain_init(shape, rng, dtype=np.float32, std=0.01):
-    """Naive small-Gaussian init, used when He initialization is ablated."""
-    return rng.normal(0.0, std, size=shape).astype(dtype)
+def plain_init(shape, rng):
+    """Naive float32 Gaussian init (std 0.01), used when He initialization is ablated."""
+    return rng.normal(0.0, 0.01, size=shape).astype(np.float32)

@@ -1,8 +1,9 @@
 """Layer objects: parameter containers with a forward method.
 
-Layers hold their parameters as Tensors with requires_grad=True and expose
-them through ``params()`` as (name, tensor) pairs; optimizers and the
-checkpoint writer rely on those names being stable and unique within a model.
+Each layer holds its parameters as float32 Tensors with requires_grad=True
+(batch norm's may be float64) and lists them through ``params()`` as (name,
+tensor) pairs; a pooling layer lists none.  Optimizers and the checkpoint
+writer rely on those names being stable and unique within a model.
 """
 from __future__ import annotations
 
@@ -10,35 +11,25 @@ import numpy as np
 
 from . import convpool
 from .init import he_init, plain_init
-from .tensor import ShapeError, Tensor, matmul
+from .tensor import ShapeError, Tensor, embedding, matmul
 
 
-class Layer:
-    """Base: no parameters."""
-
-    def params(self):
-        return []
-
-
-def _weight(shape, fan_in, rng, he, dtype):
-    data = he_init(shape, fan_in, rng, dtype) if he else plain_init(shape, rng, dtype)
+def _weight(shape, fan_in, rng, he):
+    data = he_init(shape, fan_in, rng) if he else plain_init(shape, rng)
     return Tensor(data, requires_grad=True)
 
 
-class Conv1dLayer(Layer):
+class Conv1dLayer:
     """Valid 1D convolution with kernel ``kernel`` and step ``stride``."""
 
-    def __init__(self, in_channels, out_channels, kernel, stride, rng,
-                 he=True, dtype=np.float32):
+    def __init__(self, in_channels, out_channels, kernel, stride, rng, he=True):
         if kernel < 1 or stride < 1:
             raise ShapeError("kernel and stride must be >= 1")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
-        self.fan_in = in_channels * kernel
-        self.weight = _weight((out_channels, in_channels, kernel), self.fan_in, rng, he, dtype)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        self.weight = _weight((out_channels, in_channels, kernel), in_channels * kernel,
+                              rng, he)
+        self.bias = Tensor(np.zeros(out_channels, dtype=np.float32), requires_grad=True)
 
     def forward(self, x):
         return convpool.conv1d(x, self.weight, self.bias, self.stride)
@@ -47,7 +38,7 @@ class Conv1dLayer(Layer):
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-class Pool1dLayer(Layer):
+class Pool1dLayer:
     """Max pooling, local (window k', step s') or global."""
 
     def __init__(self, window=2, stride=2, scope="local"):
@@ -64,14 +55,16 @@ class Pool1dLayer(Layer):
             return convpool.global_max_pool1d(x)
         return convpool.max_pool1d(x, self.window, self.stride)
 
-class DenseLayer(Layer):
+    def params(self):
+        return []
+
+
+class DenseLayer:
     """Affine map on the last axis: x @ W + b."""
 
-    def __init__(self, in_dim, out_dim, rng, he=True, dtype=np.float32):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.weight = _weight((in_dim, out_dim), in_dim, rng, he, dtype)
-        self.bias = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
+    def __init__(self, in_dim, out_dim, rng, he=True):
+        self.weight = _weight((in_dim, out_dim), in_dim, rng, he)
+        self.bias = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
 
     def forward(self, x):
         return matmul(x, self.weight) + self.bias
@@ -80,12 +73,10 @@ class DenseLayer(Layer):
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-class BatchNorm1dLayer(Layer):
-    """Per-channel batch normalization for (B, C, L) feature maps."""
+class BatchNorm1dLayer:
+    """Per-channel batch norm of (B, C, L) maps; eps 1e-5, running-stat momentum 0.1."""
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, channels, dtype=np.float32):
         self.training = True
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
@@ -95,7 +86,7 @@ class BatchNorm1dLayer(Layer):
     def forward(self, x):
         return convpool.batch_norm1d(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            self.eps, self.momentum, self.training)
+            eps=1e-5, momentum=0.1, training=self.training)
 
     def set_training(self, flag):
         self.training = flag
@@ -104,17 +95,14 @@ class BatchNorm1dLayer(Layer):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
 
-class EmbeddingLayer(Layer):
-    """Token-id to vector lookup table."""
+class EmbeddingLayer:
+    """Token-id to vector lookup table, drawn from N(0, 0.02^2)."""
 
-    def __init__(self, vocab_size, dim, rng, dtype=np.float32, std=0.02):
-        self.vocab_size = vocab_size
-        self.dim = dim
-        self.weight = Tensor(rng.normal(0.0, std, size=(vocab_size, dim)).astype(dtype),
+    def __init__(self, vocab_size, dim, rng):
+        self.weight = Tensor(rng.normal(0.0, 0.02, size=(vocab_size, dim)).astype(np.float32),
                              requires_grad=True)
 
     def forward(self, ids):
-        from .tensor import embedding
         return embedding(self.weight, ids)
 
     def params(self):

@@ -1,7 +1,8 @@
 """Rule-based removal of redundant description content.
 
-Five rules run in a fixed order: URL spans, doctest demonstrations, directory
-listings, dashed parameter-table sections, then whitespace collapsing.
+Six rules run in the order of ``RULES``: entity decoding, URL spans, doctest
+demonstrations, directory listings, dashed parameter-table sections, then
+whitespace collapsing.
 Records whose cleaned text keeps fewer than three words are marked dropped.
 Cleaning is idempotent and never lengthens the text; every removed character
 is attributed to exactly one rule.
@@ -15,16 +16,6 @@ from dataclasses import dataclass, field
 from .ingest import PairRecord
 
 MIN_WORDS = 3
-
-RULE_DECODE = "decode_entities"
-RULE_URL = "strip_urls"
-RULE_DOCTEST = "strip_doctests"
-RULE_LISTING = "strip_directory_listings"
-RULE_PARAMS = "strip_parameter_tables"
-RULE_COLLAPSE = "collapse_whitespace"
-
-RULE_ORDER = (RULE_DECODE, RULE_URL, RULE_DOCTEST, RULE_LISTING, RULE_PARAMS,
-              RULE_COLLAPSE)
 
 
 @dataclass
@@ -56,26 +47,27 @@ _FILE_EXT_RE = re.compile(r"\b\w[\w\-]*\.(?!\d)[A-Za-z][A-Za-z0-9]{0,4}\b")
 _PATHSEP_RE = re.compile(r"[\w.\-]+[/\\][\w.\-]")
 
 
-def _decode_entities(text):
+def _decode_entities(doc):
     # to fixpoint: corpus text carries doubly-escaped entities like &amp;gt;
+    text = doc
     for _ in range(20):
         decoded = html.unescape(text)
         if decoded == text:
             break
         text = decoded
-    return text
+    return text, int(text != doc)
 
 
 def _strip_urls(text):
     return _URL_RE.subn("", text)
 
 
-def _strip_doctests(lines):
+def _strip_doctests(text):
     """Remove prompt lines from their ``>>>`` onward plus trailing output lines."""
     out = []
     hits = 0
     skipping = False
-    for line in lines:
+    for line in text.split("\n"):
         mark = line.find(_DOCTEST_MARK)
         if mark != -1:
             hits += 1
@@ -90,7 +82,7 @@ def _strip_doctests(lines):
                 out.append(line)
             continue
         out.append(line)
-    return out, hits
+    return "\n".join(out), hits
 
 
 def _is_listing_line(line):
@@ -108,8 +100,9 @@ def _is_listing_line(line):
     return False
 
 
-def _strip_listings(lines):
+def _strip_listings(text):
     """Remove runs of >= 2 consecutive path/indent-listing lines."""
+    lines = text.split("\n")
     flags = [_is_listing_line(ln) for ln in lines]
     out = []
     hits = 0
@@ -125,11 +118,12 @@ def _strip_listings(lines):
                 continue
         out.append(lines[i])
         i += 1
-    return out, hits
+    return "\n".join(out), hits
 
 
-def _strip_param_tables(lines):
+def _strip_param_tables(text):
     """Remove a section header with a dashed underline and its entries."""
+    lines = text.split("\n")
     out = []
     hits = 0
     i = 0
@@ -150,40 +144,36 @@ def _strip_param_tables(lines):
             continue
         out.append(lines[i])
         i += 1
-    return out, hits
+    return "\n".join(out), hits
+
+
+def _collapse_whitespace(text):
+    collapsed = " ".join(text.split())
+    return collapsed, int(collapsed != text)
+
+
+# (name, rule): each rule maps text to (cleaned text, hits); applied in order
+RULES = (
+    ("decode_entities", _decode_entities),
+    ("strip_urls", _strip_urls),
+    ("strip_doctests", _strip_doctests),
+    ("strip_directory_listings", _strip_listings),
+    ("strip_parameter_tables", _strip_param_tables),
+    ("collapse_whitespace", _collapse_whitespace),
+)
 
 
 def clean_doc(doc):
     """Apply the rule pipeline to one description; returns (text, report)."""
     report = CleanReport(before_len=len(doc))
-    text = _decode_entities(doc)
-    report.record(RULE_DECODE, int(text != doc), len(doc) - len(text))
-
-    text2, url_hits = _strip_urls(text)
-    report.record(RULE_URL, url_hits, len(text) - len(text2))
-    text = text2
-
-    lines = text.split("\n")
-    lines2, dt_hits = _strip_doctests(lines)
-    kept = "\n".join(lines2)
-    report.record(RULE_DOCTEST, dt_hits, len(text) - len(kept))
-    text = kept
-
-    lines3, ls_hits = _strip_listings(text.split("\n"))
-    kept = "\n".join(lines3)
-    report.record(RULE_LISTING, ls_hits, len(text) - len(kept))
-    text = kept
-
-    lines4, pt_hits = _strip_param_tables(text.split("\n"))
-    kept = "\n".join(lines4)
-    report.record(RULE_PARAMS, pt_hits, len(text) - len(kept))
-    text = kept
-
-    collapsed = " ".join(text.split())
-    report.record(RULE_COLLAPSE, int(collapsed != text), len(text) - len(collapsed))
-    report.after_len = len(collapsed)
-    report.dropped = len(collapsed.split()) < MIN_WORDS
-    return collapsed, report
+    text = doc
+    for name, rule in RULES:
+        cleaned, hits = rule(text)
+        report.record(name, hits, len(text) - len(cleaned))
+        text = cleaned
+    report.after_len = len(text)
+    report.dropped = len(text.split()) < MIN_WORDS
+    return text, report
 
 
 def clean_corpus(records):
@@ -194,8 +184,8 @@ def clean_corpus(records):
     """
     cleaned = []
     aggregate = {"total": 0, "kept": 0, "dropped": 0,
-                 "rules_fired": {rule: 0 for rule in RULE_ORDER},
-                 "removed_chars": {rule: 0 for rule in RULE_ORDER}}
+                 "rules_fired": {name: 0 for name, _ in RULES},
+                 "removed_chars": {name: 0 for name, _ in RULES}}
     for rec in records:
         aggregate["total"] += 1
         text, report = clean_doc(rec.doc)

@@ -22,7 +22,6 @@ from .encoders import (
     ModelConfig,
     TextEncoder,
     TextVocabulary,
-    embed,
     record_from_json,
 )
 from .himg import encode_streams, images_to_batch
@@ -73,13 +72,13 @@ class CLCPModel:
 
     @property
     def temperature(self):
-        return float(min(np.exp(self.log_scale.data[0]), self.config.temperature_max))
+        return float(self.logit_scale().data[0])
 
     def encode_code(self, batch):
-        return embed(self.code_encoder, batch)
+        return ndnn.l2_normalize(self.code_encoder.forward(Tensor(batch)), axis=1)
 
     def encode_text(self, ids):
-        return embed(self.text_encoder, ids)
+        return ndnn.l2_normalize(self.text_encoder.forward(ids), axis=1)
 
     def pair_loss(self, code_batch, text_ids):
         sim = similarity_matrix(self.encode_code(code_batch),
@@ -331,9 +330,10 @@ def load_run(run_dir):
         config = ModelConfig.load(path := run_dir / CONFIG_NAME)
         vocabulary = load_vocab(path := run_dir / VOCAB_NAME)
         text_vocab = TextVocabulary.load(path := run_dir / TEXT_VOCAB_NAME)
+        path = run_dir / CONFIG_NAME   # e.g. an image_len too short for the blocks
+        model = CLCPModel(config, text_vocab.size)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    model = CLCPModel(config, text_vocab.size)
     state = load_checkpoint(run_dir / CHECKPOINT_NAME, model)
     model.set_training(False)
     metrics = []

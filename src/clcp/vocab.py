@@ -173,13 +173,13 @@ class Vocabulary:
         return self._reverse.get(id_)
 
 
-def build_vocab(token_streams, ranges=None, tables=None):
-    """Build the corpus vocabulary; a pure function of its inputs.
+def build_vocab(token_streams, tables=None):
+    """Build the corpus vocabulary in the default ranges; a pure function of its inputs.
 
     ``token_streams`` is an iterable of classified token lists, one per
     namespace (code snippet).  Built-in maps exist even for an empty corpus.
     """
-    ranges = ranges or IdRanges()
+    ranges = IdRanges()
     tables = tables or load_default_tables()
 
     fixed = {component: _fixed_block(component, keys, ranges) for component, keys in (
@@ -357,13 +357,21 @@ def vocab_from_text(text):
                 raise VocabError(f"ID {id_!r} is not an integer")
         ranges = IdRanges(tuple((component_from_label(label), lo, hi)
                                 for label, lo, hi in doc["ranges"]))
-        lookup_lists = {int(id_): tuple(texts) for id_, texts in doc["lookup_lists"].items()}
         fixed = {component_from_label(label): table for label, table in doc["fixed"].items()}
+        lookup_items = doc["lookup_lists"].items()
     except (KeyError, TypeError, AttributeError) as exc:
         raise VocabError(f"malformed vocabulary file: {exc!r}") from exc
     missing = [c.value for c in Component if c not in USER_SCOPED and c not in fixed]
     if missing:
         raise VocabError(f"vocabulary file has no fixed table for {', '.join(missing)}")
+    call_ids = {str(id_) for c in (Component.METHOD_CALL, Component.ATTRIBUTE_CALL)
+                for id_ in fixed[c].values()}
+    lookup_lists = {}
+    for id_, texts in lookup_items:
+        if not (id_ in call_ids and isinstance(texts, list) and texts
+                and all(type(t) is str for t in texts)):
+            raise VocabError(f"lookup list of ID {id_}: not texts of a fixed call ID: {texts!r}")
+        lookup_lists[int(id_)] = tuple(texts)
     return Vocabulary(ranges, fixed, lookup_lists)
 
 

@@ -16,9 +16,9 @@ from clcp.encoders import (
     TextVocabulary,
     apply_ablation,
     config_for_family,
-    embed,
     record_from_json,
 )
+from clcp.training import CLCPModel
 
 
 def small_cfg(**kw):
@@ -26,6 +26,35 @@ def small_cfg(**kw):
                 text_vocab=64, text_embed=8, text_max_len=6)
     base.update(kw)
     return ModelConfig(**base).validate()
+
+
+def _dry_run(cfg):
+    """(plan, failing block key or None): each stage's conv and pool lengths,
+    up to the first stage with a window longer than its input."""
+    def out(n, k, s):
+        return None if n is None or n < k else (n - k) // s + 1
+
+    plan, n = [], cfg.image_len
+    if cfg.family == "rn":
+        n = out(n, cfg.kernel, cfg.stride)
+        if n is None:
+            return plan, "input"
+        plan.append({"block": "input", "conv": n, "pool": n})
+    for i in range(cfg.blocks):
+        if cfg.family == "rn":   # conv1 strided, conv2 stride 1, no local pool
+            conv = pool = out(out(n, cfg.kernel, cfg.stride), cfg.kernel, 1)
+        else:
+            conv = out(n, cfg.kernel, cfg.stride)
+            pool = out(conv, cfg.pool_window, cfg.pool_stride)
+            if cfg.family == "gp" and i == cfg.blocks - 1:
+                pool = None if conv is None else 1
+        if pool is None:
+            return plan, i
+        plan.append({"block": i, "conv": conv, "pool": pool})
+        n = pool
+    if cfg.family == "rn":
+        plan.append({"block": "pool", "conv": n, "pool": 1})
+    return plan, None
 
 
 class TestShapePlan:
@@ -48,6 +77,7 @@ class TestShapePlan:
             CodeEncoder(cfg).plan
 
     def test_construction_fails_iff_dry_run_fails(self):
+        # the dry run recounts every window as (L - k) // s + 1 by hand
         rng = np.random.default_rng(0)
         for _ in range(60):
             cfg = small_cfg(
@@ -58,19 +88,17 @@ class TestShapePlan:
                 stride=int(rng.integers(1, 4)),
                 pool_window=int(rng.integers(1, 5)),
                 pool_stride=int(rng.integers(1, 4)),
-                family=("lp", "rn")[int(rng.integers(0, 2))],
+                family=FAMILIES[int(rng.integers(0, 3))],
             )
-            try:
-                CodeEncoder(cfg).plan
-                plan_ok = True
-            except ConfigError:
-                plan_ok = False
-            try:
-                CodeEncoder(cfg)
-                built = True
-            except ConfigError:
-                built = False
-            assert plan_ok == built
+            plan, failing = _dry_run(cfg)
+            if failing is not None:
+                with pytest.raises(ConfigError, match=f"^block {failing}: "):
+                    CodeEncoder(cfg)
+                continue
+            enc = CodeEncoder(cfg)
+            assert enc.plan == plan
+            x = ndnn.Tensor(np.ones((2, 1, cfg.image_len), dtype=np.float32))
+            assert enc.forward(x).shape == (2, cfg.embed_dim)
 
     def test_residual_plan_matches_forward_shape(self):
         cfg = small_cfg(family="rn")
@@ -225,13 +253,13 @@ class TestTextSide:
     def test_vocab_build_and_oov(self):
         vocab = TextVocabulary.build(["return the maximum", "return the minimum"],
                                      max_size=16)
-        ids, _ = vocab.encode("return the unseen", max_len=4)
+        (ids,), _ = vocab.encode_batch(["return the unseen"], max_len=4)
         assert ids[0] > 1 and ids[1] > 1 and ids[2] == 1 and ids[3] == 0
 
     def test_truncation_flag(self):
         vocab = TextVocabulary.build(["a b c d e"], max_size=16)
-        _, truncated = vocab.encode("a b c d e", max_len=3)
-        assert truncated
+        _, truncated = vocab.encode_batch(["a b c d e", "a b c", ""], max_len=3)
+        assert truncated == 1
 
     def test_vocab_file_round_trip(self, tmp_path):
         vocab = TextVocabulary.build(["alpha beta beta gamma"], max_size=16)
@@ -280,21 +308,21 @@ class TestTextSide:
 class TestEmbed:
     def test_unit_norm_and_determinism(self):
         cfg = small_cfg()
-        enc = CodeEncoder(cfg)
+        model = CLCPModel(cfg, text_vocab_size=32)
         rng = np.random.default_rng(2)
         batch = rng.random((5, 1, cfg.image_len), dtype=np.float32)
-        e1 = embed(enc, batch)
-        e2 = embed(enc, batch)
+        e1 = model.encode_code(batch)
+        e2 = model.encode_code(batch)
         np.testing.assert_allclose(np.linalg.norm(e1.data, axis=1), 1.0, atol=1e-5)
         np.testing.assert_array_equal(e1.data, e2.data)
         assert e1.shape == (5, cfg.embed_dim)
 
     def test_nan_activation_reported_with_layer(self):
         cfg = small_cfg()
-        enc = CodeEncoder(cfg)
-        enc.stages["block1"].conv.weight.data[:] = np.nan
+        model = CLCPModel(cfg, text_vocab_size=32)
+        model.code_encoder.stages["block1"].conv.weight.data[:] = np.nan
         with pytest.raises(ndnn.NumericError, match="block1"):
-            embed(enc, np.ones((1, 1, cfg.image_len), dtype=np.float32))
+            model.encode_code(np.ones((1, 1, cfg.image_len), dtype=np.float32))
 
     def test_nan_through_local_pool_reported_with_block(self):
         # kernel 1 keeps an input NaN at one conv output, the second of its
@@ -303,4 +331,4 @@ class TestEmbed:
         image = np.ones((1, 1, cfg.image_len), dtype=np.float32)
         image[0, 0, 1] = np.nan
         with pytest.raises(ndnn.NumericError, match="block0"):
-            embed(CodeEncoder(cfg), image)
+            CLCPModel(cfg, text_vocab_size=32).encode_code(image)

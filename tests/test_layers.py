@@ -192,8 +192,8 @@ class TestDeterminism:
     def test_identical_seed_bitwise_identical_params(self):
         def run():
             rng = np.random.default_rng(11)
-            conv = nd.Conv1dLayer(1, 4, 3, 1, rng, dtype=np.float32)
-            dense = nd.DenseLayer(4, 2, rng, dtype=np.float32)
+            conv = nd.Conv1dLayer(1, 4, 3, 1, rng)
+            dense = nd.DenseLayer(4, 2, rng)
             opt = nd.Adam(lr=1e-3)
             data_rng = np.random.default_rng(12)
             params = [("conv.weight", conv.weight), ("conv.bias", conv.bias),

@@ -307,10 +307,12 @@ class TestTrainLoop:
     @pytest.mark.parametrize("name,text,message", [
         (training.CONFIG_NAME, '{"blocks": "three"}', "blocks: expected int, got 'three'"),
         (training.CONFIG_NAME, '{"blocks": 2}', "blocks: must be in 3..7"),
+        (training.CONFIG_NAME, '{"image_len": 8}', "block 1: input length 2 shorter than"),
         (training.VOCAB_NAME, "{}", "not a vocabulary file"),
         (training.TEXT_VOCAB_NAME, "{oops", "Expecting property name"),
         (training.TEXT_VOCAB_NAME, '["x", "x", "y"]', "not a JSON list of distinct words"),
-    ], ids=["config-type", "config-range", "vocab", "textvocab-json", "textvocab-repeat"])
+    ], ids=["config-type", "config-range", "config-geometry", "vocab", "textvocab-json",
+            "textvocab-repeat"])
     def test_damaged_run_file_is_named(self, tmp_path, run_dir, name, text, message):
         shutil.copytree(run_dir, tmp_path, dirs_exist_ok=True)
         load_run(tmp_path)

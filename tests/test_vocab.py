@@ -184,6 +184,19 @@ class TestVocabFile:
         with pytest.raises(VocabError, match="no fixed table for Whitespace"):
             vocab_from_text(self._edited(empty_vocab, drop_whitespace))
 
+    @pytest.mark.parametrize("id_,texts", [("11271", "abc"), ("11271", [1, 2]), ("5", ["x"])],
+                             ids=["string", "ints", "keyword-id"])
+    def test_rejects_malformed_lookup_list(self, id_, texts):
+        # 11271 is the fixed AttributeCall ID of ``strip``; 5 is a Keyword ID
+        vocab = build_vocab([tokenize("def fa(a_param):\n    return a_param.strip()\n")])
+        assert vocab.lookup_lists == {11271: ("a_param.strip",)}
+
+        def damage(doc):
+            doc["lookup_lists"][id_] = texts
+
+        with pytest.raises(VocabError, match=f"^lookup list of ID {id_}: "):
+            vocab_from_text(self._edited(vocab, damage))
+
 
 class TestAssignIds:
     def test_first_variable_gets_range_lo(self, empty_vocab):

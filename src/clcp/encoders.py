@@ -19,6 +19,7 @@ import numpy as np
 
 from . import ndnn
 from .ndnn import Tensor
+from .ndnn.convpool import conv_out_len
 
 
 class ConfigError(ValueError):
@@ -31,9 +32,9 @@ ABLATIONS = {"+BN": ("use_bn", True), "-Pool": ("use_pooling", False),
              "-Init": ("use_he_init", False)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture plus training hyperparameters, saved as one JSON object."""
+    """Architecture plus training hyperparameters, checked on construction."""
 
     # code encoder
     family: str = "lp"           # one of FAMILIES
@@ -62,7 +63,7 @@ class ModelConfig:
     val_fraction: float = 0.05
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not 3 <= self.blocks <= 7:
             raise ConfigError(f"blocks: must be in 3..7, got {self.blocks}")
         if self.family not in FAMILIES:
@@ -95,10 +96,9 @@ class ModelConfig:
         for name in ("temperature_init", "temperature_max"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be > 0, got {getattr(self, name)}")
-        return self
 
     def channel_plan(self):
-        """Per-block output channels; call on a validated config."""
+        """Per-block output channels."""
         if self.channels:
             return tuple(self.channels)
         return tuple(min(16 * 2 ** i, 128) for i in range(self.blocks))
@@ -113,7 +113,7 @@ class ModelConfig:
 
     @classmethod
     def load(cls, path):
-        return record_from_json(cls, Path(path).read_text(encoding="utf-8")).validate()
+        return record_from_json(cls, Path(path).read_text(encoding="utf-8"))
 
 
 def record_from_json(cls, text):
@@ -149,7 +149,7 @@ def record_from_json(cls, text):
 
 def config_for_family(family, blocks=3, **overrides):
     """Convenience constructor for the lp / gp / rn baselines."""
-    return ModelConfig(family=family, blocks=blocks, **overrides).validate()
+    return ModelConfig(family=family, blocks=blocks, **overrides)
 
 
 def apply_ablation(config, delta):
@@ -176,12 +176,12 @@ class _ConvStage:
 
     def lengths(self, length):
         if self.conv is not None:
-            length = ndnn.conv_out_len(length, self.conv.kernel, self.conv.stride)
+            length = conv_out_len(length, self.conv.kernel, self.conv.stride)
         if self.pool is None:
             return length, length
         if self.pool.scope == "global":
             return length, 1
-        return length, ndnn.conv_out_len(length, self.pool.window, self.pool.stride)
+        return length, conv_out_len(length, self.pool.window, self.pool.stride)
 
     def forward(self, h):
         if self.conv is not None:
@@ -206,8 +206,8 @@ class _ResidualStage:
     bn2: ndnn.BatchNorm1dLayer | None = None
 
     def lengths(self, length):
-        series = ndnn.conv_out_len(length, self.conv1.kernel, self.conv1.stride)
-        series = ndnn.conv_out_len(series, self.conv2.kernel, self.conv2.stride)
+        series = conv_out_len(length, self.conv1.kernel, self.conv1.stride)
+        series = conv_out_len(series, self.conv2.kernel, self.conv2.stride)
         return series, series
 
     def forward(self, h):
@@ -272,7 +272,6 @@ class CodeEncoder:
     input is shorter than a window."""
 
     def __init__(self, config):
-        config.validate()
         rng = np.random.default_rng(config.seed)
         self.stages, self.plan, self._params, self._bn_layers = {}, [], [], []
         length = config.image_len
@@ -384,15 +383,15 @@ class TextEncoder:
     projection to d."""
 
     def __init__(self, config, vocab_size):
-        config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed + 101)
         e = config.text_embed
-        self.embed = ndnn.EmbeddingLayer(vocab_size, e, rng)
+        self.embed = Tensor(rng.normal(0.0, 0.02, size=(vocab_size, e)).astype(np.float32),
+                            requires_grad=True)
         self.pos = Tensor(rng.normal(0.0, 0.02, size=(config.text_max_len, e))
                           .astype(np.float32), requires_grad=True)
         self.proj = ndnn.DenseLayer(e, config.embed_dim, rng, he=config.use_he_init)
-        self._params = [("embed.weight", self.embed.weight), ("pos", self.pos)]
+        self._params = [("embed.weight", self.embed), ("pos", self.pos)]
         self._params.extend((f"proj.{n}", p) for n, p in self.proj.params())
 
     def named_params(self):
@@ -405,7 +404,7 @@ class TextEncoder:
             raise ndnn.ShapeError(
                 f"text ids must be (B, {self.config.text_max_len}), got {ids.shape}")
         pad_mask = ids == PAD_WORD_ID
-        h = self.embed.forward(ids) + self.pos
+        h = ndnn.embedding(self.embed, ids) + self.pos
         keep = Tensor((~pad_mask).astype(h.dtype)[:, :, None])
         counts = np.maximum(keep.data.sum(axis=1), 1.0)
         pooled = ndnn.tsum(h * keep, axis=1) * Tensor((1.0 / counts).astype(h.dtype))

@@ -25,7 +25,7 @@ def _windows(data, kernel, stride):
 
 
 def conv1d(x, weight, bias, stride):
-    """Valid 1D convolution: x (B, C_in, L) with weight (C_out, C_in, k).
+    """Valid 1D convolution: x (B, C_in, L) with weight (C_out, C_in, k) and bias (C_out,).
 
     An im2col GEMM.  The forward copies every window into one channel-major
     matrix ``cols`` of shape (C_in*k, B*L_out), row ``i*k + j`` holding input
@@ -48,15 +48,12 @@ def conv1d(x, weight, bias, stride):
         c_in * kernel, b * l_out)
     w2 = weight.data.reshape(c_out, c_in * kernel)
     out2 = w2 @ cols
-    if bias is not None:
-        out2 += bias.data[:, None]
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    out2 += bias.data[:, None]
 
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, b * l_out)
         _accum(weight, (g2 @ cols.T).reshape(weight.shape))
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2)))
+        _accum(bias, g.sum(axis=(0, 2)))
         if x.requires_grad:
             gcols = (w2.T @ g2).reshape(c_in, kernel, b, l_out)
             gx = np.zeros_like(x.data)
@@ -65,8 +62,8 @@ def conv1d(x, weight, bias, stride):
                 gx[:, :, j:j + span:stride] += gcols[:, j].transpose(1, 0, 2)
             _accum(x, gx)
 
-    return Tensor(out2.reshape(c_out, b, l_out).transpose(1, 0, 2), _parents=parents,
-                  _backward=backward)
+    return Tensor(out2.reshape(c_out, b, l_out).transpose(1, 0, 2),
+                  _parents=(x, weight, bias), _backward=backward)
 
 
 def max_pool1d(x, window, stride):

@@ -1,21 +1,30 @@
-"""Layer objects: parameter containers with a forward method.
+"""Conv, pool, dense and batch-norm layers: parameter containers with a forward.
 
-Each layer holds its parameters as float32 Tensors with requires_grad=True
-(batch norm's may be float64) and lists them through ``params()`` as (name,
-tensor) pairs; a pooling layer lists none.  Optimizers and the checkpoint
-writer rely on those names being stable and unique within a model.
+Each holds its parameters as float32 Tensors with requires_grad=True (batch
+norm's may be float64) and lists them through ``params()`` as (name, tensor)
+pairs; a pooling layer lists none.  Optimizers and the checkpoint writer rely
+on those names being stable and unique within a model.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import convpool
-from .init import he_init, plain_init
-from .tensor import ShapeError, Tensor, embedding, matmul
+from .tensor import ShapeError, Tensor, matmul
+
+
+def he_init(shape, fan_in, rng, dtype=np.float32):
+    """Gaussian samples with mean 0 and variance 2/fan_in, which keeps activation
+    variance stable across ReLU layers; deterministic for a seeded generator."""
+    if fan_in < 1:
+        raise ValueError(f"fan_in must be >= 1, got {fan_in}")
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
 
 
 def _weight(shape, fan_in, rng, he):
-    data = he_init(shape, fan_in, rng) if he else plain_init(shape, rng)
+    # without He init (the -Init ablation) the weights are plain N(0, 0.01^2)
+    data = (he_init(shape, fan_in, rng) if he
+            else rng.normal(0.0, 0.01, size=shape).astype(np.float32))
     return Tensor(data, requires_grad=True)
 
 
@@ -94,16 +103,3 @@ class BatchNorm1dLayer:
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
-
-class EmbeddingLayer:
-    """Token-id to vector lookup table, drawn from N(0, 0.02^2)."""
-
-    def __init__(self, vocab_size, dim, rng):
-        self.weight = Tensor(rng.normal(0.0, 0.02, size=(vocab_size, dim)).astype(np.float32),
-                             requires_grad=True)
-
-    def forward(self, ids):
-        return embedding(self.weight, ids)
-
-    def params(self):
-        return [("weight", self.weight)]

@@ -221,25 +221,15 @@ def tmean(a, axis=None, keepdims=False):
 # -- linear algebra -----------------------------------------------------------
 
 
-def _swap_last(x):
-    return np.swapaxes(x, -1, -2)
-
-
 def matmul(a, b):
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul needs operands with ndim >= 2")
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs two 2-D operands, got {a.shape} and {b.shape}")
 
     def backward(g):
-        ga = np.matmul(g, _swap_last(b.data))
-        if ga.ndim > a.ndim:
-            ga = ga.sum(axis=tuple(range(ga.ndim - a.ndim)))
-        gb = np.matmul(_swap_last(a.data), g)
-        if gb.ndim > b.ndim:
-            gb = gb.sum(axis=tuple(range(gb.ndim - b.ndim)))
-        _accum(a, ga)
-        _accum(b, gb)
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
 
-    return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward=backward)
+    return Tensor(a.data @ b.data, _parents=(a, b), _backward=backward)
 
 
 # -- log-softmax ---------------------------------------------------------------

@@ -26,7 +26,8 @@ from .encoders import (
 )
 from .himg import encode_streams, images_to_batch
 from .ndnn import Tensor
-from .ndnn.checkpoint import _check_members
+from .ndnn.checkpoint import _check_members, load_arrays, save_arrays
+from .ndnn.optim import zero_grads
 from .pylex import load_default_tables, tokenize
 from .vocab import build_vocab, load_vocab, save_vocab
 
@@ -155,7 +156,7 @@ def _save_checkpoint(path, model, optimizer, state):
     arrays = [(n, p.data) for n, p in model.named_params()] + model.named_buffers()
     arrays += sorted(optimizer.state_arrays().items())
     arrays.append(("state", np.array(json.dumps(asdict(state)))))
-    ndnn.save_arrays(path, arrays)
+    save_arrays(path, arrays)
 
 
 def _parse_state(member):
@@ -171,7 +172,7 @@ def load_checkpoint(path, model, optimizer=None):
     Every member is checked before anything is written, so a damaged
     checkpoint raises a ValueError naming the file and changes nothing.
     """
-    arrays = ndnn.load_arrays(path)
+    arrays = load_arrays(path)
     try:
         _check_members(arrays, [("state", ())])
         state = _parse_state(arrays["state"])
@@ -218,7 +219,6 @@ def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):
     zero the training set doubles as validation (tiny overfit runs).  A NaN
     loss aborts the run, keeping the last good checkpoint.
     """
-    config.validate()
     if len(pairs) < 2:
         raise ValueError("training needs at least 2 pairs")
     if config.batch_size == 1:
@@ -257,7 +257,7 @@ def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):
         value = float(loss.data)
         if not np.isfinite(value):
             raise ndnn.NumericError("loss became non-finite")
-        ndnn.zero_grads(params)
+        zero_grads(params)
         loss.backward()
         optimizer.step(params)
         return value
@@ -332,13 +332,13 @@ def load_run(run_dir):
         text_vocab = TextVocabulary.load(path := run_dir / TEXT_VOCAB_NAME)
         path = run_dir / CONFIG_NAME   # e.g. an image_len too short for the blocks
         model = CLCPModel(config, text_vocab.size)
+        metrics = []
+        if (path := run_dir / METRICS_NAME).exists():
+            metrics = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+            if bad := [n for n, entry in enumerate(metrics, 1) if not isinstance(entry, dict)]:
+                raise ValueError(f"line {bad[0]} is not a JSON object")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     state = load_checkpoint(run_dir / CHECKPOINT_NAME, model)
     model.set_training(False)
-    metrics = []
-    metrics_path = run_dir / METRICS_NAME
-    if metrics_path.exists():
-        metrics = [json.loads(line)
-                   for line in metrics_path.read_text(encoding="utf-8").splitlines()]
     return TrainResult(model, state, metrics, vocabulary, text_vocab, run_dir)

@@ -364,6 +364,15 @@ def vocab_from_text(text):
     missing = [c.value for c in Component if c not in USER_SCOPED and c not in fixed]
     if missing:
         raise VocabError(f"vocabulary file has no fixed table for {', '.join(missing)}")
+    owners = {}   # ID -> the entry that holds it
+    for component, table in fixed.items():
+        lo, hi = ranges.range_for(component)
+        for text, id_ in table.items():
+            entry = f"{component.value} {text!r}"
+            if not lo <= id_ <= hi:
+                raise VocabError(f"{entry}: ID {id_} outside its range {lo}..{hi}")
+            if owners.setdefault(id_, entry) != entry:
+                raise VocabError(f"{entry}: ID {id_} already taken by {owners[id_]}")
     call_ids = {str(id_) for c in (Component.METHOD_CALL, Component.ATTRIBUTE_CALL)
                 for id_ in fixed[c].values()}
     lookup_lists = {}
@@ -372,6 +381,8 @@ def vocab_from_text(text):
                 and all(type(t) is str for t in texts)):
             raise VocabError(f"lookup list of ID {id_}: not texts of a fixed call ID: {texts!r}")
         lookup_lists[int(id_)] = tuple(texts)
+    if unlisted := min(call_ids - doc["lookup_lists"].keys(), key=int, default=None):
+        raise VocabError(f"{owners[int(unlisted)]}: ID {unlisted} has no lookup list")
     return Vocabulary(ranges, fixed, lookup_lists)
 
 

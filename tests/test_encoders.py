@@ -25,7 +25,7 @@ def small_cfg(**kw):
     base = dict(blocks=3, image_len=96, channels=(4, 8, 8), embed_dim=8,
                 text_vocab=64, text_embed=8, text_max_len=6)
     base.update(kw)
-    return ModelConfig(**base).validate()
+    return ModelConfig(**base)
 
 
 def _dry_run(cfg):
@@ -60,7 +60,7 @@ def _dry_run(cfg):
 class TestShapePlan:
     def test_worked_example(self):
         cfg = ModelConfig(blocks=3, image_len=512, kernel=5, stride=1,
-                          pool_window=2, pool_stride=2).validate()
+                          pool_window=2, pool_stride=2)
         plan = CodeEncoder(cfg).plan
         assert [(p["conv"], p["pool"]) for p in plan] == [
             (508, 254), (250, 125), (121, 60)]
@@ -155,47 +155,47 @@ class TestConfig:
 
     def test_blocks_ladder_bounds(self):
         with pytest.raises(ConfigError, match="blocks"):
-            ModelConfig(blocks=2).validate()
+            ModelConfig(blocks=2)
         with pytest.raises(ConfigError, match="blocks"):
-            ModelConfig(blocks=8).validate()
+            ModelConfig(blocks=8)
 
     def test_text_vocab_and_batch_size_bounds(self):
         with pytest.raises(ConfigError, match="text_vocab"):
-            ModelConfig(text_vocab=1).validate()
+            ModelConfig(text_vocab=1)
         with pytest.raises(ConfigError, match="batch_size"):
-            ModelConfig(batch_size=0).validate()
-        ModelConfig(text_vocab=2, batch_size=1).validate()
+            ModelConfig(batch_size=0)
+        ModelConfig(text_vocab=2, batch_size=1)
 
     def test_channels_and_text_sizes_bounds(self):
         for bad in ((8, 8), (0, 8, 8), (8, -1, 8)):
             with pytest.raises(ConfigError, match="^channels: "):
-                ModelConfig(channels=bad).validate()
+                ModelConfig(channels=bad)
         with pytest.raises(ConfigError, match="^text_embed: "):
-            ModelConfig(text_embed=0).validate()
+            ModelConfig(text_embed=0)
         with pytest.raises(ConfigError, match="^text_max_len: "):
-            ModelConfig(text_max_len=0).validate()
-        ModelConfig(channels=(1, 1, 1), text_embed=1, text_max_len=1).validate()
+            ModelConfig(text_max_len=0)
+        ModelConfig(channels=(1, 1, 1), text_embed=1, text_max_len=1)
 
     def test_val_fraction_and_pool_bounds(self):
         for bad in (-0.1, 1.0, float("nan")):
             with pytest.raises(ConfigError, match="val_fraction"):
-                ModelConfig(val_fraction=bad).validate()
+                ModelConfig(val_fraction=bad)
         with pytest.raises(ConfigError, match="pool_window"):
-            ModelConfig(pool_window=0).validate()
+            ModelConfig(pool_window=0)
         with pytest.raises(ConfigError, match="pool_stride"):
-            ModelConfig(pool_stride=0).validate()
-        ModelConfig(val_fraction=0.0, pool_window=1, pool_stride=1).validate()
+            ModelConfig(pool_stride=0)
+        ModelConfig(val_fraction=0.0, pool_window=1, pool_stride=1)
 
     def test_logit_scale_bounds(self):
         # a scale of 0 zeroes every gradient, a negative one aborts training
         for field_name in ("temperature_init", "temperature_max"):
             for bad in (0.0, -1.0):
                 with pytest.raises(ConfigError, match=f"^{field_name}: "):
-                    ModelConfig(**{field_name: bad}).validate()
-        ModelConfig(temperature_init=1e-3, temperature_max=1e-3).validate()
+                    ModelConfig(**{field_name: bad})
+        ModelConfig(temperature_init=1e-3, temperature_max=1e-3)
 
     def test_default_channel_plan_doubles_capped(self):
-        cfg = ModelConfig(blocks=5).validate()
+        cfg = ModelConfig(blocks=5)
         assert cfg.channel_plan() == (16, 32, 64, 128, 128)
 
     def test_family_ids(self):
@@ -291,7 +291,7 @@ class TestTextSide:
         ids = np.array([[2, 3, 4, 0, 0, 0], [5, 6, 0, 0, 0, 0]])
         base = enc.forward(ids).data.copy()
         enc.pos.data[2:, :] += 100.0          # rows 2.. are pads in row 1
-        enc.embed.weight.data[0, :] += 50.0   # the pad token's embedding
+        enc.embed.data[0, :] += 50.0   # the pad token's embedding
         out = enc.forward(ids).data
         np.testing.assert_allclose(out[1], base[1], atol=1e-5)
 

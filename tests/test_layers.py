@@ -8,23 +8,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from clcp import ndnn as nd
+from clcp.ndnn.checkpoint import load_arrays, save_arrays
+from clcp.ndnn.layers import he_init
+from clcp.ndnn.optim import zero_grads
 
 
 class TestInit:
     def test_he_variance(self):
         rng = np.random.default_rng(0)
-        w = nd.he_init((100_000,), fan_in=50, rng=rng, dtype=np.float64)
+        w = he_init((100_000,), fan_in=50, rng=rng, dtype=np.float64)
         assert abs(w.mean()) < 0.005
         assert abs(w.var() - 0.04) < 0.004  # within 10% of 2/50
 
     def test_he_deterministic_under_seed(self):
-        a = nd.he_init((4, 5), 10, np.random.default_rng(7))
-        b = nd.he_init((4, 5), 10, np.random.default_rng(7))
+        a = he_init((4, 5), 10, np.random.default_rng(7))
+        b = he_init((4, 5), 10, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
     def test_fan_in_validation(self):
         with pytest.raises(ValueError):
-            nd.he_init((3,), 0, np.random.default_rng(0))
+            he_init((3,), 0, np.random.default_rng(0))
 
 
 class TestOptim:
@@ -99,8 +102,8 @@ class TestCheckpoint:
                   ("conv.bias", rng.normal(size=4).astype(np.float32)),
                   ("step", np.array([7], dtype=np.int64))]
         path = tmp_path / "model.ckpt"
-        nd.save_arrays(path, arrays)
-        loaded = nd.load_arrays(path)
+        save_arrays(path, arrays)
+        loaded = load_arrays(path)
         assert list(loaded) == [n for n, _ in arrays]
         for name, arr in arrays:
             np.testing.assert_array_equal(loaded[name], arr)
@@ -110,7 +113,7 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
-            nd.load_arrays(path)
+            load_arrays(path)
 
 
 def _flip_data_byte(path):
@@ -148,12 +151,12 @@ class TestCheckpointRejections:
             "flipped-byte"])
     def test_rejected(self, tmp_path, damage):
         path = tmp_path / "checkpoint.npz"
-        nd.save_arrays(path, [("x", np.arange(16, dtype=np.int64)),
-                              ("y", np.ones(3, dtype=np.float32))])
-        nd.load_arrays(path)   # intact, it loads
+        save_arrays(path, [("x", np.arange(16, dtype=np.int64)),
+                           ("y", np.ones(3, dtype=np.float32))])
+        load_arrays(path)   # intact, it loads
         damage(path)
         with pytest.raises(ValueError, match="not a checkpoint file"):
-            nd.load_arrays(path)
+            load_arrays(path)
 
 
 @st.composite
@@ -179,8 +182,8 @@ class TestCheckpointProperty:
               ("p.mask", np.array([True, False]))])
     @example([])
     def test_round_trip_keeps_names_order_dtypes_and_bits(self, checkpoint_path, named):
-        nd.save_arrays(checkpoint_path, named)
-        loaded = nd.load_arrays(checkpoint_path)
+        save_arrays(checkpoint_path, named)
+        loaded = load_arrays(checkpoint_path)
         assert list(loaded) == [name for name, _ in named]
         for name, arr in named:
             got = loaded[name]
@@ -203,7 +206,7 @@ class TestDeterminism:
                 h = nd.global_max_pool1d(nd.relu(conv.forward(x)))
                 out = dense.forward(nd.reshape(h, (4, 4)))
                 loss = nd.tmean(out * out)
-                nd.zero_grads(params)
+                zero_grads(params)
                 loss.backward()
                 opt.step(params)
             return [p.data.copy() for _, p in params]

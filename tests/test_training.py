@@ -2,8 +2,10 @@
 import dataclasses
 import gc
 import json
+import inspect
 import re
 import shutil
+import sys
 import weakref
 
 import numpy as np
@@ -13,6 +15,7 @@ from clcp import himg, ndnn, pylex, training
 from clcp.encoders import config_for_family
 from clcp.ingest import PairRecord
 from clcp.ndnn import Tensor
+from clcp.ndnn.checkpoint import load_arrays, save_arrays
 from clcp.pylex import Component
 from clcp.synth import generate_pairs
 from clcp.training import (
@@ -163,7 +166,7 @@ class TestTrainLoop:
                        use_bn=True)
         out = train(pairs, cfg, out_dir=tmp_path)
         assert out.state.best_epoch < len(out.metrics) - 1   # later steps moved them
-        best = ndnn.load_arrays(tmp_path / training.CHECKPOINT_NAME)   # written at the best epoch
+        best = load_arrays(tmp_path / training.CHECKPOINT_NAME)   # written at the best epoch
         assert out.model.named_buffers()
         for name, buf in out.model.named_buffers():
             np.testing.assert_array_equal(buf, best[name])
@@ -190,7 +193,7 @@ class TestTrainLoop:
         path = tmp_path / training.CHECKPOINT_NAME
         training._save_checkpoint(path, CLCPModel(tiny_cfg(), text_vocab_size=32),
                                   ndnn.Adam(), state)
-        arrays = ndnn.load_arrays(path)
+        arrays = load_arrays(path)
         assert [name for name in arrays if name.startswith("state")] == ["state"]
         assert json.loads(arrays["state"].item()) == dataclasses.asdict(state)
 
@@ -199,9 +202,9 @@ class TestTrainLoop:
         train(generate_pairs(32, seed=10), tiny_cfg(max_epochs=1, patience=1),
               out_dir=tmp_path)
         path = tmp_path / training.CHECKPOINT_NAME
-        arrays = ndnn.load_arrays(path)
+        arrays = load_arrays(path)
         del arrays[member]
-        ndnn.save_arrays(path, arrays.items())
+        save_arrays(path, arrays.items())
         with pytest.raises(ValueError, match=f"{training.CHECKPOINT_NAME}.*missing.*{member}"):
             load_run(tmp_path)
 
@@ -209,9 +212,9 @@ class TestTrainLoop:
         path = tmp_path / training.CHECKPOINT_NAME
         training._save_checkpoint(path, CLCPModel(tiny_cfg(seed=1), text_vocab_size=32),
                                   ndnn.Adam(), TrainState())
-        arrays = ndnn.load_arrays(path)
+        arrays = load_arrays(path)
         del arrays["logit_scale"]
-        ndnn.save_arrays(path, arrays.items())
+        save_arrays(path, arrays.items())
         model = CLCPModel(tiny_cfg(), text_vocab_size=32)
         before = model.snapshot()
         with pytest.raises(ValueError, match="missing members: logit_scale"):
@@ -252,12 +255,12 @@ class TestTrainLoop:
     def test_bad_optimizer_state_leaves_model_unchanged(self, tmp_path, member, edit, message):
         path = tmp_path / training.CHECKPOINT_NAME
         self._stepped_checkpoint(path)
-        arrays = ndnn.load_arrays(path)
+        arrays = load_arrays(path)
         if edit == "delete":
             del arrays[member]
         else:
             arrays[member] = np.zeros((2, 2))
-        ndnn.save_arrays(path, arrays.items())
+        save_arrays(path, arrays.items())
         model, optimizer = CLCPModel(tiny_cfg(), text_vocab_size=32), ndnn.Adam()
         before = model.snapshot()
         with pytest.raises(ValueError, match=f"{training.CHECKPOINT_NAME}: {message}"):
@@ -277,9 +280,9 @@ class TestTrainLoop:
     def test_damaged_state_is_named_and_changes_nothing(self, tmp_path, state):
         path = tmp_path / training.CHECKPOINT_NAME
         self._stepped_checkpoint(path)
-        arrays = ndnn.load_arrays(path)
+        arrays = load_arrays(path)
         arrays["state"] = state
-        ndnn.save_arrays(path, arrays.items())
+        save_arrays(path, arrays.items())
         model, optimizer = CLCPModel(tiny_cfg(), text_vocab_size=32), ndnn.Adam()
         before = model.snapshot()
         with pytest.raises(ValueError, match=f"{training.CHECKPOINT_NAME}: state member"):
@@ -311,8 +314,10 @@ class TestTrainLoop:
         (training.VOCAB_NAME, "{}", "not a vocabulary file"),
         (training.TEXT_VOCAB_NAME, "{oops", "Expecting property name"),
         (training.TEXT_VOCAB_NAME, '["x", "x", "y"]', "not a JSON list of distinct words"),
+        (training.METRICS_NAME, '{"epoch": 0}\n{"epoch": 1, "trunc', "Unterminated string"),
+        (training.METRICS_NAME, '{"epoch": 0}\n[1, 2]\n', "line 2 is not a JSON object"),
     ], ids=["config-type", "config-range", "config-geometry", "vocab", "textvocab-json",
-            "textvocab-repeat"])
+            "textvocab-repeat", "metrics-truncated", "metrics-not-object"])
     def test_damaged_run_file_is_named(self, tmp_path, run_dir, name, text, message):
         shutil.copytree(run_dir, tmp_path, dirs_exist_ok=True)
         load_run(tmp_path)
@@ -387,6 +392,33 @@ class TestTapeRecording:
         for (name, p), (_, q) in zip(fresh.named_params(), evaluated.named_params()):
             assert q.grad is not None, name
             np.testing.assert_array_equal(q.grad, p.grad)
+
+    @pytest.mark.parametrize("family", ["lp", "rn"])
+    def test_every_function_in_ndnn_all_returns_a_tensor(self, monkeypatch, family):
+        # a tracer times each function in ndnn.__all__ as a tensor op; wrap
+        # each one wherever a loaded clcp module holds it, as such a tracer does
+        ops = {fn: name for name in ndnn.__all__
+               if inspect.isfunction(fn := getattr(ndnn, name))}
+        returned = []
+
+        def wrap(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                returned.append((ops[fn], type(out)))
+                return out
+            return wrapper
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "clcp" or module_name.startswith("clcp."):
+                for attr, value in list(vars(module).items()):
+                    if inspect.isfunction(value) and value in ops:
+                        monkeypatch.setattr(module, attr, wrap(value))
+        pairs = generate_pairs(12, seed=5)
+        cfg = dataclasses.replace(tiny_cfg(max_epochs=1, use_bn=True), family=family)
+        out = train(pairs, cfg)
+        evaluate_pairs(out.model, out.vocab, out.text_vocab, pairs[:4])
+        assert returned
+        assert sorted({name for name, kind in returned if kind is not Tensor}) == []
 
 
 class TestPreparePairs:

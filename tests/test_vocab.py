@@ -1,6 +1,7 @@
 """Vocabulary: range conformance, determinism, namespace reuse, round-trip."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +197,20 @@ class TestVocabFile:
 
         with pytest.raises(VocabError, match=f"^lookup list of ID {id_}: "):
             vocab_from_text(self._edited(vocab, damage))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["lookup_lists"].pop("11271"),
+         "AttributeCall 'strip': ID 11271 has no lookup list"),
+        (lambda doc: doc["fixed"]["Keyword"].update({"def": 11600}),
+         "Keyword 'def': ID 11600 outside its range 1..35"),
+        (lambda doc: doc["fixed"]["Keyword"].update({"return": 1}),
+         "Keyword 'return': ID 1 already taken by Keyword 'False'"),
+    ], ids=["unlisted-call-id", "id-outside-range", "id-used-twice"])
+    def test_rejects_a_vocabulary_that_encodes_wrongly(self, edit, message):
+        # 11600 lies in the Number range; 1 is the Keyword ID of ``False``
+        vocab = build_vocab([tokenize("def fa(a_param):\n    return a_param.strip()\n")])
+        with pytest.raises(VocabError, match=f"^{re.escape(message)}$"):
+            vocab_from_text(self._edited(vocab, edit))
 
 
 class TestAssignIds:

@@ -165,7 +165,7 @@ def apply_ablation(config, delta):
 # -- the code encoder: a list of named stages ---------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ConvStage:
     """[conv -> [bn] -> relu] -> [pool]: an lp/gp block, rn's input conv, or
     rn's closing global pool (no conv)."""
@@ -194,7 +194,7 @@ class _ConvStage:
         return h
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ResidualStage:
     """conv1 -> [bn1] -> relu -> conv2, plus a 1x1 shortcut cropped to its
     length, then [bn2] -> relu."""
@@ -222,22 +222,22 @@ class _ResidualStage:
         return ndnn.relu(merged)
 
 
-def _stages(config, rng):
-    """The encoder's stages as (plan key, name, stage), built in RNG-draw order."""
+def _stages(config, layer):
+    """The encoder's stages as (plan key, name, stage), in RNG-draw order;
+    ``layer(cls, *args)`` makes each layer."""
     residual = config.family == "rn"
     chans = config.channel_plan()
 
     def conv(in_ch, out_ch, kernel, stride):
-        return ndnn.Conv1dLayer(in_ch, out_ch, kernel, stride, rng,
-                                he=config.use_he_init)
+        return layer(ndnn.Conv1dLayer, in_ch, out_ch, kernel, stride)
 
     def bn(ch):
-        return ndnn.BatchNorm1dLayer(ch) if config.use_bn else None
+        return layer(ndnn.BatchNorm1dLayer, ch) if config.use_bn else None
 
     def pool(scope):
         if not config.use_pooling:
             return None
-        return ndnn.Pool1dLayer(config.pool_window, config.pool_stride, scope)
+        return layer(ndnn.Pool1dLayer, config.pool_window, config.pool_stride, scope)
 
     stages = []
     if residual:
@@ -260,6 +260,14 @@ def _stages(config, rng):
     return stages
 
 
+def network_key(config):
+    """Equal for configs that build and train one model from the same draws: the
+    stages as layer specs, made without drawing, and every field but ``family``."""
+    others = tuple((f.name, getattr(config, f.name)) for f in fields(config)
+                   if f.name != "family")
+    return tuple(_stages(config, lambda *spec: spec)), others
+
+
 def _check_finite(name, tensor):
     if not np.isfinite(tensor.data).all():
         raise ndnn.NumericError(f"non-finite activations after {name}")
@@ -275,7 +283,12 @@ class CodeEncoder:
         rng = np.random.default_rng(config.seed)
         self.stages, self.plan, self._params, self._bn_layers = {}, [], [], []
         length = config.image_len
-        for key, name, stage in _stages(config, rng):
+        def layer(cls, *args):   # a conv is the only stage layer that draws
+            if cls is ndnn.Conv1dLayer:
+                return cls(*args, rng, he=config.use_he_init)
+            return cls(*args)
+
+        for key, name, stage in _stages(config, layer):
             try:
                 conv_len, length = stage.lengths(length)
             except ndnn.ShapeError as exc:

@@ -6,6 +6,8 @@ import numpy as np
 from .checkpoint import _check_members
 from .tensor import NumericError
 
+_CHUNK = 1 << 14   # elements per Adam update slice: every operand of a slice stays in cache
+
 
 def _check_grads(named_params):
     for name, p in named_params:
@@ -31,42 +33,41 @@ class Adam:
         self.t = 0
         self.m = {}
         self.v = {}
-        # scratch for the update, sized to the largest parameter; not state
-        self._num = self._den = np.empty(0)
+        # float64 scratch for one slice's update; not state
+        self._num, self._den = np.empty(_CHUNK), np.empty(_CHUNK)
 
     def step(self, named_params):
+        """One update, slice by slice: the same elementwise ops in the same
+        dtypes as a whole-array update, so the same result bit for bit."""
         named_params = list(named_params)
         _check_grads(named_params)
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for name, p in named_params:
-            g = p.grad
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data, dtype=np.float64)
-                self.m[name] = m
-                self.v[name] = np.zeros_like(p.data, dtype=np.float64)
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            # lr * (m / b1t) / (sqrt(v / b2t) + eps), one op at a time in place
-            num, den = self._scratch(m.size, m.shape)
-            np.divide(m, b1t, out=num)
-            np.multiply(self.lr, num, out=num)
-            np.divide(v, b2t, out=den)
-            np.sqrt(den, out=den)
-            np.add(den, self.eps, out=den)
-            np.divide(num, den, out=num)
-            p.data -= num.astype(p.data.dtype, copy=False)
-
-    def _scratch(self, size, shape):
-        if self._num.size < size:
-            self._num = np.empty(size)
-            self._den = np.empty(size)
-        return self._num[:size].reshape(shape), self._den[:size].reshape(shape)
+            if name not in self.m:
+                self.m[name] = np.zeros(p.data.shape)
+                self.v[name] = np.zeros(p.data.shape)
+            updated = (p.data, self.m[name], self.v[name])   # in place, by flat views
+            if not all(a.flags.c_contiguous for a in updated):
+                raise ValueError(f"parameter {name} or its moments are not C-contiguous")
+            data, m, v, g = (a.reshape(-1) for a in (*updated, p.grad))
+            for start in range(0, data.size, _CHUNK):
+                s = slice(start, start + _CHUNK)
+                ms, vs, gs = m[s], v[s], g[s]
+                num, den = self._num[:len(gs)], self._den[:len(gs)]
+                ms *= self.beta1
+                ms += (1.0 - self.beta1) * gs
+                vs *= self.beta2
+                vs += (1.0 - self.beta2) * (gs * gs)
+                # lr * (m / b1t) / (sqrt(v / b2t) + eps), one op at a time in place
+                np.divide(ms, b1t, out=num)
+                np.multiply(self.lr, num, out=num)
+                np.divide(vs, b2t, out=den)
+                np.sqrt(den, out=den)
+                np.add(den, self.eps, out=den)
+                np.divide(num, den, out=num)
+                data[s] -= num.astype(data.dtype, copy=False)
 
     def state_arrays(self):
         """Moment buffers plus the step counter, for checkpointing."""

@@ -196,10 +196,15 @@ class PreparedData:
     text_truncated: int      # docs longer than text_max_len
 
 
-def prepare_pairs(pairs, config, vocab=None, text_vocab=None):
-    """Tokenize each snippet once, build vocabularies if absent, and tensorize."""
+def prepare_pairs(pairs, config, vocab=None, text_vocab=None, tokens=None):
+    """Tokenize each distinct snippet once, build vocabularies if absent, and
+    tensorize.  ``tokens`` maps snippets to their tokens and gains the new ones."""
     tables = load_default_tables()
-    streams = [tokenize(r.code, tables) for r in pairs]
+    tokens = {} if tokens is None else tokens
+    for r in pairs:
+        if r.code not in tokens:
+            tokens[r.code] = tokenize(r.code, tables)
+    streams = [tokens[r.code] for r in pairs]
     docs = [r.doc for r in pairs]
     if vocab is None:
         vocab = build_vocab(streams, tables=tables)
@@ -213,13 +218,19 @@ def prepare_pairs(pairs, config, vocab=None, text_vocab=None):
 
 
 def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):
-    """Train CLCP on a list of PairRecords; returns the best-validation model.
+    """Train CLCP on a list of PairRecords: ``prepare_pairs``, then ``fit``."""
+    data = prepare_pairs(pairs, config, vocab=vocab, text_vocab=text_vocab)
+    return fit(data, config, out_dir)
+
+
+def fit(data, config, out_dir=None):
+    """Train CLCP on prepared pairs; returns the best-validation model.
 
     The validation split is a seeded fraction of the pairs; when it rounds to
     zero the training set doubles as validation (tiny overfit runs).  A NaN
-    loss aborts the run, keeping the last good checkpoint.
+    loss aborts the run, keeping the last good checkpoint.  ``data`` is only read.
     """
-    if len(pairs) < 2:
+    if len(data.text_ids) < 2:
         raise ValueError("training needs at least 2 pairs")
     if config.batch_size == 1:
         warnings.warn("batch size 1 makes the contrastive loss degenerate at 0",
@@ -229,14 +240,13 @@ def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):
         out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(pairs))
-    n_val = int(round(len(pairs) * config.val_fraction))
+    order = rng.permutation(len(data.text_ids))
+    n_val = int(round(len(order) * config.val_fraction))
     val_idx = order[:n_val]
     train_idx = order[n_val:]
     if len(train_idx) < 2:
         raise ValueError("validation split leaves fewer than 2 training pairs")
 
-    data = prepare_pairs(pairs, config, vocab=vocab, text_vocab=text_vocab)
     model = CLCPModel(config, data.text_vocab.size)
     optimizer = ndnn.Adam(config.lr)
     params = model.named_params()

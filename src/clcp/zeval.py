@@ -5,6 +5,13 @@ EA = 1/L.  The ladder trains one model per (train size, config) cell and
 evaluates two regimes: a fixed test size and a test size growing with the
 ladder.  Ladder sizes here are desk-scale stand-ins for the full-corpus runs
 (30k..456k train, 50..1000 test); pass your own SamplePlan to change scale.
+
+Cells share a ``LadderState``: the split, cut (and cleaned) once, each snippet
+tokenized once, and per train size the vocabularies, the encoded train subset
+and the encoded growing test list, which a cell embeds once; its leading rows
+are the fixed list.  Configs with one ``network_key`` train once per train size.
+``run_ablations`` shares one state across its rows, so memory holds every train
+size's prepared arrays for the whole run.
 """
 from __future__ import annotations
 
@@ -14,10 +21,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .encoders import ABLATIONS, FAMILIES, ModelConfig, apply_ablation, config_for_family
+from .encoders import (ABLATIONS, FAMILIES, ModelConfig, apply_ablation, config_for_family,
+                       network_key)
 from .ingest import sample_split
 from .textclean import clean_corpus
-from .training import prepare_pairs, train
+from .training import fit, prepare_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -68,20 +76,51 @@ def zero_shot_match(code_emb, text_emb, direction="code2text"):
 
 
 def evaluate_pairs(model, vocabulary, text_vocab, pairs, direction="code2text"):
-    """Embed held-out pairs with a trained bundle and match them.
-
-    Pairs are embedded ``batch_size`` at a time, so a forward's activations
-    and im2col buffers are one chunk's size however large the held-out set.
-    """
+    """Embed held-out pairs with a trained bundle and match them."""
     if not pairs:
         raise ValueError("the held-out pair list is empty")
     data = prepare_pairs(pairs, model.config, vocab=vocabulary, text_vocab=text_vocab)
+    return zero_shot_match(*_embed(model, data), direction)
+
+
+def _embed(model, data):
+    """Code and text embeddings, ``batch_size`` pairs at a time to bound activations."""
     model.set_training(False)
     step = model.config.batch_size
-    chunks = [slice(start, start + step) for start in range(0, len(pairs), step)]
+    chunks = [slice(start, start + step) for start in range(0, len(data.text_ids), step)]
     code = np.concatenate([model.encode_code(data.code_batch[c]).data for c in chunks])
     text = np.concatenate([model.encode_text(data.text_ids[c]).data for c in chunks])
-    return zero_shot_match(code, text, direction)
+    return code, text
+
+
+class LadderState:
+    """What the cells of ladders over one corpus and plan share; see above."""
+
+    def __init__(self, records, plan, variant="raw", zero_shot=True):
+        if variant == "cleaned":
+            records, _ = clean_corpus(records)
+        elif variant != "raw":
+            raise ValueError(f"variant must be 'raw' or 'cleaned', got {variant!r}")
+        self.split = sample_split(records, plan, zero_shot=zero_shot)
+        self.rows = {}         # (network key, sizes, direction) -> the cell's rows
+        self._tokens = {}      # snippet -> tokens
+        self._prepared = {}
+
+    def prepared(self, train_size, test_size, config):
+        """(train data, test data), kept per config fields prepare_pairs reads; a
+        failure's message stands in, with no test data if the train data failed."""
+        key = train_size, test_size, config.image_len, config.text_vocab, config.text_max_len
+        if key not in self._prepared:
+            train = test = None
+            try:
+                train = prepare_pairs(self.split.train_subset(train_size), config,
+                                      tokens=self._tokens)
+                test = prepare_pairs(self.split.test_subset(test_size), config, train.vocab,
+                                     train.text_vocab, self._tokens)
+            except Exception as exc:  # each cell it feeds gets a failed row
+                train, test = (str(exc), None) if train is None else (train, str(exc))
+            self._prepared[key] = train, test
+        return self._prepared[key]
 
 
 @dataclass
@@ -89,33 +128,32 @@ class _Cell:
     """One ladder cell's inputs; picklable for worker processes."""
 
     config: ModelConfig
-    train_records: list
-    fixed_test: list
-    growing_test: list
+    train_data: object    # PreparedData, or the message its preparation failed with
+    test_data: object     # the growing test list, likewise
+    fixed_size: int
     variant: str
     train_size: int
     direction: str
 
 
+def _ready(data):
+    if isinstance(data, str):
+        raise RuntimeError(data)
+    return data
+
+
 def _run_cell(cell):
-    """One ladder cell: train at a size, evaluate both regimes."""
+    """One ladder cell: train at a size, then score both regimes from one embedding."""
     config, variant, train_size = cell.config, cell.variant, cell.train_size
     results = []
     try:
-        outcome = train(cell.train_records, config)
-
-        def score(test_records):
-            return evaluate_pairs(outcome.model, outcome.vocab, outcome.text_vocab,
-                                  test_records, cell.direction)
-
-        fixed = score(cell.fixed_test)
-        # on the first rung both regimes hold the same test list: score it once
-        growing = (fixed if cell.growing_test is cell.fixed_test
-                   else score(cell.growing_test))
-        for regime, res in (("fixed", fixed), ("growing", growing)):
+        outcome = fit(_ready(cell.train_data), config)
+        code, text = _embed(outcome.model, _ready(cell.test_data))
+        n = cell.fixed_size
+        for regime, res in (("fixed", zero_shot_match(code[:n], text[:n], cell.direction)),
+                            ("growing", zero_shot_match(code, text, cell.direction))):
             results.append(replace(res, config_id=config.config_id(), variant=variant,
-                                   train_size=train_size, regime=regime,
-                                   seed=config.seed))
+                                   train_size=train_size, regime=regime, seed=config.seed))
     except Exception as exc:  # cell failures must not sink the ladder
         logger.warning("cell %s@%d failed: %s", config.config_id(), train_size, exc)
         failed = EvalResult(L=1, correct=0, acc=0.0, ea=1.0,
@@ -127,38 +165,35 @@ def _run_cell(cell):
 
 
 def run_ladder(records, plan, configs, variant="raw", direction="code2text",
-               workers=1, zero_shot=True):
+               workers=1, zero_shot=True, shared=None):
     """Train-and-evaluate every (train size, config) cell of the ladder.
 
     ``variant="cleaned"`` applies the description-cleaning pipeline to the
     corpus first.  Cells run independently (in processes when workers > 1);
     a failed cell is marked and the ladder continues.
+
+    ``shared``, a LadderState built from the same four inputs, carries the
+    prepared data and rows of earlier calls; without one the call builds its
+    own.  A config with the ``network_key`` of a cell already run at its sizes
+    trains nothing: it reports that cell's rows under its own config id.
     """
-    if variant == "cleaned":
-        records, _ = clean_corpus(records)
-    elif variant != "raw":
-        raise ValueError(f"variant must be 'raw' or 'cleaned', got {variant!r}")
-    split = sample_split(records, plan, zero_shot=zero_shot)
-    fixed_size = plan.test_sizes[0]
-    fixed_test = split.test_subset(fixed_size)
-    jobs = []
+    shared = shared or LadderState(records, plan, variant, zero_shot)
+    keys, todo = [], {}
     for size_idx, train_size in enumerate(plan.train_sizes):
-        train_records = split.train_subset(train_size)
-        growing_size = plan.test_sizes[min(size_idx, len(plan.test_sizes) - 1)]
-        growing_test = (fixed_test if growing_size == fixed_size
-                        else split.test_subset(growing_size))
+        test_size = plan.test_sizes[min(size_idx, len(plan.test_sizes) - 1)]
         for config in configs:
-            jobs.append(_Cell(config, train_records, fixed_test, growing_test, variant,
-                              train_size, direction))
-    results = []
-    if workers > 1:
+            key = (network_key(config), train_size, test_size, direction)
+            keys.append((key, config.config_id()))
+            if key not in shared.rows and key not in todo:
+                todo[key] = _Cell(config, *shared.prepared(train_size, test_size, config),
+                                  plan.test_sizes[0], variant, train_size, direction)
+    if workers > 1 and todo:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell in pool.map(_run_cell, jobs):
-                results.extend(cell)
+            shared.rows.update(zip(todo, pool.map(_run_cell, todo.values())))
     else:
-        for job in jobs:
-            results.extend(_run_cell(job))
-    return results
+        shared.rows.update((key, _run_cell(cell)) for key, cell in todo.items())
+    return [replace(row, config_id=config_id) for key, config_id in keys
+            for row in shared.rows[key]]
 
 
 @dataclass
@@ -186,6 +221,7 @@ def run_ablations(records, plan, families=FAMILIES, blocks=3, deltas=DELTAS,
     if base_config is not None:
         overrides = {f.name: getattr(base_config, f.name) for f in fields(ModelConfig)
                      if f.name not in _CELL_FIELDS}
+    shared = LadderState(records, plan, variant, zero_shot)
     cells = []
     mean_by_key = {}
     ea = 1.0 / plan.test_sizes[0]
@@ -194,7 +230,7 @@ def run_ablations(records, plan, families=FAMILIES, blocks=3, deltas=DELTAS,
             config = apply_ablation(config_for_family(family, blocks, **overrides),
                                     delta)
             results = run_ladder(records, plan, [config], variant=variant,
-                                 workers=workers, zero_shot=zero_shot)
+                                 workers=workers, zero_shot=zero_shot, shared=shared)
             fixed = [r for r in results if r.regime == "fixed" and not r.failed]
             mean_acc = float(np.mean([r.acc for r in fixed])) if fixed else float("nan")
             mean_by_key[(family, delta)] = mean_acc

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from clcp import ndnn as nd
 from clcp.ndnn.checkpoint import load_arrays, save_arrays
 from clcp.ndnn.layers import he_init
-from clcp.ndnn.optim import zero_grads
+from clcp.ndnn.optim import _CHUNK, zero_grads
 
 
 class TestInit:
@@ -93,6 +93,41 @@ class TestOptim:
         assert sorted(opt.state_arrays()) == ["adam.m.large", "adam.m.mid", "adam.m.scalar",
                                               "adam.m.small", "adam.t", "adam.v.large",
                                               "adam.v.mid", "adam.v.scalar", "adam.v.small"]
+
+    def test_chunked_step_matches_one_shot_update(self):
+        # 3 chunks and a remainder, against the whole-array update done one op
+        # at a time; the gradient is a transposed, non-contiguous view
+        rows, cols = 3 * _CHUNK // 64 + 3, 64
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(11)
+        init = rng.normal(size=(rows, cols)).astype(np.float32)
+        p = nd.Tensor(init.copy(), requires_grad=True)
+        data, m, v = init.copy(), np.zeros(init.shape), np.zeros(init.shape)
+        opt = nd.Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 4):
+            p.grad = g = rng.normal(size=(cols, rows)).astype(np.float32).T
+            assert not g.flags.c_contiguous
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            num = np.divide(m, 1.0 - b1 ** t)
+            np.multiply(lr, num, out=num)
+            den = np.divide(v, 1.0 - b2 ** t)
+            np.sqrt(den, out=den)
+            np.add(den, eps, out=den)
+            np.divide(num, den, out=num)
+            data -= num.astype(data.dtype, copy=False)
+            opt.step([("p", p)])
+            assert p.data.tobytes() == data.tobytes()
+            assert opt.m["p"].tobytes() == m.tobytes()
+            assert opt.v["p"].tobytes() == v.tobytes()
+
+    def test_non_contiguous_parameter_rejected(self):
+        p = nd.Tensor(np.ones((4, 3), dtype=np.float32).T, requires_grad=True)
+        p.grad = np.ones((3, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            nd.Adam().step([("p", p)])
 
 
 class TestCheckpoint:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from clcp import zeval
-from clcp.encoders import ModelConfig
-from clcp.ingest import SamplePlan
+from clcp.encoders import ModelConfig, apply_ablation, network_key
+from clcp.ingest import SamplePlan, sample_split
 from clcp.synth import generate_family
 from clcp.training import CLCPModel, prepare_pairs
 from clcp.zeval import (
@@ -32,24 +32,29 @@ def records():
 
 @pytest.fixture(scope="module")
 def ablation(records):
-    """run_ablations on BASE, with the config of every ladder call recorded."""
-    configs = []
-    run_ladder = zeval.run_ladder
+    """run_ablations on BASE, with the config of every ladder call and the
+    number of models trained recorded."""
+    configs, fits = [], []
+    run_ladder, fit = zeval.run_ladder, zeval.fit
 
     def recording_run_ladder(records, plan, configs_, **kwargs):
         configs.extend(configs_)
         return run_ladder(records, plan, configs_, **kwargs)
 
-    zeval.run_ladder = recording_run_ladder
+    def counting_fit(data, config):
+        fits.append(config.config_id())
+        return fit(data, config)
+
+    zeval.run_ladder, zeval.fit = recording_run_ladder, counting_fit
     try:
         cells, flags = run_ablations(records, PLAN, base_config=BASE)
     finally:
-        zeval.run_ladder = run_ladder
-    return cells, flags, configs
+        zeval.run_ladder, zeval.fit = run_ladder, fit
+    return cells, flags, configs, fits
 
 
 def test_one_result_per_cell_and_regime(ablation):
-    cells, flags, _ = ablation
+    cells, flags, *_ = ablation
     results = [r for c in cells for r in c.cells]
     keys = {(r.config_id, r.train_size, r.regime) for r in results}
     expected = len(FAMILIES) * len(DELTAS) * len(PLAN.train_sizes) * 2
@@ -61,7 +66,7 @@ def test_one_result_per_cell_and_regime(ablation):
 
 
 def test_base_config_reaches_every_cell(ablation):
-    _, _, configs = ablation
+    configs = ablation[2]
     assert len(configs) == len(FAMILIES) * len(DELTAS)
     shared = [f.name for f in fields(ModelConfig) if f.name not in zeval._CELL_FIELDS]
     for config in configs:
@@ -69,22 +74,70 @@ def test_base_config_reaches_every_cell(ablation):
         assert all(getattr(config, n) == getattr(BASE, n) for n in shared)
 
 
-def test_shared_test_list_scored_once_per_cell(records, monkeypatch):
-    sizes = []
-    evaluate_pairs = zeval.evaluate_pairs
+def test_cell_embeds_its_growing_list_once(records, monkeypatch):
+    sizes, outcomes = [], []
+    embed, fit = zeval._embed, zeval.fit
 
-    def counting_evaluate_pairs(model, vocabulary, text_vocab, pairs, direction):
-        sizes.append(len(pairs))
-        return evaluate_pairs(model, vocabulary, text_vocab, pairs, direction)
+    def counting_embed(model, data):
+        sizes.append(len(data.text_ids))
+        return embed(model, data)
 
-    monkeypatch.setattr(zeval, "evaluate_pairs", counting_evaluate_pairs)
+    def recording_fit(data, config):
+        outcomes.append(fit(data, config))
+        return outcomes[-1]
+
+    monkeypatch.setattr(zeval, "_embed", counting_embed)
+    monkeypatch.setattr(zeval, "fit", recording_fit)
     results = zeval.run_ladder(records, PLAN, [BASE])
-    fixed, growing = PLAN.test_sizes
-    # the first rung's growing size is the fixed size: one evaluation, two rows
-    assert sizes == [fixed, fixed, growing]
-    first = [r for r in results if r.train_size == PLAN.train_sizes[0]]
-    assert [r.regime for r in first] == ["fixed", "growing"]
-    assert replace(first[1], regime="fixed") == first[0]
+    # one embedding per cell, of its rung's growing list: 6 rows, then 8
+    assert sizes == list(PLAN.test_sizes)
+    fixed_list = sample_split(records, PLAN).test_subset(PLAN.test_sizes[0])
+    for outcome, train_size in zip(outcomes, PLAN.train_sizes):
+        direct = zeval.evaluate_pairs(outcome.model, outcome.vocab, outcome.text_vocab,
+                                      fixed_list)
+        row, = (r for r in results if (r.train_size, r.regime) == (train_size, "fixed"))
+        assert row == replace(direct, config_id=BASE.config_id(), train_size=train_size)
+
+
+def _unshared_rows(records, families, **kwargs):
+    """The rows of run_ablations over DELTAS, one run_ladder call per row with
+    no state shared between calls."""
+    rows = []
+    for family in families:
+        for delta in DELTAS:
+            config = apply_ablation(replace(BASE, family=family), delta)
+            rows += zeval.run_ladder(records, PLAN, [config], **kwargs)
+    return rows
+
+
+@pytest.mark.parametrize("kwargs", [{"workers": 2}, {"variant": "cleaned"}],
+                         ids=["workers", "cleaned"])
+def test_shared_rows_equal_unshared_rows(records, kwargs):
+    # lp and gp hold the one pair of rows that share a network
+    cells, _ = run_ablations(records, PLAN, families=("lp", "gp"), base_config=BASE,
+                             **kwargs)
+    rows = [r for c in cells for r in c.cells]
+    assert rows and not [r.failed for r in rows if r.failed]
+    assert rows == _unshared_rows(records, ("lp", "gp"), **kwargs)
+
+
+def test_serial_ablation_rows_equal_unshared_rows(records, ablation):
+    cells = ablation[0]
+    assert [r for c in cells for r in c.cells] == _unshared_rows(records, FAMILIES)
+
+
+def test_identical_networks_train_once(ablation):
+    cells, _, configs, fits = ablation
+    ids_by_key = {}
+    for config in configs:
+        ids_by_key.setdefault(network_key(config), []).append(config.config_id())
+    assert sorted(ids for ids in ids_by_key.values() if len(ids) > 1) == [
+        ["lp3-Pool", "gp3-Pool"]]
+    assert len(fits) == 11 * len(PLAN.train_sizes)
+    assert "gp3-Pool" not in fits
+    rows = {c.family: c.cells for c in cells if c.delta == "-Pool"}
+    assert [replace(r, config_id="lp3-Pool") for r in rows["gp"]] == rows["lp"]
+    assert {r.config_id for r in rows["gp"]} == {"gp3-Pool"}
 
 
 def test_evaluation_embeds_batch_size_rows_at_a_time(records):

@@ -34,10 +34,11 @@ def conv1d(x, weight, bias, stride):
     (B, C_out, L_out) view of that (C_out, B*L_out) product, so its memory is
     laid out (C_out, B, L_out); the elementwise ops after it keep that layout,
     and an upstream gradient in it reshapes to (C_out, B*L_out) for free.
-    When the result requires grad, its backward keeps ``cols`` and computes
-    the weight gradient as ``g2 @ cols.T`` and the input gradient as one GEMM
-    ``W2.T @ g2`` whose rows are added back into place one window offset at a
-    time; otherwise ``cols`` is freed on return.
+    When the result requires grad, its backward keeps ``cols``, computes the
+    weight gradient ``g2 @ cols.T`` as ``(cols @ g2.T).T`` in C order (OpenBLAS
+    runs it faster at the lp and rn shapes, with the same bits) and the input
+    gradient as one GEMM ``W2.T @ g2`` whose rows are added back into place one
+    window offset at a time; otherwise ``cols`` is freed on return.
     """
     b, c_in, length = x.shape
     c_out, c_in_w, kernel = weight.shape
@@ -52,7 +53,7 @@ def conv1d(x, weight, bias, stride):
 
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, b * l_out)
-        _accum(weight, (g2 @ cols.T).reshape(weight.shape))
+        _accum(weight, np.ascontiguousarray((cols @ g2.T).T).reshape(weight.shape))
         _accum(bias, g.sum(axis=(0, 2)))
         if x.requires_grad:
             gcols = (w2.T @ g2).reshape(c_in, kernel, b, l_out)
@@ -70,34 +71,47 @@ def max_pool1d(x, window, stride):
     """Local max pooling; gradient routes to the first maximal index per window.
 
     One pass per window offset ``j`` over the strided slice of every window's
-    ``j``-th element keeps a running max and its offset.  The values are those
-    of ``np.max`` over each window (NaN and signed zeros included) and the
-    offsets those of ``argmax``: a strict ``>`` keeps the first maximal one,
-    and a NaN beats any number but not an earlier NaN.
+    ``j``-th element keeps a running max and, if ``x`` requires grad, the
+    winning offset in the smallest unsigned dtype that holds ``window - 1``.
+    The values are those of ``np.max`` over each window (NaN and signed zeros
+    included) and the offsets those of ``argmax``: a strict ``>`` keeps the
+    first maximal one, and a NaN beats any number but not an earlier NaN, a
+    rule the offsets are redone under only if a NaN reached the output.
     """
     l_out = conv_out_len(x.shape[2], window, stride)
     span = stride * (l_out - 1) + 1
-    out_data = x.data[:, :, 0:span:stride].copy()
-    arg = np.zeros(out_data.shape, dtype=np.intp)
-    for j in range(1, window):
-        cand = x.data[:, :, j:j + span:stride]
-        arg[(cand > out_data) | (np.isnan(cand) & ~np.isnan(out_data))] = j
-        np.maximum(out_data, cand, out=out_data)
+    slices = [x.data[:, :, j:j + span:stride] for j in range(window)]
+    route = np.min_scalar_type(window - 1) if x.requires_grad else None
+    for nan_rule in (False, True):
+        out_data = slices[0]
+        arg = None if route is None else np.zeros_like(out_data, route)
+        for j, cand in enumerate(slices[1:], 1):
+            if arg is not None:
+                wins = cand > out_data
+                if nan_rule:
+                    wins |= np.isnan(cand) & ~np.isnan(out_data)
+                # j rises, so the largest winning offset is the last one
+                np.maximum(arg, wins * route.type(j), out=arg)
+            out_data = np.maximum(out_data, cand)
+        if arg is None or not np.isnan(out_data).any():   # np.maximum passes NaN on
+            break
 
     def backward(g):
         # position p is offset p - l * stride of window l, so descending j adds
-        # p's contributions in ascending l: a scatter-add's order, and rounding
+        # p's contributions in ascending l: a scatter-add's order, and rounding.
+        # g's bits times 0 or 1 add +0.0 where offset j lost, even for a NaN g
+        bits = g.view(f"u{g.itemsize}")
         gx = np.zeros_like(x.data)
         for j in reversed(range(window)):
-            gx[:, :, j:j + span:stride] += np.where(arg == j, g, 0)
+            gx[:, :, j:j + span:stride] += (bits * (arg == j)).view(g.dtype)
         _accum(x, gx)
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
 def global_max_pool1d(x):
-    """Whole-sequence max per channel, output length 1."""
-    arg = x.data.argmax(axis=2)
+    """Whole-sequence max per channel, output length 1; argmax only under grad."""
+    arg = x.data.argmax(axis=2) if x.requires_grad else None
 
     def backward(g):
         gx = np.zeros_like(x.data)

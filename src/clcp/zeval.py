@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -103,6 +104,7 @@ class LadderState:
             raise ValueError(f"variant must be 'raw' or 'cleaned', got {variant!r}")
         self.split = sample_split(records, plan, zero_shot=zero_shot)
         self.rows = {}         # (network key, sizes, direction) -> the cell's rows
+        self.pool = None       # a process pool lent to every run_ladder call
         self._tokens = {}      # snippet -> tokens
         self._prepared = {}
 
@@ -176,6 +178,7 @@ def run_ladder(records, plan, configs, variant="raw", direction="code2text",
     prepared data and rows of earlier calls; without one the call builds its
     own.  A config with the ``network_key`` of a cell already run at its sizes
     trains nothing: it reports that cell's rows under its own config id.
+    Workers come from ``shared.pool`` if set, else from a pool for this call.
     """
     shared = shared or LadderState(records, plan, variant, zero_shot)
     keys, todo = [], {}
@@ -188,7 +191,7 @@ def run_ladder(records, plan, configs, variant="raw", direction="code2text",
                 todo[key] = _Cell(config, *shared.prepared(train_size, test_size, config),
                                   plan.test_sizes[0], variant, train_size, direction)
     if workers > 1 and todo:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with nullcontext(shared.pool) if shared.pool else ProcessPoolExecutor(workers) as pool:
             shared.rows.update(zip(todo, pool.map(_run_cell, todo.values())))
     else:
         shared.rows.update((key, _run_cell(cell)) for key, cell in todo.items())
@@ -213,6 +216,7 @@ def run_ablations(records, plan, families=FAMILIES, blocks=3, deltas=DELTAS,
     """The {family} x {none, +BN, -Pool, -Init} matrix over the ladder.
 
     Each cell takes every ``base_config`` field except the ones it sets itself.
+    With workers > 1, the cells of every row run in one process pool.
     Returns (cells, flags): flags report whether the expected qualitative
     directions were observed, or None where the run held nothing to compare;
     they are never asserted.
@@ -225,16 +229,18 @@ def run_ablations(records, plan, families=FAMILIES, blocks=3, deltas=DELTAS,
     cells = []
     mean_by_key = {}
     ea = 1.0 / plan.test_sizes[0]
-    for family in families:
-        for delta in deltas:
-            config = apply_ablation(config_for_family(family, blocks, **overrides),
-                                    delta)
-            results = run_ladder(records, plan, [config], variant=variant,
-                                 workers=workers, zero_shot=zero_shot, shared=shared)
-            fixed = [r for r in results if r.regime == "fixed" and not r.failed]
-            mean_acc = float(np.mean([r.acc for r in fixed])) if fixed else float("nan")
-            mean_by_key[(family, delta)] = mean_acc
-            cells.append(AblationCell(family, blocks, delta, mean_acc, 0.0, results))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        shared.pool = pool
+        for family in families:
+            for delta in deltas:
+                config = apply_ablation(config_for_family(family, blocks, **overrides),
+                                        delta)
+                results = run_ladder(records, plan, [config], variant=variant,
+                                     workers=workers, zero_shot=zero_shot, shared=shared)
+                fixed = [r for r in results if r.regime == "fixed" and not r.failed]
+                mean_acc = float(np.mean([r.acc for r in fixed])) if fixed else float("nan")
+                mean_by_key[(family, delta)] = mean_acc
+                cells.append(AblationCell(family, blocks, delta, mean_acc, 0.0, results))
     for cell in cells:
         base = mean_by_key.get((cell.family, "none"), float("nan"))
         cell.diff_vs_base = cell.mean_acc - base

@@ -229,28 +229,59 @@ def _pool_cases(draw):
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
              draw(st.integers(window, window + 24)))
-    # few distinct integer values (signed zeros included), so windows tie
-    x = draw(arrays(dtype, shape, elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0])))
+    # few distinct integer values (signed zeros included), so windows tie,
+    # and in some cases NaN, so the offsets are redone under the NaN rule
+    values = [-2.0, -1.0, -0.0, 0.0, 1.0, 3.0] + [np.nan] * draw(st.integers(0, 1))
+    x = draw(arrays(dtype, shape, elements=st.sampled_from(values)))
+    # conv1d and relu hand the pool (C, B, L) memory
+    x = _channel_major(x) if draw(st.booleans()) else x
     # a generic upstream gradient: where windows overlap, the order in which a
     # position's contributions are added changes the rounding of their sum
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     l_out = (shape[2] - window) // stride + 1
     g = rng.normal(size=shape[:2] + (l_out,)).astype(dtype)
-    return x, window, stride, g
+    return x, window, stride, g, draw(st.booleans())
+
+
+def _check_pool(data, window, stride, g, requires_grad):
+    """max_pool1d's forward and backward against the reference; without grad,
+    also a forward that must equal the grad-mode one and record no backward."""
+    x = nd.Tensor(data, requires_grad=True)
+    out = nd.max_pool1d(x, window, stride)
+    out.backward(g)
+    ref_out, ref_gx = _reference_max_pool(data, window, stride, g)
+    assert out.data.dtype == ref_out.dtype and x.grad.dtype == ref_gx.dtype
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert x.grad.tobytes() == ref_gx.tobytes()
+    if not requires_grad:
+        plain = nd.max_pool1d(nd.Tensor(data), window, stride)
+        assert plain._backward is None and not plain._parents
+        assert plain.data.tobytes() == out.data.tobytes()
+    return x.grad
 
 
 class TestMaxPoolProperty:
     @settings(max_examples=300, deadline=None)
     @given(_pool_cases())
     def test_matches_sliding_window_reference_bit_for_bit(self, case):
-        data, window, stride, g = case
-        x = nd.Tensor(data, requires_grad=True)
-        out = nd.max_pool1d(x, window, stride)
-        out.backward(g)
-        ref_out, ref_gx = _reference_max_pool(data, window, stride, g)
-        assert out.data.dtype == ref_out.dtype and x.grad.dtype == ref_gx.dtype
-        assert out.data.tobytes() == ref_out.tobytes()
-        assert x.grad.tobytes() == ref_gx.tobytes()
+        _check_pool(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pool_cases())
+    def test_global_pool_without_grad_matches_grad_mode(self, case):
+        data = case[0]
+        out = nd.global_max_pool1d(nd.Tensor(data))
+        graded = nd.global_max_pool1d(nd.Tensor(data, requires_grad=True))
+        assert out._backward is None and graded._backward is not None
+        assert out.data.tobytes() == graded.data.tobytes()
+        assert out.data.tobytes() == data.max(axis=2, keepdims=True).tobytes()
+
+    def test_window_beyond_uint8_offsets(self):
+        # the first window's maximum sits at offset 299, past uint8's range; the
+        # other two share a repeated maximum, and the first of its copies wins
+        data = np.concatenate([np.arange(400.0), np.full(200, 399.0)])[None, None]
+        grad = _check_pool(data, 300, 150, np.array([[[1.0, 2.0, 4.0]]]), False)
+        assert np.flatnonzero(grad).tolist() == [299, 399]
 
 
 def _reference_conv(x, w, b, stride, g):
@@ -324,6 +355,20 @@ class TestConvProperty:
             assert (np.abs(got - want) <= tol * size).all()
 
 
+class TestConvWeightGradient:
+    def test_rn_shape_float32_is_c_contiguous_and_exact(self):
+        # an rn3 conv: 32 channels in and out, kernel 5, (C, B, L) memory in and out
+        x, w, b, stride, g = _conv_case(32, 32, 32, 496, 5, 1, np.float32,
+                                        x_channel_major=True, g_channel_major=True)
+        weight = nd.Tensor(w, requires_grad=True)
+        nd.conv1d(nd.Tensor(x), weight, nd.Tensor(b), stride).backward(g)
+        cols = sliding_window_view(x, 5, axis=2).transpose(1, 3, 0, 2).reshape(32 * 5, -1)
+        g2 = g.transpose(1, 0, 2).reshape(32, -1)
+        # Adam updates through a flat view, which a transposed gradient would copy
+        assert weight.grad.shape == w.shape and weight.grad.flags.c_contiguous
+        assert weight.grad.tobytes() == (g2 @ cols.T).reshape(w.shape).tobytes()
+
+
 class TestMaxPoolNaN:
     def test_nan_reaches_its_window_output(self):
         # the NaN sits second in its window, then first
@@ -335,6 +380,15 @@ class TestMaxPoolNaN:
             np.testing.assert_array_equal(out, ref)
             assert np.isnan(out[0, 0, pos // 2])
             assert np.isnan(out).sum() == 1
+
+    def test_non_finite_gradient_reaches_only_its_route(self):
+        data = np.array([[[1.0, 4.0, 7.0, 3.0, 2.0, 0.0, 5.0]]])
+        _check_pool(data, 3, 2, np.array([[[np.nan, -np.inf, 2.0]]]), False)
+
+    def test_nan_without_grad_matches_grad_mode(self):
+        # overlapping windows, one holding two NaNs and one a single NaN
+        data = np.array([[[1.0, np.nan, 7.0, np.nan, 2.0, 0.0, 5.0]]])
+        _check_pool(data, 3, 2, np.ones((1, 1, 3)), False)
 
     def test_nan_after_first_nan_keeps_first_index(self):
         data = np.array([[[1.0, np.nan, 7.0, np.nan]]])

@@ -174,6 +174,23 @@ def test_worker_processes_give_the_serial_rows(records):
     assert zeval.run_ladder(records, PLAN, configs, workers=2) == serial
 
 
+def test_parallel_ablation_opens_one_pool(records, ablation, monkeypatch):
+    opened = []
+
+    class CountingPool(zeval.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(zeval, "ProcessPoolExecutor", CountingPool)
+    cells, flags = run_ablations(records, PLAN, base_config=BASE, workers=2)
+    assert len(opened) == 1
+    assert (cells, flags) == ablation[:2]
+    # a direct call still opens its own pool
+    zeval.run_ladder(records, PLAN, [BASE], workers=2)
+    assert len(opened) == 2
+
+
 def test_geometry_that_cannot_fit_marks_cells_failed(records):
     too_short = ModelConfig(image_len=8, channels=(4, 4, 4), max_epochs=1, patience=1)
     cells, _ = run_ablations(records, PLAN, families=("lp", "rn"), deltas=("none",),

@@ -5,10 +5,11 @@ The front end turns source text into classified tokens in three stages:
 * ``clean_code`` replaces every string literal with the placeholder ``STR``
   and removes comments, keeping line structure intact;
 * ``lex`` splits cleaned text into tokens (keywords, operators, numbers,
-  symbols, whitespace runs, newlines), classifying identifiers provisionally
-  as Variable;
-* ``classify`` fuses dotted composites (``a.strip``) into single tokens and
-  resolves identifier components against the built-in tables.
+  symbols, whitespace runs, newlines) in one regex pass, classifying
+  identifiers provisionally as Variable;
+* ``classify`` visits only those Variables: it fuses dotted composites
+  (``a.strip``) into single tokens and resolves identifier components against
+  the built-in tables.
 
 A ``Token`` is a named tuple ``(text, component, span)``; whitespace and
 newline tokens (``LAYOUT``) are the only ones that are not significant.  The
@@ -18,9 +19,12 @@ from __future__ import annotations
 
 import enum
 import re
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate, chain, compress, repeat
+from operator import is_, itemgetter
 from typing import NamedTuple
 
 
@@ -95,7 +99,9 @@ class BuiltinTables:
     symbols: tuple[tuple[str, Component], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_keyword_set", frozenset(self.keywords))
+        object.__setattr__(self, "_text_component", {  # lex's text -> component table
+            **dict(self.symbols), PLACEHOLDER_TEXT: Component.PLACEHOLDER,
+            **dict.fromkeys(self.keywords, Component.KEYWORD)})
         object.__setattr__(self, "_class_set", frozenset(self.classes))
         object.__setattr__(self, "_function_set", frozenset(self.functions))
         object.__setattr__(self, "_dotted_function_set", frozenset(self.dotted_functions))
@@ -218,166 +224,133 @@ def clean_code(src):
 
 # -- step 2: lexing -------------------------------------------------------------
 
-_MASTER_RE = re.compile(
+# The token grammar.  The first branch that matches wins.  Two branches share
+# a first character with the symbols: a number may start with ``.`` and the
+# operator ``:=`` with ``:``, so numbers and operators are tried before symbols;
+# names and layout come first because they are the most common tokens.
+_TOKEN_RE = re.compile(
     r"""
-    (?P<number>
-        0[xX][0-9a-fA-F_]+
+        [A-Za-z_][A-Za-z0-9_]*
+      | \ +|\n|\t+
+      | 0[xX][0-9a-fA-F_]+
       | 0[bB][01_]+
       | 0[oO][0-7_]+
       | \d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d+)?
       | \d[\d_]*\.(?:[eE][+-]?\d+)?
       | \.\d[\d_]*(?:[eE][+-]?\d+)?
       | \d[\d_]*(?:[eE][+-]?\d+)?
-    )
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<operator>\*\*|//|<<|>>|<=|>=|==|!=|:=|->|[-+*/%@&|^~<>=])
-  | (?P<symbol>[()\[\]{},:;.])
-  | (?P<space>\ +|\t+)
-  | (?P<newline>\n)
+      | \*\*|//|<<|>>|<=|>=|==|!=|:=|->|[-+*/%@&|^~<>=]
+      | [()\[\]{},:;.]
     """,
     re.VERBOSE,
 )
 
-
-#: Component of every non-name group of ``_MASTER_RE``.
-_GROUP_COMPONENT = {
-    "number": Component.NUMBER,
-    "operator": Component.OPERATOR,
-    "symbol": Component.SYMBOL,
-    "space": Component.WHITESPACE,
-    "newline": Component.NEWLINE,
+#: Component of a token absent from the text table, by its first character: a
+#: name or a whitespace run; any other such token is a number (``\d`` also
+#: matches non-ASCII digits).
+_FIRST_CHAR_COMPONENT = {
+    **dict.fromkeys(string.ascii_letters + "_", Component.VARIABLE),
+    " ": Component.WHITESPACE, "\t": Component.WHITESPACE,
 }
 
 
 def lex(src, tables=None):
-    """Tokenize cleaned source; identifiers come out as provisional Variables.
+    """Tokenize cleaned source in one regex pass; identifiers come out as Variables.
 
     Whitespace is emitted as maximal same-character runs and newlines one per
-    character, so the concatenation of token texts reproduces ``src``.
-    A quote or ``#`` (``clean_code`` leaves none) is an unexpected character.
+    character, so the token texts tile ``src`` and each span is a running sum
+    of their lengths.  A token's component is that of its text in the tables
+    (keywords, ``STR``, operators, symbols, single layout characters), else a
+    name or a whitespace run by its first character, else Number.  A
+    character no token starts with, such as a
+    quote or ``#`` (``clean_code`` leaves none), raises ``LexError`` at the
+    first offset where the matched texts stop tiling ``src``.
     """
-    keywords = (tables or load_default_tables())._keyword_set
-    group_component = _GROUP_COMPONENT
-    keyword, placeholder, variable = Component.KEYWORD, Component.PLACEHOLDER, Component.VARIABLE
-    tokens = []
-    append = tokens.append
-    pos = 0
-    for m in _MASTER_RE.finditer(src):
-        span = m.span()
-        if span[0] != pos:   # finditer skipped a character no group matches
-            break
-        text = m.group()
-        kind = m.lastgroup
-        if kind == "name":
-            component = (keyword if text in keywords else
-                         placeholder if text == PLACEHOLDER_TEXT else variable)
-        else:
-            component = group_component[kind]
-        append(Token(text, component, span))
-        pos = span[1]
-    if pos < len(src):
+    texts = _TOKEN_RE.findall(src)
+    ends = list(accumulate(map(len, texts)))
+    if (ends[-1] if ends else 0) != len(src):   # findall skipped a character
+        pos = 0
+        for text in texts:
+            if not src.startswith(text, pos):
+                break
+            pos += len(text)
         raise LexError(f"unexpected character {src[pos]!r}", (pos, pos + 1))
-    return tokens
+    components = map((tables or load_default_tables())._text_component.get, texts,
+                     map(_FIRST_CHAR_COMPONENT.get, map(itemgetter(0), texts),
+                         repeat(Component.NUMBER)))
+    # tuple.__new__ builds each Token in C, skipping Token's Python-level __new__
+    return list(map(tuple.__new__, repeat(Token),
+                    zip(texts, components, zip(chain((0,), ends), ends))))
 
 
 # -- step 3: classification ------------------------------------------------------
 
 
-def _collect_def_names(tokens):
-    names = set()
-    prev = None
-    for tok in tokens:
-        if tok.component in LAYOUT:
-            continue
-        if prev is not None and prev.component is Component.KEYWORD \
-                and prev.text == "def" and tok.component is Component.VARIABLE:
-            names.add(tok.text)
-        prev = tok
-    return names
-
-
-def _next_significant(tokens, i):
-    for j in range(i, len(tokens)):
-        if tokens[j].component not in LAYOUT:
-            return tokens[j]
-    return None
-
-
-def _fuse_dotted(tokens, i):
-    """Extend an identifier at index i over adjacent ``.ident`` pairs.
-
-    Returns (segments, end_index_exclusive); len(segments) == 1 means no dot
-    was consumed.
-    """
-    segments = [tokens[i].text]
-    j = i + 1
-    while j + 1 < len(tokens):
-        dot, ident = tokens[j], tokens[j + 1]
-        if dot.component is not Component.SYMBOL or dot.text != ".":
-            break
-        if ident.component is not Component.VARIABLE:
-            break
-        if tokens[j - 1].span[1] != dot.span[0] or dot.span[1] != ident.span[0]:
-            break
-        segments.append(ident.text)
-        j += 2
-    return segments, j
-
-
 def classify(tokens, tables=None):
     """Resolve provisional Variable tokens into their final components.
 
-    Dotted composites become single tokens classified by receiver root and
-    member name; bare identifiers are checked against the built-in class and
-    function tables.  Idempotent: tokens that already carry a final component
-    pass through unchanged.
+    Only Variable tokens are visited.  A name after ``def`` is a Method and one
+    after ``class`` a Class.  A name directly followed by ``.name`` pairs fuses
+    with them into one composite token, classified by receiver root and member
+    name (a called member that some ``def`` of the input names is a
+    MethodCall), as is a name directly after a ``.``.  A bare name is checked
+    against the built-in class and function tables; "called" means the next
+    significant token is ``(``.  Every token whose component does not change
+    is passed through as the same object, so the function is idempotent.
     """
     tables = tables or load_default_tables()
-    def_names = _collect_def_names(tokens)
+    texts = list(map(itemgetter(0), tokens))
+    comps = list(map(itemgetter(1), tokens))
     variable, keyword, symbol = Component.VARIABLE, Component.KEYWORD, Component.SYMBOL
-    out = []
-    append = out.append
-    prev = None   # the last significant token of out
-    i, n = 0, len(tokens)
-    while i < n:
-        tok = tokens[i]
-        component = tok.component
-        if component is not variable:
-            append(tok)
-            if component not in LAYOUT:
-                prev = tok
-            i += 1
+    n = len(tokens)
+    names = list(compress(range(n), map(is_, comps, repeat(variable))))
+    # Index of the significant input token before each name, or -1.  It stands
+    # for the last significant output token: a fused or resolved name is never
+    # a keyword or a ``.``, the only tokens the rules look back at.
+    prevs = []
+    for i in names:
+        p = i - 1
+        while p >= 0 and comps[p] in LAYOUT:
+            p -= 1
+        prevs.append(p)
+    def_names = {texts[i] for i, p in zip(names, prevs)
+                 if p >= 0 and texts[p] == "def" and comps[p] is keyword}
+    out, done = [], 0   # tokens[done:] are not in out yet
+    for i, p in zip(names, prevs):
+        if i < done:   # fused into the composite before it
             continue
-        if prev is not None and prev.component is keyword:
-            if prev.text == "def":
-                prev = Token(tok.text, Component.METHOD, tok.span)
-                append(prev)
-                i += 1
-                continue
-            if prev.text == "class":
-                prev = Token(tok.text, Component.CLASS, tok.span)
-                append(prev)
-                i += 1
-                continue
-        after_dot = (prev is not None and prev.component is symbol
-                     and prev.text == "." and prev.span[1] == tok.span[0])
-        segments, end = _fuse_dotted(tokens, i)
-        called = _is_call(_next_significant(tokens, end))
-        if len(segments) > 1 or after_dot:
-            text = ".".join(segments)
-            span = (tok.span[0], tokens[end - 1].span[1])
-            component = _classify_dotted(segments, called, after_dot, def_names, tables)
+        prev_text = texts[p] if p >= 0 else None
+        if prev_text in ("def", "class") and comps[p] is keyword:
+            end, text, span = i + 1, texts[i], tokens[i].span
+            component = Component.METHOD if prev_text == "def" else Component.CLASS
         else:
-            text, span = tok.text, tok.span
-            component = _classify_bare(text, called, tables)
-        prev = Token(text, component, span)
-        append(prev)
-        i = end
+            end = i + 1
+            while (end + 1 < n and texts[end] == "." and comps[end] is symbol
+                   and comps[end + 1] is variable
+                   and tokens[end - 1].span[1] == tokens[end].span[0]
+                   and tokens[end].span[1] == tokens[end + 1].span[0]):
+                end += 2
+            nxt = end
+            while nxt < n and comps[nxt] in LAYOUT:
+                nxt += 1
+            called = nxt < n and texts[nxt] == "(" and comps[nxt] is symbol
+            after_dot = (prev_text == "." and comps[p] is symbol
+                         and tokens[p].span[1] == tokens[i].span[0])
+            if end > i + 1 or after_dot:
+                segments = texts[i:end:2]
+                text, span = ".".join(segments), (tokens[i].span[0], tokens[end - 1].span[1])
+                component = _classify_dotted(segments, called, after_dot, def_names, tables)
+            else:
+                text = texts[i]
+                component = _classify_bare(text, called, tables)
+                if component is variable:
+                    continue
+                span = tokens[i].span
+        out += tokens[done:i]
+        out.append(Token(text, component, span))
+        done = end
+    out += tokens[done:]
     return out
-
-
-def _is_call(tok):
-    return tok is not None and tok.component is Component.SYMBOL and tok.text == "("
 
 
 def _classify_dotted(segments, called, after_dot, def_names, tables):

@@ -356,17 +356,25 @@ class TestConvProperty:
 
 
 class TestConvWeightGradient:
-    def test_rn_shape_float32_is_c_contiguous_and_exact(self):
-        # an rn3 conv: 32 channels in and out, kernel 5, (C, B, L) memory in and out
-        x, w, b, stride, g = _conv_case(32, 32, 32, 496, 5, 1, np.float32,
+    def _check(self, c_in, c_out, length, kernel):
+        x, w, b, stride, g = _conv_case(32, c_in, c_out, length, kernel, 1, np.float32,
                                         x_channel_major=True, g_channel_major=True)
         weight = nd.Tensor(w, requires_grad=True)
         nd.conv1d(nd.Tensor(x), weight, nd.Tensor(b), stride).backward(g)
-        cols = sliding_window_view(x, 5, axis=2).transpose(1, 3, 0, 2).reshape(32 * 5, -1)
-        g2 = g.transpose(1, 0, 2).reshape(32, -1)
+        cols = sliding_window_view(x, kernel, axis=2).transpose(1, 3, 0, 2).reshape(
+            c_in * kernel, -1)
+        g2 = g.transpose(1, 0, 2).reshape(c_out, -1)
         # Adam updates through a flat view, which a transposed gradient would copy
         assert weight.grad.shape == w.shape and weight.grad.flags.c_contiguous
         assert weight.grad.tobytes() == (g2 @ cols.T).reshape(w.shape).tobytes()
+
+    def test_rn_shape_float32_is_c_contiguous_and_exact(self):
+        # an rn3 conv: 32 channels in and out, kernel 5, (C, B, L) memory in and out
+        self._check(32, 32, 496, 5)
+
+    def test_rn_shortcut_float32_is_c_contiguous_and_exact(self):
+        # an rn3 1 x 1 shortcut from 16 to 32 channels
+        self._check(16, 32, 500, 1)
 
 
 class TestMaxPoolNaN:

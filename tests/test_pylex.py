@@ -1,12 +1,14 @@
 """Lexer front end: cleaning, tokenization, classification."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pylex_oracle
 from clcp.pylex import (
     LAYOUT,
     Component,
     LexError,
+    Token,
     clean_code,
     classify,
     lex,
@@ -91,11 +93,26 @@ class TestLex:
         src = "def f(a, b):\n    c = a + b\n    return c * 2\n"
         assert "".join(t.text for t in lex(src)) == src
 
+    def test_walrus_is_one_operator(self):
+        assert [(t.component.value, t.text) for t in lex("a := 1")] == [
+            ("Variable", "a"), ("Whitespace", " "), ("Operator", ":="),
+            ("Whitespace", " "), ("Number", "1")]
+
+    def test_non_ascii_digit_is_a_number(self):
+        assert lex("\u0663") == [Token("\u0663", Component.NUMBER, (0, 1))]
+
     def test_raw_quote_is_an_unexpected_character(self):
         # lex takes cleaned source, which holds no quote
         with pytest.raises(LexError, match="unexpected character") as err:
             lex('x = "oops')
         assert err.value.span == (4, 5)
+
+    def test_long_space_run_is_one_token(self):
+        assert lex(" " * 100) == [Token(" " * 100, Component.WHITESPACE, (0, 100))]
+
+    def test_long_tab_run_is_one_token(self):
+        assert lex("x\t" + "\t" * 9) == [Token("x", Component.VARIABLE, (0, 1)),
+                                         Token("\t" * 10, Component.WHITESPACE, (1, 11))]
 
     def test_spans_ordered_and_adjacent(self):
         tokens = lex("a = b + 12\n")
@@ -156,6 +173,48 @@ class TestClassify:
         tok = next(t for t in tokenize("a.b.strip()") if t.component is
                    Component.ATTRIBUTE_CALL)
         assert member_key(tok) == "strip"
+
+
+# Sources over a code alphabet: keywords, a self receiver, module roots and
+# their members, built-in names, the string placeholder, plain names, numbers
+# (one of them a non-ASCII digit), dots, calls, operators (``:=`` among them),
+# layout runs and characters no token starts with.
+_CODE_PIECES = st.one_of(
+    st.sampled_from(["def", "class", "return", "not", "None", "lambda", "self", "self.",
+                     "os", "os.path", ".path", ".join", "math.pi", "len", "print", "int",
+                     "STR", "x", "f", "a_1", "0", "7", "0x1f", "2.", ".5", "1e3", ".", "().",
+                     "\u0663", "(", ")", "[", ",", ":", "=", ":=", "+", "**", "->",
+                     "\n", "$", "?", "\u00e9"]),
+    st.integers(1, 100).map(" ".__mul__),
+    st.integers(1, 10).map("\t".__mul__),
+)
+
+
+def _outcome(stage, arg):
+    """A stage's tokens, or the message and span of the LexError it raised."""
+    try:
+        return stage(arg)
+    except LexError as err:
+        return str(err), err.span
+
+
+class TestAgainstReference:
+    """The bulk lexer and classifier against a token-at-a-time reference."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_CODE_PIECES, max_size=60).map("".join))
+    # composites right after a ``.``: on a module root, and on a def's name
+    @example("g().os.path.join(a)")
+    @example("def f(): STR.x.f()")
+    @example("if (n := f(x)):")
+    def test_every_stage_matches(self, src):
+        tokens = _outcome(lex, src)
+        assert tokens == _outcome(pylex_oracle.lex, src)
+        if isinstance(tokens, list):
+            # spans that no longer tile exercise the adjacency checks of fusion
+            for seq in (tokens, [t for t in tokens if t.component not in LAYOUT]):
+                assert classify(seq) == pylex_oracle.classify(seq)
+        assert _outcome(tokenize, src) == _outcome(pylex_oracle.tokenize, src)
 
 
 class TestGoldenCorpus:

@@ -64,6 +64,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # JSON's NaN and Infinity load as floats, and NaN fails no comparison
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value}")
         if not 3 <= self.blocks <= 7:
             raise ConfigError(f"blocks: must be in 3..7, got {self.blocks}")
         if self.family not in FAMILIES:
@@ -92,8 +97,9 @@ class ModelConfig:
             raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction: must be in [0, 1), got {self.val_fraction}")
-        # a logit scale of 0 zeroes every gradient; a negative one has no log
-        for name in ("temperature_init", "temperature_max"):
+        # a logit scale or step size of 0 zeroes every update; a negative
+        # scale has no log, and a negative step climbs the loss
+        for name in ("temperature_init", "temperature_max", "lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be > 0, got {getattr(self, name)}")
 

@@ -17,7 +17,8 @@ from .vocab import NamespaceScope, assign_ids
 def encode_streams(streams, vocabulary, image_len, on_exhaust="error"):
     """Encode a list of classified token lists, one snippet each.
 
-    Returns (matrix, true_lens, truncated_count); scopes are not retained.
+    Returns (matrix, true_lens, truncated_count).  No scope outlives its row:
+    ``vocab.decode`` reads a row back from the vocabulary alone.
     """
     if image_len <= 0:
         raise ValueError(f"image_len must be positive, got {image_len}")

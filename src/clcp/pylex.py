@@ -387,34 +387,3 @@ def member_key(token):
     """Abstraction key for a call composite: the name after the last dot."""
     return token.text.rsplit(".", 1)[-1]
 
-
-# -- golden corpus format ----------------------------------------------------------
-
-_TOKEN_UNESCAPES = {"\\\\": "\\", "\\n": "\n", "\\t": "\t"}
-
-
-def unescape_token_text(text):
-    out = []
-    i = 0
-    while i < len(text):
-        pair = text[i:i + 2]
-        if pair in _TOKEN_UNESCAPES:
-            out.append(_TOKEN_UNESCAPES[pair])
-            i += 2
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
-
-
-def parse_token_lines(text):
-    out = []
-    pos = 0
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        label, _, raw = line.partition("\t")
-        tok_text = unescape_token_text(raw)
-        out.append(Token(tok_text, component_from_label(label), (pos, pos + len(tok_text))))
-        pos += len(tok_text)
-    return out

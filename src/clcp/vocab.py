@@ -6,6 +6,9 @@ table order; numbers, and calls abstracted by member name, in corpus-frequency
 order, leaving a scope-local tail for unseen keys.  User-defined tokens
 (classes, methods, variables) get namespace-scoped IDs that restart in every
 scope.  ID 0 is the padding value and never assigned.
+
+``decode`` reads an ID row back from the vocabulary alone: a fixed ID gives its
+text or lookup list, and a scoped ID a canonical name for its slot in the scope.
 """
 from __future__ import annotations
 
@@ -161,16 +164,9 @@ class Vocabulary:
     fixed: dict[Component, dict[str, int]]
     lookup_lists: dict[int, tuple[str, ...]]
 
-    def __post_init__(self):
-        self._reverse = {id_: (component, text) for component, table in self.fixed.items()
-                         for text, id_ in table.items()}
-
     @property
     def max_id(self):
         return self.ranges.max_id
-
-    def fixed_entry(self, id_):
-        return self._reverse.get(id_)
 
 
 def build_vocab(token_streams, tables=None):
@@ -228,9 +224,8 @@ class NamespaceScope:
         self.recycled = set()
         self._cursors = {}
         self._local = {c: {} for c in USER_SCOPED + CORPUS_KEYED}
-        self._texts = {}
 
-    def allocate(self, component, key, concrete_text=None):
+    def allocate(self, component, key):
         local = self._local[component]
         id_ = local.get(key)
         if id_ is None:
@@ -243,11 +238,7 @@ class NamespaceScope:
                 self.recycled.add(component)
             local[key] = id_ = cursor
             self._cursors[component] = cursor + 1
-        self._texts.setdefault(id_, set()).add(concrete_text or key)
         return id_
-
-    def texts_for(self, id_):
-        return self._texts.get(id_)
 
 
 def assign_ids(tokens, vocabulary, scope):
@@ -271,7 +262,7 @@ def assign_ids(tokens, vocabulary, scope):
         elif component in CORPUS_KEYED:
             key = _corpus_key(tok)
             id_ = fixed[component].get(key)
-            append(id_ if id_ is not None else allocate(component, key, concrete_text=tok.text))
+            append(id_ if id_ is not None else allocate(component, key))
         else:
             text = PLACEHOLDER_TEXT if component is placeholder else tok.text
             id_ = fixed.get(component, {}).get(text)
@@ -285,41 +276,60 @@ def assign_ids(tokens, vocabulary, scope):
     return ids
 
 
+#: Canonical-name prefix of each component a namespace scope allocates from.
+_SCOPED_PREFIX = {Component.CLASS: "C", Component.METHOD: "m", Component.VARIABLE: "v",
+                  Component.METHOD_CALL: "mc", Component.ATTRIBUTE_CALL: "ac",
+                  Component.NUMBER: "n"}
+
+
 @dataclass(frozen=True)
 class DecodedId:
-    """One decoded ID: candidate texts plus how certain the mapping is."""
+    """One decoded ID: candidate texts plus how certain the mapping is.
+
+    ``kind`` is "pad", "exact" (one fixed text), "ambiguous" (a fixed call ID's
+    lookup list) or "scoped": an ID a namespace scope allocated, whose text
+    is the canonical name of its slot.
+    """
 
     id: int
     component: Component | None
     texts: tuple[str, ...]
-    kind: str  # "pad" | "exact" | "ambiguous" | "scoped"
+    kind: str
 
     @property
     def text(self):
         return self.texts[0] if self.texts else ""
 
 
-def decode(ids, vocabulary, scope=None):
-    """Recover token texts; abstracted call IDs decode to their lookup lists."""
+def decode(ids, vocabulary):
+    """Decode an ID row with nothing but the vocabulary that encoded it.
+
+    Abstracted call IDs decode to their lookup lists.  An ID inside
+    ``scope_bounds(component)`` decodes to a canonical name, the component's
+    prefix plus the ID's offset from the bounds' low end (``v0``, ``m0``,
+    ``C0``, ``n0``, ...).  A scope hands out IDs in first-appearance order, so
+    within a row two tokens share a name exactly when they share an ID.  Any
+    other ID outside the fixed tables raises DecodeError.
+    """
+    ranges = vocabulary.ranges
+    fixed = {id_: (component, text) for component, table in vocabulary.fixed.items()
+             for text, id_ in table.items()}
     out = []
-    for id_ in ids:
+    for id_ in map(int, ids):
         if id_ == PAD_ID:
             out.append(DecodedId(id_, None, ("<PAD>",), "pad"))
-            continue
-        component = vocabulary.ranges.component_of(id_)
-        fixed = vocabulary.fixed_entry(id_)
-        if fixed is not None:
-            fixed_component, text = fixed
-            if id_ in vocabulary.lookup_lists:
-                out.append(DecodedId(id_, fixed_component,
-                                     vocabulary.lookup_lists[id_], "ambiguous"))
-            else:
-                out.append(DecodedId(id_, fixed_component, (text,), "exact"))
-            continue
-        texts = scope.texts_for(id_) if scope is not None else None
-        if texts is None:
-            raise DecodeError(f"ID {id_} ({component.value}) has no scope mapping")
-        out.append(DecodedId(id_, component, tuple(sorted(texts)), "scoped"))
+        elif id_ in fixed:
+            component, text = fixed[id_]
+            lookup = vocabulary.lookup_lists.get(id_)
+            out.append(DecodedId(id_, component, (text,), "exact") if lookup is None
+                       else DecodedId(id_, component, lookup, "ambiguous"))
+        else:
+            component = ranges.component_of(id_)
+            slot = id_ - ranges.scope_bounds(component)[0] if component in _SCOPED_PREFIX else -1
+            if slot < 0:
+                raise DecodeError(f"ID {id_} ({component.value}) is an unassigned fixed slot")
+            out.append(DecodedId(id_, component, (f"{_SCOPED_PREFIX[component]}{slot}",),
+                                 "scoped"))
     return out
 
 

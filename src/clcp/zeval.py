@@ -102,6 +102,7 @@ class LadderState:
             records, _ = clean_corpus(records)
         elif variant != "raw":
             raise ValueError(f"variant must be 'raw' or 'cleaned', got {variant!r}")
+        self.plan, self.variant, self.zero_shot = plan, variant, zero_shot
         self.split = sample_split(records, plan, zero_shot=zero_shot)
         self.rows = {}         # (network key, sizes, direction) -> the cell's rows
         self.pool = None       # a process pool lent to every run_ladder call
@@ -174,13 +175,19 @@ def run_ladder(records, plan, configs, variant="raw", direction="code2text",
     corpus first.  Cells run independently (in processes when workers > 1);
     a failed cell is marked and the ladder continues.
 
-    ``shared``, a LadderState built from the same four inputs, carries the
+    ``shared``, a LadderState built from the same records, carries the
     prepared data and rows of earlier calls; without one the call builds its
-    own.  A config with the ``network_key`` of a cell already run at its sizes
-    trains nothing: it reports that cell's rows under its own config id.
+    own; a state built with another plan, variant or zero_shot raises a
+    ValueError naming the field.  A config with the ``network_key`` of a cell
+    already run at its sizes trains nothing: it reports that cell's rows under
+    its own config id.
     Workers come from ``shared.pool`` if set, else from a pool for this call.
     """
     shared = shared or LadderState(records, plan, variant, zero_shot)
+    for name, value in (("plan", plan), ("variant", variant), ("zero_shot", zero_shot)):
+        if getattr(shared, name) != value:
+            raise ValueError(f"{name}: the shared state has {getattr(shared, name)!r}, "
+                             f"this call {value!r}")
     keys, todo = [], {}
     for size_idx, train_size in enumerate(plan.train_sizes):
         test_size = plan.test_sizes[min(size_idx, len(plan.test_sizes) - 1)]

@@ -1,3 +1,4 @@
+import re
 import sys
 from pathlib import Path
 
@@ -6,6 +7,24 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+_TOKEN_UNESCAPES = {"\\\\": "\\", "\\n": "\n", "\\t": "\t"}
+
+
+def parse_token_lines(text):
+    """Tokens of a golden ``.tokens`` file: one ``label<TAB>escaped text`` per line."""
+    from clcp.pylex import Token, component_from_label
+
+    out = []
+    pos = 0
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        label, _, raw = line.partition("\t")
+        tok_text = re.sub(r"\\[\\nt]", lambda m: _TOKEN_UNESCAPES[m.group()], raw)
+        out.append(Token(tok_text, component_from_label(label), (pos, pos + len(tok_text))))
+        pos += len(tok_text)
+    return out
 
 
 @pytest.fixture(scope="session")
@@ -23,8 +42,6 @@ def golden_sources(golden_dir):
 @pytest.fixture(scope="session")
 def golden_token_pairs(golden_dir):
     """The hand-tokenized subset: (source, expected token list) pairs."""
-    from clcp.pylex import parse_token_lines
-
     pairs = {}
     for tok_path in sorted(golden_dir.glob("*.tokens")):
         src = tok_path.with_suffix(".py").read_text(encoding="utf-8")

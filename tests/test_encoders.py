@@ -188,11 +188,21 @@ class TestConfig:
 
     def test_logit_scale_bounds(self):
         # a scale of 0 zeroes every gradient, a negative one aborts training
-        for field_name in ("temperature_init", "temperature_max"):
+        for field_name in ("temperature_init", "temperature_max", "lr"):
             for bad in (0.0, -1.0):
-                with pytest.raises(ConfigError, match=f"^{field_name}: "):
+                with pytest.raises(ConfigError, match=f"^{field_name}: must be > 0"):
                     ModelConfig(**{field_name: bad})
-        ModelConfig(temperature_init=1e-3, temperature_max=1e-3)
+        ModelConfig(temperature_init=1e-3, temperature_max=1e-3, lr=1e-9)
+
+    @pytest.mark.parametrize("field_name", ["temperature_init", "temperature_max", "lr",
+                                            "val_fraction"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_floats_are_rejected(self, field_name, bad):
+        # Python's json loads these, and NaN slips past every range check
+        with pytest.raises(ConfigError, match=f"^{field_name}: must be finite, got "):
+            record_from_json(ModelConfig, f'{{"{field_name}": {bad}}}')
+        with pytest.raises(ConfigError, match=f"^{field_name}: must be finite"):
+            ModelConfig(**{field_name: float(bad)})
 
     def test_default_channel_plan_doubles_capped(self):
         cfg = ModelConfig(blocks=5)

@@ -45,6 +45,13 @@ def run_dir(tmp_path_factory):
     return path
 
 
+@pytest.fixture
+def frozen_weights(monkeypatch):
+    """Train with Adam at step size 0, which ModelConfig rejects: no weight moves."""
+    adam = ndnn.Adam
+    monkeypatch.setattr(ndnn, "Adam", lambda lr: adam(0.0))
+
+
 def tiny_cfg(**kw):
     base = dict(image_len=96, channels=(8, 8, 8), embed_dim=16, text_vocab=256,
                 text_embed=16, text_max_len=12, max_epochs=6, patience=6,
@@ -132,16 +139,24 @@ class TestTrainLoop:
         with pytest.warns(UserWarning, match="batch size 1"):
             train(pairs, tiny_cfg(batch_size=1, max_epochs=1, patience=1))
 
-    def test_early_stop_on_stale_validation(self):
+    def test_early_stop_on_stale_validation(self, frozen_weights):
         pairs = generate_pairs(40, seed=8)
-        cfg = tiny_cfg(max_epochs=30, patience=2, val_fraction=0.2, lr=0.0)
+        cfg = tiny_cfg(max_epochs=30, patience=2, val_fraction=0.2)
         out = train(pairs, cfg)
-        assert len(out.metrics) == 3  # lr 0 cannot improve: 1 best + 2 stale
+        assert len(out.metrics) == 3  # frozen weights cannot improve: 1 best + 2 stale
 
-    def test_nan_loss_aborts_and_keeps_checkpoint(self, tmp_path):
+    def test_nan_loss_aborts_and_keeps_checkpoint(self, tmp_path, monkeypatch):
         pairs = generate_pairs(32, seed=9)
-        # a non-finite logit scale poisons the first loss deterministically
-        cfg = tiny_cfg(max_epochs=8, patience=8, temperature_init=float("nan"))
+
+        class NanScaleModel(CLCPModel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.log_scale.data[:] = np.nan
+
+        # a non-finite logit scale poisons the first loss deterministically;
+        # ModelConfig rejects a non-finite temperature_init, so set it on the model
+        monkeypatch.setattr(training, "CLCPModel", NanScaleModel)
+        cfg = tiny_cfg(max_epochs=8, patience=8)
         with pytest.raises(TrainingAborted) as err:
             train(pairs, cfg, out_dir=tmp_path)
         assert err.value.result.state.aborted
@@ -159,11 +174,11 @@ class TestTrainLoop:
         assert again.state.best_epoch == out.state.best_epoch
         assert len(again.metrics) == len(out.metrics)
 
-    def test_bn_statistics_reloaded_and_restored_from_best_epoch(self, tmp_path):
-        # lr 0 freezes the weights: only the BN running statistics move
+    def test_bn_statistics_reloaded_and_restored_from_best_epoch(self, tmp_path,
+                                                                  frozen_weights):
+        # with the weights frozen only the BN running statistics move
         pairs = generate_pairs(48, seed=13)
-        cfg = tiny_cfg(max_epochs=4, patience=4, val_fraction=0.25, lr=0.0, seed=1,
-                       use_bn=True)
+        cfg = tiny_cfg(max_epochs=4, patience=4, val_fraction=0.25, seed=1, use_bn=True)
         out = train(pairs, cfg, out_dir=tmp_path)
         assert out.state.best_epoch < len(out.metrics) - 1   # later steps moved them
         best = load_arrays(tmp_path / training.CHECKPOINT_NAME)   # written at the best epoch

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clcp.himg import encode_streams
 from clcp.pylex import Component, Token, tokenize
+from clcp.synth import generate_pairs
 from clcp.vocab import (
     DEFAULT_RANGE_TABLE,
+    SYMBOL_POOL,
     IdRanges,
     NamespaceScope,
     RangeExhausted,
@@ -286,48 +290,127 @@ class TestAssignIds:
                     assert lo <= id_ <= hi, (name, tok, id_)
 
 
-class TestDecode:
-    def _encode(self, src, streams=()):
-        tokens = tokenize(src)
-        vocab = build_vocab([tokens, *streams])
-        scope = NamespaceScope()
-        return tokens, vocab, scope, assign_ids(tokens, vocab, scope)
+def _row_tokens(tokens):
+    """(component, text) per ID that ``assign_ids`` gives ``tokens``."""
+    out = []
+    for tok in tokens:
+        if tok.component is Component.WHITESPACE:
+            out.extend((tok.component, ch) for ch in tok.text)
+        elif tok.component is Component.PLACEHOLDER:
+            out.append((tok.component, "STR"))
+        else:
+            out.append((tok.component, tok.text))
+    return out
 
+
+class TestDecode:
     def test_pad_marker(self, empty_vocab):
-        out = decode([0], empty_vocab, NamespaceScope())
+        out = decode([0], empty_vocab)
         assert out[0].kind == "pad"
         assert out[0].text == "<PAD>"
 
     def test_out_of_range_id(self, empty_vocab):
-        with pytest.raises(DecodeError):
-            decode([14000], empty_vocab, NamespaceScope())
+        with pytest.raises(DecodeError, match="outside every component range"):
+            decode([14000], empty_vocab)
+
+    def test_unassigned_fixed_slot(self, empty_vocab):
+        # the empty corpus gives the Number range no fixed IDs; the operator
+        # pool leaves the top of its range unused
+        lo, hi = empty_vocab.ranges.range_for(Component.NUMBER)
+        assert empty_vocab.ranges.tail_start(Component.NUMBER) > lo
+        op_hi = empty_vocab.ranges.range_for(Component.OPERATOR)[1]
+        assert op_hi not in {i for c in SYMBOL_POOL + (Component.OPERATOR,)
+                             for i in empty_vocab.fixed[c].values()}
+        for id_ in (lo, op_hi):
+            with pytest.raises(DecodeError, match=f"^ID {id_} .* unassigned fixed slot$"):
+                decode([7961, id_], empty_vocab)
 
     def test_round_trip_recovers_texts(self, golden_sources):
+        # fixed IDs give back their text or lookup list; scoped IDs give the
+        # canonical name of the text's first-appearance slot in its component
+        prefix = {Component.CLASS: "C", Component.METHOD: "m", Component.VARIABLE: "v"}
         streams = {n: tokenize(src) for n, src in golden_sources.items()}
         vocab = build_vocab(streams.values())
         for name, tokens in streams.items():
-            scope = NamespaceScope()
-            ids = assign_ids(tokens, vocab, scope)
-            decoded = decode(ids, vocab, scope)
-            expanded = []
-            for tok in tokens:
-                if tok.component is Component.WHITESPACE:
-                    expanded.extend((ch, tok.component) for ch in tok.text)
-                elif tok.component is Component.PLACEHOLDER:
-                    expanded.append(("STR", tok.component))
-                else:
-                    expanded.append((tok.text, tok.component))
+            decoded = decode(assign_ids(tokens, vocab, NamespaceScope()), vocab)
+            expanded = _row_tokens(tokens)
             assert len(decoded) == len(expanded), name
-            for (text, comp), d in zip(expanded, decoded):
-                assert text in d.texts, (name, text, d)
+            slots = {c: {} for c in prefix}
+            for (comp, text), d in zip(expanded, decoded):
+                if comp in prefix:
+                    slot = slots[comp].setdefault(text, len(slots[comp]))
+                    assert (d.kind, d.component, d.texts) == (
+                        "scoped", comp, (f"{prefix[comp]}{slot}",)), (name, text, d)
+                elif d.kind == "ambiguous":
+                    assert text in d.texts and d.texts == vocab.lookup_lists[d.id], (name, d)
+                else:
+                    assert (d.kind, d.texts) == ("exact", (text,)), (name, text, d)
 
     def test_call_composites_recover_through_lookup_lists(self):
-        tokens, vocab, scope, ids = self._encode(
-            "def t(a_param):\n    return a_param.strip()\n",
-            streams=[tokenize("address.strip()\n")])
-        decoded = decode(ids, vocab, scope)
+        tokens = tokenize("def t(a_param):\n    return a_param.strip()\n")
+        vocab = build_vocab([tokens, tokenize("address.strip()\n")])
+        decoded = decode(assign_ids(tokens, vocab, NamespaceScope()), vocab)
         amb = [d for d in decoded if d.kind == "ambiguous"]
         assert amb and "a_param.strip" in amb[0].texts and "address.strip" in amb[0].texts
+
+    def test_fallback_tail_ids_decode_as_scoped(self, empty_vocab):
+        # no numbers or calls in the vocabulary: both go to the fallback tails
+        tokens = tokenize("def f(a):\n    return a.strip() + 7 + 7 + 8\n")
+        decoded = decode(assign_ids(tokens, empty_vocab, NamespaceScope()), empty_vocab)
+        scoped = [(d.component, d.text) for d in decoded if d.kind == "scoped"]
+        assert scoped == [(Component.METHOD, "m0"), (Component.VARIABLE, "v0"),
+                          (Component.ATTRIBUTE_CALL, "ac0"), (Component.NUMBER, "n0"),
+                          (Component.NUMBER, "n0"), (Component.NUMBER, "n1")]
+
+
+def _assert_names_match_ids(decoded):
+    """Within one row, scoped entries share a name exactly when they share an ID."""
+    pairs = {(d.id, d.text) for d in decoded if d.kind == "scoped"}
+    assert len(pairs) == len({i for i, _ in pairs}) == len({t for _, t in pairs})
+
+
+@pytest.fixture(scope="module")
+def stored_corpora(golden_streams):
+    return {"golden": golden_streams,
+            "synth": [tokenize(r.code) for r in generate_pairs(512, 0)]}
+
+
+@pytest.mark.parametrize("corpus", ["golden", "synth"])
+@pytest.mark.parametrize("vocab_from", ["all", "every-other", "none"])
+def test_every_stored_id_decodes(stored_corpora, corpus, vocab_from):
+    """Every ID of every ``encode_streams`` row decodes from the vocabulary alone;
+    the smaller vocabularies push numbers and calls into the fallback tails."""
+    streams = stored_corpora[corpus]
+    vocab = build_vocab({"all": streams, "every-other": streams[::2], "none": []}[vocab_from])
+    matrix, lens, _ = encode_streams(streams, vocab, 512)
+    kinds, scoped = Counter(), set()
+    for row, n, tokens in zip(matrix, lens, streams):
+        decoded = decode(row, vocab)
+        assert [d.id for d in decoded] == row.tolist()
+        assert {d.kind for d in decoded[n:]} <= {"pad"}
+        assert [d.component for d in decoded[:n]] == [c for c, _ in _row_tokens(tokens)[:n]]
+        _assert_names_match_ids(decoded)
+        kinds.update(d.kind for d in decoded)
+        scoped.update(d.component for d in decoded if d.kind == "scoped")
+    assert kinds["scoped"] and kinds["exact"]
+    if vocab_from != "every-other":
+        assert (Component.NUMBER in scoped) == (vocab_from == "none")
+
+
+def test_recycled_row_still_decodes(empty_vocab):
+    # one more distinct variable than the Variable range holds
+    lo, hi = empty_vocab.ranges.range_for(Component.VARIABLE)
+    src = "".join(f"x{i} = 1\n" for i in range(hi - lo + 2))
+    tokens = tokenize(src)
+    scope = NamespaceScope(on_exhaust="recycle")
+    ids = assign_ids(tokens, empty_vocab, scope)
+    assert scope.recycled == {Component.VARIABLE}
+    matrix, _, _ = encode_streams([tokens], empty_vocab, len(ids), on_exhaust="recycle")
+    assert matrix[0].tolist() == ids
+    decoded = decode(matrix[0], empty_vocab)
+    _assert_names_match_ids(decoded)
+    names = [d.text for d in decoded if d.component is Component.VARIABLE]
+    assert names[0] == names[-1] == "v0" and names[-2] == f"v{hi - lo}"
 
 
 _ENCODE_SYNTH = """

@@ -240,3 +240,12 @@ def test_flags_are_none_for_ablations_that_did_not_run(records, ablation):
                              base_config=BASE)
     assert flags == dict.fromkeys(ablation[1])
     assert all(isinstance(v, bool) for v in ablation[1].values())
+
+
+@pytest.mark.parametrize("field,value", [("plan", replace(PLAN, seed=9)),
+                                         ("variant", "cleaned"), ("zero_shot", False)])
+def test_shared_state_must_match_the_call(records, field, value):
+    shared = zeval.LadderState(records, **{"plan": PLAN, field: value})
+    with pytest.raises(ValueError, match=f"^{field}: the shared state has "):
+        zeval.run_ladder(records, PLAN, [BASE], shared=shared)
+    assert not shared.rows

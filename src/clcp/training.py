@@ -7,6 +7,7 @@ object per epoch and early-stops on validation loss.
 """
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import warnings
@@ -198,7 +199,25 @@ class PreparedData:
 
 def prepare_pairs(pairs, config, vocab=None, text_vocab=None, tokens=None):
     """Tokenize each distinct snippet once, build vocabularies if absent, and
-    tensorize.  ``tokens`` maps snippets to their tokens and gains the new ones."""
+    tensorize.  ``tokens`` maps snippets to their tokens and gains the new ones.
+
+    The cyclic garbage collector is paused meanwhile: the front end allocates
+    several tracked objects per token (each ``Token`` and its span) but never a
+    reference cycle, so the collections that allocation would trigger find
+    nothing to free.  The collector's state is restored on every exit, and the
+    young generation is collected once after the body's locals are gone.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _prepare_pairs(pairs, config, vocab, text_vocab, tokens)
+    finally:
+        if enabled:
+            gc.enable()
+            gc.collect(0)
+
+
+def _prepare_pairs(pairs, config, vocab, text_vocab, tokens):
     tables = load_default_tables()
     tokens = {} if tokens is None else tokens
     for r in pairs:

@@ -16,15 +16,12 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, count, repeat
+from operator import is_, itemgetter
 from pathlib import Path
 
-from .pylex import (
-    PLACEHOLDER_TEXT,
-    Component,
-    component_from_label,
-    load_default_tables,
-    member_key,
-)
+from .pylex import Component, component_from_label, load_default_tables, member_key
 
 PAD_ID = 0
 
@@ -55,6 +52,9 @@ USER_SCOPED = (Component.CLASS, Component.METHOD, Component.VARIABLE)
 
 #: Components whose fixed IDs come from corpus statistics.
 CORPUS_KEYED = (Component.METHOD_CALL, Component.ATTRIBUTE_CALL, Component.NUMBER)
+
+#: The corpus-keyed components keyed by member name rather than by text.
+_CALLS = (Component.METHOD_CALL, Component.ATTRIBUTE_CALL)
 
 
 class RangeExhausted(RuntimeError):
@@ -168,6 +168,22 @@ class Vocabulary:
     def max_id(self):
         return self.ranges.max_id
 
+    @cached_property
+    def _id_by_key(self):
+        """``(text, component) -> ID`` over the tables in which ``assign_ids``
+        can look a token's own text up; built on first use, so edit ``fixed``
+        before that.
+
+        User-scoped and call tables are left out (scopes allocate the former, the
+        latter are keyed by member name), as are whitespace keys longer than one
+        character (a run expands to one ID per character).
+        """
+        whitespace = Component.WHITESPACE
+        return {(text, component): id_ for component, table in self.fixed.items()
+                if component not in USER_SCOPED and component not in _CALLS
+                for text, id_ in table.items()
+                if component is not whitespace or len(text) == 1}
+
 
 def build_vocab(token_streams, tables=None):
     """Build the corpus vocabulary in the default ranges; a pure function of its inputs.
@@ -204,8 +220,7 @@ def build_vocab(token_streams, tables=None):
         fixed[component] = _fixed_block(
             component, _top_keys(counts[component], ranges.fixed_capacity(component)), ranges)
     lookup_lists = {id_: tuple(sorted(texts[component, key]))
-                    for component in CORPUS_KEYED if component is not Component.NUMBER
-                    for key, id_ in fixed[component].items()}
+                    for component in _CALLS for key, id_ in fixed[component].items()}
     return Vocabulary(ranges, fixed, lookup_lists)
 
 
@@ -244,31 +259,40 @@ class NamespaceScope:
 def assign_ids(tokens, vocabulary, scope):
     """Map classified tokens to numeric IDs.
 
-    Whitespace run tokens expand to one ID per character so that decoding
-    recovers the exact text.
+    Every token is looked up by its ``(text, component)`` key in the
+    vocabulary's private ``_id_by_key`` table, built from its fixed tables on
+    first use; only the misses are visited, and each distinct missing key is
+    resolved once.  User-scoped tokens, and corpus-keyed ones with no fixed ID,
+    take their IDs from ``scope``; a whitespace run expands to one ID per
+    character so that decoding recovers the exact text.
     """
-    ids = []
-    append = ids.append
+    keys = list(map(itemgetter(0, 1), tokens))
+    ids = list(map(vocabulary._id_by_key.get, keys))
     fixed = vocabulary.fixed
-    allocate = scope.allocate
-    whitespace, placeholder = Component.WHITESPACE, Component.PLACEHOLDER
-    for tok in tokens:
-        component = tok.component
-        if component is whitespace:
-            table = fixed[component]
-            ids.extend([table[ch] for ch in tok.text])
-        elif component in USER_SCOPED:
-            append(allocate(component, tok.text))
-        elif component in CORPUS_KEYED:
-            key = _corpus_key(tok)
-            id_ = fixed[component].get(key)
-            append(id_ if id_ is not None else allocate(component, key))
-        else:
-            text = PLACEHOLDER_TEXT if component is placeholder else tok.text
-            id_ = fixed.get(component, {}).get(text)
-            if id_ is None:
+    resolved, runs = {}, []   # runs: indices of whitespace runs, expanded below
+    for i in compress(count(), map(is_, ids, repeat(None))):
+        key = keys[i]
+        id_ = resolved.get(key)
+        if id_ is None:
+            text, component = key
+            if component in USER_SCOPED:
+                id_ = scope.allocate(component, text)
+            elif component in CORPUS_KEYED:
+                corpus_key = _corpus_key(tokens[i])
+                id_ = fixed[component].get(corpus_key)
+                if id_ is None:
+                    id_ = scope.allocate(component, corpus_key)
+            elif component is Component.WHITESPACE:
+                table = fixed[component]
+                id_ = [table[ch] for ch in text]
+            else:
                 raise VocabError(f"{component.value} token {text!r} missing from its fixed table")
-            append(id_)
+            resolved[key] = id_
+        ids[i] = id_
+        if type(id_) is list:
+            runs.append(i)
+    for i in reversed(runs):
+        ids[i:i + 1] = ids[i]
     max_id = vocabulary.ranges.max_id
     if ids and (min(ids) < 1 or max(ids) > max_id):
         bad = next(id_ for id_ in ids if not 1 <= id_ <= max_id)
@@ -377,14 +401,16 @@ def vocab_from_text(text):
     owners = {}   # ID -> the entry that holds it
     for component, table in fixed.items():
         lo, hi = ranges.range_for(component)
+        where = "range"
+        if component in CORPUS_KEYED:   # a scope allocates the tail above
+            where, hi = "fixed range", ranges.tail_start(component) - 1
         for text, id_ in table.items():
             entry = f"{component.value} {text!r}"
             if not lo <= id_ <= hi:
-                raise VocabError(f"{entry}: ID {id_} outside its range {lo}..{hi}")
+                raise VocabError(f"{entry}: ID {id_} outside its {where} {lo}..{hi}")
             if owners.setdefault(id_, entry) != entry:
                 raise VocabError(f"{entry}: ID {id_} already taken by {owners[id_]}")
-    call_ids = {str(id_) for c in (Component.METHOD_CALL, Component.ATTRIBUTE_CALL)
-                for id_ in fixed[c].values()}
+    call_ids = {str(id_) for c in _CALLS for id_ in fixed[c].values()}
     lookup_lists = {}
     for id_, texts in lookup_items:
         if not (id_ in call_ids and isinstance(texts, list) and texts

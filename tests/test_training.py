@@ -451,6 +451,39 @@ class TestPreparePairs:
         prepare_pairs(pairs, tiny_cfg())
         assert sorted(calls) == sorted(r.code for r in pairs)
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_leaves_the_collector_as_it_found_it(self, enabled, raises):
+        pairs = generate_pairs(4, seed=15)
+        if raises:   # ``?`` starts no token, so lex raises
+            pairs.append(PairRecord("bad", "x = 1 ? 2\n", "a doc"))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if raises:
+                with pytest.raises(pylex.LexError):
+                    prepare_pairs(pairs, tiny_cfg())
+            else:
+                prepare_pairs(pairs, tiny_cfg())
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_builds_no_reference_cycle(self, golden_sources):
+        # with the collector off throughout, whatever the front end drops is
+        # freed by reference counting alone; a cycle would wait for gc.collect
+        pairs = [PairRecord(name, src, name) for name, src in golden_sources.items()]
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            data = prepare_pairs(pairs, tiny_cfg())
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(data.text_ids) == len(pairs)
+
     def test_truncation_counts_kept(self):
         pairs = generate_pairs(4, seed=14)
         long = dataclasses.replace(pairs[0], code="x = 1\n" * 40,

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vocab_oracle
 from clcp.himg import encode_streams
-from clcp.pylex import Component, Token, tokenize
+from clcp.pylex import Component, Token, component_from_label, load_default_tables, tokenize
 from clcp.synth import generate_pairs
 from clcp.vocab import (
     DEFAULT_RANGE_TABLE,
@@ -216,6 +217,30 @@ class TestVocabFile:
         with pytest.raises(VocabError, match=f"^{re.escape(message)}$"):
             vocab_from_text(self._edited(vocab, edit))
 
+    @pytest.mark.parametrize("label,key,tail_start", [
+        ("Number", "7", 13529), ("MethodCall", "push", 6829), ("AttributeCall", "strip", 11480),
+    ])
+    def test_rejects_a_corpus_keyed_id_in_the_fallback_tail(self, label, key, tail_start):
+        # a scope allocates unseen keys from the tail, so a fixed ID there would
+        # give an unseen key the same ID (``7`` and ``9`` both 13529)
+        vocab = build_vocab([tokenize("def push(a):\n    return a.strip() + 7\nb.push()\n")])
+        component = component_from_label(label)
+        lo, _ = vocab.ranges.range_for(component)
+
+        def move(id_):
+            def edit(doc):
+                old = doc["fixed"][label][key]
+                doc["fixed"][label][key] = id_
+                if str(old) in doc["lookup_lists"]:   # a call's list moves with its ID
+                    doc["lookup_lists"][str(id_)] = doc["lookup_lists"].pop(str(old))
+            return self._edited(vocab, edit)
+
+        assert vocab_from_text(move(tail_start - 1)).fixed[component][key] == tail_start - 1
+        message = (f"{label} {key!r}: ID {tail_start} outside its fixed range "
+                   f"{lo}..{tail_start - 1}")
+        with pytest.raises(VocabError, match=f"^{re.escape(message)}$"):
+            vocab_from_text(move(tail_start))
+
 
 class TestAssignIds:
     def test_first_variable_gets_range_lo(self, empty_vocab):
@@ -290,14 +315,109 @@ class TestAssignIds:
                     assert lo <= id_ <= hi, (name, tok, id_)
 
 
+def _outcome(assign, tokens, vocab, on_exhaust):
+    """(IDs, recycled components), or the error's type and message instead of IDs."""
+    scope = NamespaceScope(vocab.ranges, on_exhaust=on_exhaust)
+    try:
+        ids = assign(tokens, vocab, scope)
+    except (VocabError, RangeExhausted) as err:
+        ids = type(err), str(err)
+    return ids, scope.recycled
+
+
+def _tok(component):
+    return lambda text: Token(text, component, (0, 0))
+
+
+_TABLES = load_default_tables()
+# a vocabulary corpus of seen numbers and call members; the streams below also
+# draw unseen ones, which fall into a scope's fallback tail
+_SEEN = [_tok(Component.NUMBER)("7"), _tok(Component.NUMBER)("1"),
+         _tok(Component.METHOD_CALL)("a.push"), _tok(Component.ATTRIBUTE_CALL)("b.strip")]
+_CALL_TEXTS = st.tuples(st.sampled_from(["", "a.", "self.rows."]),
+                        st.sampled_from(["push", "strip", "merge", "scan"])).map("".join)
+_STREAM_TOKENS = st.one_of(
+    st.sampled_from(_TABLES.keywords).map(_tok(Component.KEYWORD)),
+    st.sampled_from(_TABLES.symbols).map(lambda tc: Token(tc[0], tc[1], (0, 0))),
+    st.just(Token("STR", Component.PLACEHOLDER, (0, 0))),
+    st.tuples(st.sampled_from(" \t"), st.integers(1, 12)).map(
+        lambda ck: Token(ck[0] * ck[1], Component.WHITESPACE, (0, 0))),
+    st.sampled_from(_TABLES.classes).map(_tok(Component.BUILTIN_CLASS)),
+    st.sampled_from(_TABLES.functions).map(_tok(Component.BUILTIN_METHOD)),
+    st.sampled_from(_TABLES.dotted_functions).map(_tok(Component.BUILTIN_METH_CALL)),
+    st.sampled_from(_TABLES.dotted_attributes).map(_tok(Component.BUILTIN_ATTRIBUTE)),
+    st.sampled_from(_TABLES.dotted_attributes).map(_tok(Component.BUILTIN_ATTR_CALL)),
+    st.sampled_from(["7", "1", "9", "42", "0x1f", "3.5"]).map(_tok(Component.NUMBER)),
+    _CALL_TEXTS.map(_tok(Component.METHOD_CALL)),
+    _CALL_TEXTS.map(_tok(Component.ATTRIBUTE_CALL)),
+    st.sampled_from(["x", "y", "rows", "print"]).map(_tok(Component.VARIABLE)),
+    st.sampled_from(["f", "push", "len"]).map(_tok(Component.METHOD)),
+    st.sampled_from(["Node", "int"]).map(_tok(Component.CLASS)),
+)
+
+
+class TestAgainstOracle:
+    """``assign_ids`` against the token-at-a-time loop in ``vocab_oracle``."""
+
+    @pytest.mark.parametrize("corpus", ["golden", "synth"])
+    @pytest.mark.parametrize("on_exhaust", ["error", "recycle"])
+    def test_stored_corpora_match(self, stored_corpora, corpus, on_exhaust):
+        # half the corpus builds the vocabulary, so the rest reaches the tails
+        streams = stored_corpora[corpus]
+        vocab = build_vocab(streams[::2])
+        for tokens in streams:
+            want = _outcome(vocab_oracle.assign_ids, tokens, vocab, on_exhaust)
+            assert _outcome(assign_ids, tokens, vocab, on_exhaust) == want
+
+    def test_keys_build_vocab_never_makes_are_not_looked_up(self):
+        # a loaded file may hold a whitespace run or a dotted call text as a key;
+        # runs still expand per character and calls still go by member name
+        vocab = build_vocab([_SEEN])
+        vocab.fixed[Component.WHITESPACE]["  "] = 11553
+        vocab.fixed[Component.ATTRIBUTE_CALL]["b.strip"] = 11272
+        tokens = [_tok(Component.WHITESPACE)("  "), _tok(Component.ATTRIBUTE_CALL)("b.strip")]
+        want = _outcome(vocab_oracle.assign_ids, tokens, vocab, "error")
+        assert want[0] == [vocab.fixed[Component.WHITESPACE][" "]] * 2 + [
+            vocab.fixed[Component.ATTRIBUTE_CALL]["strip"]]
+        assert _outcome(assign_ids, tokens, vocab, "error") == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=st.lists(_STREAM_TOKENS, max_size=80),
+           n_unseen=st.integers(0, 40),
+           on_exhaust=st.sampled_from(["error", "recycle"]),
+           fault=st.sampled_from([None, "unknown-text", "zero", "past-max-id"]),
+           data=st.data())
+    def test_generated_streams_match(self, tokens, n_unseen, on_exhaust, fault, data):
+        # up to 40 distinct unseen attribute-call members: the tail holds 30
+        tokens = tokens + [_tok(Component.ATTRIBUTE_CALL)(f"o.step_{i}")
+                           for i in range(n_unseen)]
+        vocab = build_vocab([_SEEN])
+        if fault is not None:
+            # an unknown keyword, or ``pass`` given an ID outside the ranges
+            # before the vocabulary's first use
+            text = "nope" if fault == "unknown-text" else "pass"
+            tokens.append(_tok(Component.KEYWORD)(text))
+            if fault != "unknown-text":
+                vocab.fixed[Component.KEYWORD]["pass"] = (
+                    0 if fault == "zero" else vocab.max_id + 1)
+        tokens = data.draw(st.permutations(tokens))
+        want = _outcome(vocab_oracle.assign_ids, tokens, vocab, on_exhaust)
+        assert _outcome(assign_ids, tokens, vocab, on_exhaust) == want
+        ids, _ = want
+        if fault is None:
+            assert isinstance(ids, list) or ids[0] is RangeExhausted
+        elif on_exhaust == "recycle":
+            bad_id = {"zero": 0, "past-max-id": vocab.max_id + 1}.get(fault)
+            assert ids == (VocabError, "Keyword token 'nope' missing from its fixed table"
+                           if bad_id is None else f"assigned ID {bad_id} escapes the table ranges")
+
+
 def _row_tokens(tokens):
     """(component, text) per ID that ``assign_ids`` gives ``tokens``."""
     out = []
     for tok in tokens:
         if tok.component is Component.WHITESPACE:
             out.extend((tok.component, ch) for ch in tok.text)
-        elif tok.component is Component.PLACEHOLDER:
-            out.append((tok.component, "STR"))
         else:
             out.append((tok.component, tok.text))
     return out

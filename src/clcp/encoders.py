@@ -74,27 +74,18 @@ class ModelConfig:
         if self.family not in FAMILIES:
             raise ConfigError(
                 f"family: must be one of {', '.join(FAMILIES)}, got {self.family!r}")
-        if self.embed_dim < 8:
-            raise ConfigError(f"embed_dim: must be >= 8, got {self.embed_dim}")
-        if self.kernel < 1 or self.stride < 1:
-            raise ConfigError("kernel/stride: must be >= 1")
-        if self.pool_window < 1 or self.pool_stride < 1:
-            raise ConfigError("pool_window/pool_stride: must be >= 1")
+        # text_vocab holds pad and OOV; no epoch would return an untrained model
+        for name, least in (("embed_dim", 8), ("kernel", 1), ("stride", 1), ("pool_window", 1),
+                            ("pool_stride", 1), ("text_embed", 1), ("text_max_len", 1),
+                            ("text_vocab", 2), ("batch_size", 1), ("max_epochs", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name}: must be >= {least}, got {getattr(self, name)}")
         if self.channels:
             if len(self.channels) != self.blocks:
                 raise ConfigError(
                     f"channels: expected {self.blocks} entries, got {len(self.channels)}")
             if min(self.channels) < 1:
                 raise ConfigError(f"channels: entries must be >= 1, got {self.channels}")
-        if self.text_embed < 1:
-            raise ConfigError(f"text_embed: must be >= 1, got {self.text_embed}")
-        if self.text_max_len < 1:
-            raise ConfigError(f"text_max_len: must be >= 1, got {self.text_max_len}")
-        if self.text_vocab < 2:
-            raise ConfigError(
-                f"text_vocab: must be >= 2 (pad + OOV), got {self.text_vocab}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction: must be in [0, 1), got {self.val_fraction}")
         # a logit scale or step size of 0 zeroes every update; a negative

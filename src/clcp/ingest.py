@@ -136,13 +136,13 @@ class SplitResult:
         return [self.by_id[i] for i in self.test_ids[:size]]
 
 
-def sample_split(records, plan, zero_shot=True):
-    """Cut nested train samples and disjoint test samples from one corpus.
+def sample_split(records, plan):
+    """Cut nested train samples and disjoint, zero-shot test samples from one corpus.
 
     Pure in (records, plan): a seeded permutation orders unique records, the
     first max(train_sizes) become the train pool, and test ids are drawn from
-    the remainder.  With ``zero_shot`` the test drops any record whose
-    normalized first sentence occurs in the train pool docs.
+    the remainder, skipping any record whose normalized first sentence occurs
+    in the train pool docs.
     """
     unique = []
     seen = set()
@@ -158,17 +158,16 @@ def sample_split(records, plan, zero_shot=True):
     order = np.random.default_rng(plan.seed).permutation(len(unique))
     shuffled = [unique[i] for i in order]
     train = shuffled[:max_train]
-    train_sentences = {first_sentence(r.doc) for r in train} if zero_shot else set()
+    train_sentences = {first_sentence(r.doc) for r in train}
     test = []
     for rec in shuffled[max_train:]:
         if len(test) == max_test:
             break
-        if zero_shot and first_sentence(rec.doc) in train_sentences:
+        if first_sentence(rec.doc) in train_sentences:
             continue
         test.append(rec)
     if len(test) < max_test:
         raise IngestError(
-            f"requested size {max_test} exceeds eligible test pool of {len(test)} "
-            f"(zero-shot filter={zero_shot})")
+            f"requested size {max_test} exceeds zero-shot test pool of {len(test)}")
     by_id = {r.id: r for r in unique}
     return SplitResult([r.id for r in train], [r.id for r in test], by_id)

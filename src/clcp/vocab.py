@@ -408,6 +408,10 @@ def vocab_from_text(text):
             entry = f"{component.value} {text!r}"
             if not lo <= id_ <= hi:
                 raise VocabError(f"{entry}: ID {id_} outside its {where} {lo}..{hi}")
+            if component in _CALLS and "." in text:
+                raise VocabError(f"{entry}: a call key is a member name, without '.'")
+            if component is Component.WHITESPACE and len(text) != 1:
+                raise VocabError(f"{entry}: a whitespace key is one character")
             if owners.setdefault(id_, entry) != entry:
                 raise VocabError(f"{entry}: ID {id_} already taken by {owners[id_]}")
     call_ids = {str(id_) for c in _CALLS for id_ in fixed[c].values()}

@@ -6,12 +6,13 @@ evaluates two regimes: a fixed test size and a test size growing with the
 ladder.  Ladder sizes here are desk-scale stand-ins for the full-corpus runs
 (30k..456k train, 50..1000 test); pass your own SamplePlan to change scale.
 
-Cells share a ``LadderState``: the split, cut (and cleaned) once, each snippet
-tokenized once, and per train size the vocabularies, the encoded train subset
-and the encoded growing test list, which a cell embeds once; its leading rows
-are the fixed list.  Configs with one ``network_key`` train once per train size.
-``run_ablations`` shares one state across its rows, so memory holds every train
-size's prepared arrays for the whole run.
+Cells share a ``LadderState``: the zero-shot split of the records as given
+(clean them first for cleaned docs), each snippet tokenized once, and per train
+size the vocabularies, the encoded train subset and the encoded growing test
+list, which a cell embeds once; its leading rows are the fixed list.  Configs
+with one ``network_key`` train once per train size.  ``run_ablations`` shares
+one state, and its process pool if any, across its rows, so memory holds every
+train size's prepared arrays for the whole run.
 """
 from __future__ import annotations
 
@@ -25,13 +26,12 @@ import numpy as np
 from .encoders import (ABLATIONS, FAMILIES, ModelConfig, apply_ablation, config_for_family,
                        network_key)
 from .ingest import sample_split
-from .textclean import clean_corpus
 from .training import fit, prepare_pairs
 
 logger = logging.getLogger(__name__)
 
 DELTAS = ("none", *ABLATIONS)
-_CELL_FIELDS = ("family", "blocks", *(flag for flag, _ in ABLATIONS.values()))
+_CELL_FIELDS = ("family", *(flag for flag, _ in ABLATIONS.values()))
 
 
 @dataclass
@@ -40,19 +40,21 @@ class EvalResult:
 
     L: int
     correct: int
-    acc: float
-    ea: float
     config_id: str = ""
-    variant: str = "raw"
     direction: str = "code2text"
     train_size: int = 0
     regime: str = "fixed"
     seed: int = 0
     failed: str = ""
 
-    def __post_init__(self):
-        if self.L != 0 and abs(self.ea * self.L - 1.0) >= 1e-12:
-            raise ValueError(f"ea must be 1/L: got ea={self.ea} for L={self.L}")
+    @property
+    def acc(self):
+        return self.correct / self.L
+
+    @property
+    def ea(self):
+        """The chance level: random matching scores 1/L."""
+        return 1.0 / self.L
 
 
 def zero_shot_match(code_emb, text_emb, direction="code2text"):
@@ -72,8 +74,7 @@ def zero_shot_match(code_emb, text_emb, direction="code2text"):
     else:
         raise ValueError(f"direction must be code2text or text2code, got {direction!r}")
     correct = int((preds == np.arange(n)).sum())
-    return EvalResult(L=n, correct=correct, acc=correct / n, ea=1.0 / n,
-                      direction=direction)
+    return EvalResult(L=n, correct=correct, direction=direction)
 
 
 def evaluate_pairs(model, vocabulary, text_vocab, pairs, direction="code2text"):
@@ -97,15 +98,11 @@ def _embed(model, data):
 class LadderState:
     """What the cells of ladders over one corpus and plan share; see above."""
 
-    def __init__(self, records, plan, variant="raw", zero_shot=True):
-        if variant == "cleaned":
-            records, _ = clean_corpus(records)
-        elif variant != "raw":
-            raise ValueError(f"variant must be 'raw' or 'cleaned', got {variant!r}")
-        self.plan, self.variant, self.zero_shot = plan, variant, zero_shot
-        self.split = sample_split(records, plan, zero_shot=zero_shot)
-        self.rows = {}         # (network key, sizes, direction) -> the cell's rows
-        self.pool = None       # a process pool lent to every run_ladder call
+    def __init__(self, records, plan):
+        self.plan = plan
+        self.split = sample_split(records, plan)
+        self.rows = {}         # (network key, sizes) -> the cell's rows
+        self.pool = None       # run_ablations' process pool, lent to every run_ladder call
         self._tokens = {}      # snippet -> tokens
         self._prepared = {}
 
@@ -134,9 +131,7 @@ class _Cell:
     train_data: object    # PreparedData, or the message its preparation failed with
     test_data: object     # the growing test list, likewise
     fixed_size: int
-    variant: str
     train_size: int
-    direction: str
 
 
 def _ready(data):
@@ -147,61 +142,51 @@ def _ready(data):
 
 def _run_cell(cell):
     """One ladder cell: train at a size, then score both regimes from one embedding."""
-    config, variant, train_size = cell.config, cell.variant, cell.train_size
+    config, train_size = cell.config, cell.train_size
     results = []
     try:
         outcome = fit(_ready(cell.train_data), config)
         code, text = _embed(outcome.model, _ready(cell.test_data))
         n = cell.fixed_size
-        for regime, res in (("fixed", zero_shot_match(code[:n], text[:n], cell.direction)),
-                            ("growing", zero_shot_match(code, text, cell.direction))):
-            results.append(replace(res, config_id=config.config_id(), variant=variant,
-                                   train_size=train_size, regime=regime, seed=config.seed))
+        for regime, res in (("fixed", zero_shot_match(code[:n], text[:n])),
+                            ("growing", zero_shot_match(code, text))):
+            results.append(replace(res, config_id=config.config_id(), train_size=train_size,
+                                   regime=regime, seed=config.seed))
     except Exception as exc:  # cell failures must not sink the ladder
         logger.warning("cell %s@%d failed: %s", config.config_id(), train_size, exc)
-        failed = EvalResult(L=1, correct=0, acc=0.0, ea=1.0,
-                            config_id=config.config_id(), variant=variant,
-                            direction=cell.direction, train_size=train_size,
-                            seed=config.seed, failed=str(exc))
-        results.append(failed)
+        results.append(EvalResult(L=1, correct=0, config_id=config.config_id(),
+                                  train_size=train_size, seed=config.seed, failed=str(exc)))
     return results
 
 
-def run_ladder(records, plan, configs, variant="raw", direction="code2text",
-               workers=1, zero_shot=True, shared=None):
-    """Train-and-evaluate every (train size, config) cell of the ladder.
+def run_ladder(records, plan, configs, shared=None):
+    """Train-and-evaluate every (train size, config) cell of the ladder, code2text.
 
-    ``variant="cleaned"`` applies the description-cleaning pipeline to the
-    corpus first.  Cells run independently (in processes when workers > 1);
-    a failed cell is marked and the ladder continues.
+    The records go in as given; clean them first for cleaned docs.  Cells run
+    independently, in ``shared.pool``'s processes if one is lent (only
+    ``run_ablations`` lends one), else here, one after another; a failed cell
+    is marked and the ladder continues.
 
     ``shared``, a LadderState built from the same records, carries the
     prepared data and rows of earlier calls; without one the call builds its
-    own; a state built with another plan, variant or zero_shot raises a
-    ValueError naming the field.  A config with the ``network_key`` of a cell
-    already run at its sizes trains nothing: it reports that cell's rows under
-    its own config id.
-    Workers come from ``shared.pool`` if set, else from a pool for this call.
+    own; a state built with another plan raises a ValueError.  A config with
+    the ``network_key`` of a cell already run at its sizes trains nothing: it
+    reports that cell's rows under its own config id.
     """
-    shared = shared or LadderState(records, plan, variant, zero_shot)
-    for name, value in (("plan", plan), ("variant", variant), ("zero_shot", zero_shot)):
-        if getattr(shared, name) != value:
-            raise ValueError(f"{name}: the shared state has {getattr(shared, name)!r}, "
-                             f"this call {value!r}")
+    shared = shared or LadderState(records, plan)
+    if shared.plan != plan:
+        raise ValueError(f"plan: the shared state has {shared.plan!r}, this call {plan!r}")
     keys, todo = [], {}
     for size_idx, train_size in enumerate(plan.train_sizes):
         test_size = plan.test_sizes[min(size_idx, len(plan.test_sizes) - 1)]
         for config in configs:
-            key = (network_key(config), train_size, test_size, direction)
+            key = (network_key(config), train_size, test_size)
             keys.append((key, config.config_id()))
             if key not in shared.rows and key not in todo:
                 todo[key] = _Cell(config, *shared.prepared(train_size, test_size, config),
-                                  plan.test_sizes[0], variant, train_size, direction)
-    if workers > 1 and todo:
-        with nullcontext(shared.pool) if shared.pool else ProcessPoolExecutor(workers) as pool:
-            shared.rows.update(zip(todo, pool.map(_run_cell, todo.values())))
-    else:
-        shared.rows.update((key, _run_cell(cell)) for key, cell in todo.items())
+                                  plan.test_sizes[0], train_size)
+    cell_map = shared.pool.map if shared.pool else map
+    shared.rows.update(zip(todo, cell_map(_run_cell, todo.values())))
     return [replace(row, config_id=config_id) for key, config_id in keys
             for row in shared.rows[key]]
 
@@ -218,21 +203,22 @@ class AblationCell:
     cells: list
 
 
-def run_ablations(records, plan, families=FAMILIES, blocks=3, deltas=DELTAS,
-                  variant="raw", base_config=None, workers=1, zero_shot=True):
+def run_ablations(records, plan, families=FAMILIES, deltas=DELTAS, base_config=None,
+                  workers=1):
     """The {family} x {none, +BN, -Pool, -Init} matrix over the ladder.
 
-    Each cell takes every ``base_config`` field except the ones it sets itself.
-    With workers > 1, the cells of every row run in one process pool.
+    Each cell takes every ``base_config`` field (``ModelConfig()``'s if none),
+    ``blocks`` included, except the family and ablation flags it sets itself.
+    Rows share one LadderState; with workers > 1, it lends every row one
+    process pool.
     Returns (cells, flags): flags report whether the expected qualitative
     directions were observed, or None where the run held nothing to compare;
     they are never asserted.
     """
-    overrides = {}
-    if base_config is not None:
-        overrides = {f.name: getattr(base_config, f.name) for f in fields(ModelConfig)
-                     if f.name not in _CELL_FIELDS}
-    shared = LadderState(records, plan, variant, zero_shot)
+    base_config = base_config or ModelConfig()
+    overrides = {f.name: getattr(base_config, f.name) for f in fields(ModelConfig)
+                 if f.name not in _CELL_FIELDS}
+    shared = LadderState(records, plan)
     cells = []
     mean_by_key = {}
     ea = 1.0 / plan.test_sizes[0]
@@ -240,14 +226,12 @@ def run_ablations(records, plan, families=FAMILIES, blocks=3, deltas=DELTAS,
         shared.pool = pool
         for family in families:
             for delta in deltas:
-                config = apply_ablation(config_for_family(family, blocks, **overrides),
-                                        delta)
-                results = run_ladder(records, plan, [config], variant=variant,
-                                     workers=workers, zero_shot=zero_shot, shared=shared)
+                config = apply_ablation(config_for_family(family, **overrides), delta)
+                results = run_ladder(records, plan, [config], shared=shared)
                 fixed = [r for r in results if r.regime == "fixed" and not r.failed]
                 mean_acc = float(np.mean([r.acc for r in fixed])) if fixed else float("nan")
                 mean_by_key[(family, delta)] = mean_acc
-                cells.append(AblationCell(family, blocks, delta, mean_acc, 0.0, results))
+                cells.append(AblationCell(family, config.blocks, delta, mean_acc, 0.0, results))
     for cell in cells:
         base = mean_by_key.get((cell.family, "none"), float("nan"))
         cell.diff_vs_base = cell.mean_acc - base

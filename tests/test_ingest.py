@@ -99,7 +99,7 @@ class TestSampleSplit:
     def test_prefix_consistency(self):
         records = make_records(10)
         plan = SamplePlan((4, 8), (2,), seed=7)
-        split = sample_split(records, plan, zero_shot=False)
+        split = sample_split(records, plan)
         small = [r.id for r in split.train_subset(4)]
         large = [r.id for r in split.train_subset(8)]
         assert large[:4] == small
@@ -107,22 +107,22 @@ class TestSampleSplit:
     def test_deterministic(self):
         records = make_records(20)
         plan = SamplePlan((5, 10), (3,), seed=11)
-        s1 = sample_split(records, plan, zero_shot=False)
-        s2 = sample_split(list(records), plan, zero_shot=False)
+        s1 = sample_split(records, plan)
+        s2 = sample_split(list(records), plan)
         assert s1.train_ids == s2.train_ids and s1.test_ids == s2.test_ids
 
     def test_disjoint_train_test(self):
         records = make_records(30)
         plan = SamplePlan((10,), (5,), seed=3)
-        split = sample_split(records, plan, zero_shot=False)
+        split = sample_split(records, plan)
         assert not set(split.train_ids) & set(split.test_ids)
 
     def test_oversized_request_names_size(self):
         records = make_records(10)
         with pytest.raises(IngestError, match="11"):
-            sample_split(records, SamplePlan((11,), (2,), seed=0), zero_shot=False)
+            sample_split(records, SamplePlan((11,), (2,), seed=0))
         with pytest.raises(IngestError, match="test 11"):
-            sample_split(records, SamplePlan((2,), (11,), seed=0), zero_shot=False)
+            sample_split(records, SamplePlan((2,), (11,), seed=0))
 
     def test_zero_shot_filters_shared_first_sentences(self):
         shared = [PairRecord(f"s{i}", f"a = {i}", "shared sentence here. more text")
@@ -130,7 +130,7 @@ class TestSampleSplit:
         fresh = [PairRecord(f"f{i}", f"b = {i}", f"unique opening line {i}. tail")
                  for i in range(8)]
         plan = SamplePlan((6,), (2,), seed=5)
-        split = sample_split(shared + fresh, plan, zero_shot=True)
+        split = sample_split(shared + fresh, plan)
         train_sentences = {first_sentence(split.by_id[i].doc) for i in split.train_ids}
         for tid in split.test_ids:
             assert first_sentence(split.by_id[tid].doc) not in train_sentences

@@ -217,6 +217,24 @@ class TestVocabFile:
         with pytest.raises(VocabError, match=f"^{re.escape(message)}$"):
             vocab_from_text(self._edited(vocab, edit))
 
+    @pytest.mark.parametrize("label,key,message", [
+        ("AttributeCall", "b.strip", "a call key is a member name, without '.'"),
+        ("MethodCall", "b.push", "a call key is a member name, without '.'"),
+        ("Whitespace", "  ", "a whitespace key is one character"),
+    ], ids=["dotted-attribute-call", "dotted-method-call", "whitespace-run"])
+    def test_rejects_a_key_no_token_has(self, label, key, message):
+        # calls are looked up by member name, and a whitespace run expands per
+        # character, so such a key would hold an ID nothing is assigned
+        vocab = build_vocab([tokenize("def push(a):\n    return a.strip() + 7\nb.push()\n")])
+
+        def rekey(doc):
+            table = doc["fixed"][label]
+            table[key] = table.pop(next(iter(table)))
+
+        entry = f"{label} {key!r}"
+        with pytest.raises(VocabError, match=f"^{re.escape(f'{entry}: {message}')}$"):
+            vocab_from_text(self._edited(vocab, rekey))
+
     @pytest.mark.parametrize("label,key,tail_start", [
         ("Number", "7", 13529), ("MethodCall", "push", 6829), ("AttributeCall", "strip", 11480),
     ])
@@ -370,8 +388,9 @@ class TestAgainstOracle:
             assert _outcome(assign_ids, tokens, vocab, on_exhaust) == want
 
     def test_keys_build_vocab_never_makes_are_not_looked_up(self):
-        # a loaded file may hold a whitespace run or a dotted call text as a key;
-        # runs still expand per character and calls still go by member name
+        # a table edited in memory may hold a whitespace run or a dotted call text
+        # as a key (a file that does will not load); runs still expand per
+        # character and calls still go by member name
         vocab = build_vocab([_SEEN])
         vocab.fixed[Component.WHITESPACE]["  "] = 11553
         vocab.fixed[Component.ATTRIBUTE_CALL]["b.strip"] = 11272

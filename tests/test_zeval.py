@@ -8,11 +8,11 @@ from clcp import zeval
 from clcp.encoders import ModelConfig, apply_ablation, network_key
 from clcp.ingest import SamplePlan, sample_split
 from clcp.synth import generate_family
+from clcp.textclean import clean_corpus
 from clcp.training import CLCPModel, prepare_pairs
 from clcp.zeval import (
     DELTAS,
     FAMILIES,
-    EvalResult,
     run_ablations,
     zero_shot_match,
 )
@@ -99,26 +99,39 @@ def test_cell_embeds_its_growing_list_once(records, monkeypatch):
         assert row == replace(direct, config_id=BASE.config_id(), train_size=train_size)
 
 
-def _unshared_rows(records, families, **kwargs):
+def _unshared_rows(records, families):
     """The rows of run_ablations over DELTAS, one run_ladder call per row with
     no state shared between calls."""
     rows = []
     for family in families:
         for delta in DELTAS:
             config = apply_ablation(replace(BASE, family=family), delta)
-            rows += zeval.run_ladder(records, PLAN, [config], **kwargs)
+            rows += zeval.run_ladder(records, PLAN, [config])
     return rows
 
 
-@pytest.mark.parametrize("kwargs", [{"workers": 2}, {"variant": "cleaned"}],
-                         ids=["workers", "cleaned"])
-def test_shared_rows_equal_unshared_rows(records, kwargs):
+@pytest.mark.parametrize("case", ["workers", "cleaned"])
+def test_shared_rows_equal_unshared_rows(records, case):
     # lp and gp hold the one pair of rows that share a network
+    workers = 2 if case == "workers" else 1
+    if case == "cleaned":
+        records = clean_corpus(records)[0]
     cells, _ = run_ablations(records, PLAN, families=("lp", "gp"), base_config=BASE,
-                             **kwargs)
+                             workers=workers)
     rows = [r for c in cells for r in c.cells]
     assert rows and not [r.failed for r in rows if r.failed]
-    assert rows == _unshared_rows(records, ("lp", "gp"), **kwargs)
+    assert rows == _unshared_rows(records, ("lp", "gp"))
+
+
+def test_cells_take_blocks_from_the_base_config(records):
+    # four pooled blocks need a longer image than BASE's
+    base = replace(BASE, blocks=4, channels=(4, 4, 4, 4), image_len=128)
+    cells, _ = run_ablations(records, PLAN, families=("lp",), deltas=("none", "+BN"),
+                             base_config=base)
+    assert [c.blocks for c in cells] == [4, 4]
+    rows = [r for c in cells for r in c.cells]
+    assert [r.config_id for r in rows] == ["lp4"] * 4 + ["lp4+BN"] * 4
+    assert not [r.failed for r in rows if r.failed]
 
 
 def test_serial_ablation_rows_equal_unshared_rows(records, ablation):
@@ -167,13 +180,6 @@ def test_empty_held_out_list_is_named(records):
         zero_shot_match(np.zeros((0, 8)), np.zeros((0, 8)))
 
 
-def test_worker_processes_give_the_serial_rows(records):
-    configs = [replace(BASE, family="lp"), replace(BASE, family="rn")]
-    serial = zeval.run_ladder(records, PLAN, configs)
-    assert len(serial) == 2 * len(configs) * len(PLAN.train_sizes)
-    assert zeval.run_ladder(records, PLAN, configs, workers=2) == serial
-
-
 def test_parallel_ablation_opens_one_pool(records, ablation, monkeypatch):
     opened = []
 
@@ -186,9 +192,6 @@ def test_parallel_ablation_opens_one_pool(records, ablation, monkeypatch):
     cells, flags = run_ablations(records, PLAN, base_config=BASE, workers=2)
     assert len(opened) == 1
     assert (cells, flags) == ablation[:2]
-    # a direct call still opens its own pool
-    zeval.run_ladder(records, PLAN, [BASE], workers=2)
-    assert len(opened) == 2
 
 
 def test_geometry_that_cannot_fit_marks_cells_failed(records):
@@ -200,16 +203,42 @@ def test_geometry_that_cannot_fit_marks_cells_failed(records):
     assert all("block" in r.failed for r in results)
 
 
-def test_eval_result_rejects_wrong_chance_level():
-    with pytest.raises(ValueError, match="ea"):
-        EvalResult(L=4, correct=1, acc=0.25, ea=0.5)
-
-
-def test_failed_cell_keeps_seed_and_direction(records):
+def test_failed_cell_keeps_seed(records):
     too_short = replace(BASE, image_len=8, seed=7)
-    results = zeval.run_ladder(records, PLAN, [too_short], direction="text2code")
+    results = zeval.run_ladder(records, PLAN, [too_short])
     assert results and all(r.failed for r in results)
-    assert {(r.seed, r.direction) for r in results} == {(7, "text2code")}
+    assert {r.seed for r in results} == {7}
+
+
+def test_failed_train_data_fails_every_cell_it_feeds(records):
+    # an empty image fails in encode_streams, so no cell of the ladder trains
+    configs = [replace(BASE, image_len=0), replace(BASE, image_len=0, family="rn")]
+    results = zeval.run_ladder(records, PLAN, configs)
+    assert len(results) == len(configs) * len(PLAN.train_sizes)
+    message, = {r.failed for r in results}
+    assert "image_len" in message
+    assert {(r.config_id, r.train_size) for r in results} == {
+        (c.config_id(), n) for c in configs for n in PLAN.train_sizes}
+
+
+def test_failed_test_data_fails_only_the_cells_it_feeds(records, monkeypatch):
+    # the second call prepares the first rung's test list
+    calls, prepare = [], zeval.prepare_pairs
+
+    def failing_second_call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("test list unreadable")
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(zeval, "prepare_pairs", failing_second_call)
+    configs = [BASE, replace(BASE, family="rn")]
+    results = zeval.run_ladder(records, PLAN, configs)
+    assert len(calls) == 2 * len(PLAN.train_sizes)
+    first, second = ([r.failed for r in results if r.train_size == n] for n in PLAN.train_sizes)
+    # a failed cell has one row, a scored cell one per regime
+    assert first == ["test list unreadable"] * len(configs)
+    assert second == [""] * 2 * len(configs)
 
 
 def test_directions_match_rows_and_columns():
@@ -227,14 +256,6 @@ def test_directions_match_rows_and_columns():
         zero_shot_match(code, text, "both")
 
 
-def test_cleaned_ladder_labels_every_row(records):
-    results = zeval.run_ladder(records, PLAN, [BASE], variant="cleaned")
-    assert len(results) == 2 * len(PLAN.train_sizes)
-    assert all(r.variant == "cleaned" and not r.failed for r in results)
-    with pytest.raises(ValueError, match="variant"):
-        zeval.run_ladder(records, PLAN, [BASE], variant="stemmed")
-
-
 def test_flags_are_none_for_ablations_that_did_not_run(records, ablation):
     _, flags = run_ablations(records, PLAN, families=("lp",), deltas=("none",),
                              base_config=BASE)
@@ -242,8 +263,7 @@ def test_flags_are_none_for_ablations_that_did_not_run(records, ablation):
     assert all(isinstance(v, bool) for v in ablation[1].values())
 
 
-@pytest.mark.parametrize("field,value", [("plan", replace(PLAN, seed=9)),
-                                         ("variant", "cleaned"), ("zero_shot", False)])
+@pytest.mark.parametrize("field,value", [("plan", replace(PLAN, seed=9))])
 def test_shared_state_must_match_the_call(records, field, value):
     shared = zeval.LadderState(records, **{"plan": PLAN, field: value})
     with pytest.raises(ValueError, match=f"^{field}: the shared state has "):

@@ -76,8 +76,9 @@ class ModelConfig:
                 f"family: must be one of {', '.join(FAMILIES)}, got {self.family!r}")
         # text_vocab holds pad and OOV; no epoch would return an untrained model
         for name, least in (("embed_dim", 8), ("kernel", 1), ("stride", 1), ("pool_window", 1),
-                            ("pool_stride", 1), ("text_embed", 1), ("text_max_len", 1),
-                            ("text_vocab", 2), ("batch_size", 1), ("max_epochs", 1), ("seed", 0)):
+                            ("pool_stride", 1), ("image_len", 1), ("text_embed", 1),
+                            ("text_max_len", 1), ("text_vocab", 2), ("batch_size", 1),
+                            ("max_epochs", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name}: must be >= {least}, got {getattr(self, name)}")
         if self.channels:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,32 +117,14 @@ def first_sentence(doc):
     return " ".join(head.lower().split())
 
 
-@dataclass
-class SplitResult:
-    train_ids: list[str]   # prefix order; subsets are prefixes of this list
-    test_ids: list[str]
-    by_id: dict[str, PairRecord] = field(repr=False)
-
-    def train_subset(self, size):
-        if size > len(self.train_ids):
-            raise IngestError(f"requested size {size} exceeds train pool "
-                              f"of {len(self.train_ids)}")
-        return [self.by_id[i] for i in self.train_ids[:size]]
-
-    def test_subset(self, size):
-        if size > len(self.test_ids):
-            raise IngestError(f"requested size {size} exceeds test pool "
-                              f"of {len(self.test_ids)}")
-        return [self.by_id[i] for i in self.test_ids[:size]]
-
-
 def sample_split(records, plan):
     """Cut nested train samples and disjoint, zero-shot test samples from one corpus.
 
     Pure in (records, plan): a seeded permutation orders unique records, the
-    first max(train_sizes) become the train pool, and test ids are drawn from
-    the remainder, skipping any record whose normalized first sentence occurs
-    in the train pool docs.
+    first max(train_sizes) become the train pool, and test records are drawn
+    from the remainder, skipping any record whose normalized first sentence
+    occurs in the train pool docs.  Returns the (train, test) record lists;
+    the sample of each planned size is the prefix of that length.
     """
     unique = []
     seen = set()
@@ -169,5 +151,4 @@ def sample_split(records, plan):
     if len(test) < max_test:
         raise IngestError(
             f"requested size {max_test} exceeds zero-shot test pool of {len(test)}")
-    by_id = {r.id: r for r in unique}
-    return SplitResult([r.id for r in train], [r.id for r in test], by_id)
+    return train, test

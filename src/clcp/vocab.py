@@ -1,11 +1,11 @@
 """Numeric ID assignment for classified tokens.
 
 Every component owns a contiguous, disjoint ID range.  ``Vocabulary.fixed``
-holds one text->ID table per component: built-ins and the operator pool in
-table order; numbers, and calls abstracted by member name, in corpus-frequency
-order, leaving a scope-local tail for unseen keys.  User-defined tokens
-(classes, methods, variables) get namespace-scoped IDs that restart in every
-scope.  ID 0 is the padding value and never assigned.
+is one ``(key, component) -> ID`` table, keyed like tokens: built-ins and the
+operator pool in table order; numbers by text, and calls abstracted by member
+name, in corpus-frequency order, leaving a scope-local tail for unseen keys.
+User-defined tokens (classes, methods, variables) get namespace-scoped IDs that
+restart in every scope.  ID 0 is the padding value and never assigned.
 
 ``decode`` reads an ID row back from the vocabulary alone: a fixed ID gives its
 text or lookup list, and a scoped ID a canonical name for its slot in the scope.
@@ -16,7 +16,6 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, count, repeat
 from operator import is_, itemgetter
 from pathlib import Path
@@ -154,35 +153,20 @@ def _corpus_key(tok):
 class Vocabulary:
     """Deterministic token-to-ID maps honoring the component ranges.
 
-    ``fixed`` maps every component that is not user-scoped to its text->ID
-    table: built-in names, operator-pool symbols (whitespace per character,
-    the placeholder as ``"STR"``), numbers by text and calls by member name.
+    ``fixed`` maps ``(key, component)`` to the ID of every fixed entry, keyed
+    exactly like tokens: built-in names, operator-pool symbols (whitespace per
+    character, the placeholder as ``"STR"``), numbers by text and calls by
+    member name.  No user-scoped component has an entry; scopes allocate those.
     ``lookup_lists`` maps each fixed call ID to the concrete texts it stands for.
     """
 
     ranges: IdRanges
-    fixed: dict[Component, dict[str, int]]
+    fixed: dict[tuple[str, Component], int]
     lookup_lists: dict[int, tuple[str, ...]]
 
     @property
     def max_id(self):
         return self.ranges.max_id
-
-    @cached_property
-    def _id_by_key(self):
-        """``(text, component) -> ID`` over the tables in which ``assign_ids``
-        can look a token's own text up; built on first use, so edit ``fixed``
-        before that.
-
-        User-scoped and call tables are left out (scopes allocate the former, the
-        latter are keyed by member name), as are whitespace keys longer than one
-        character (a run expands to one ID per character).
-        """
-        whitespace = Component.WHITESPACE
-        return {(text, component): id_ for component, table in self.fixed.items()
-                if component not in USER_SCOPED and component not in _CALLS
-                for text, id_ in table.items()
-                if component is not whitespace or len(text) == 1}
 
 
 def build_vocab(token_streams, tables=None):
@@ -194,18 +178,18 @@ def build_vocab(token_streams, tables=None):
     ranges = IdRanges()
     tables = tables or load_default_tables()
 
-    fixed = {component: _fixed_block(component, keys, ranges) for component, keys in (
+    fixed = {}
+    for component, names in (
         (Component.KEYWORD, tables.keywords),
         (Component.BUILTIN_CLASS, tables.classes),
         (Component.BUILTIN_METHOD, tables.functions),
         (Component.BUILTIN_METH_CALL, tables.dotted_functions),
         (Component.BUILTIN_ATTRIBUTE, tables.dotted_attributes),
         (Component.BUILTIN_ATTR_CALL, tables.dotted_attributes),
-    )}
+    ):
+        fixed |= _fixed_block(component, [(name, component) for name in names], ranges)
     # the symbol pool shares the Operator range, keyed by (text, component)
-    pool = _fixed_block(Component.OPERATOR, tables.symbols, ranges)
-    for component in (Component.OPERATOR, *SYMBOL_POOL):
-        fixed[component] = {text: id_ for (text, c), id_ in pool.items() if c is component}
+    fixed |= _fixed_block(Component.OPERATOR, tables.symbols, ranges)
 
     counts = {component: Counter() for component in CORPUS_KEYED}
     texts = defaultdict(set)
@@ -213,14 +197,14 @@ def build_vocab(token_streams, tables=None):
         for tok in stream:
             counter = counts.get(tok.component)
             if counter is not None:
-                key = _corpus_key(tok)
+                key = _corpus_key(tok), tok.component
                 counter[key] += 1
-                texts[tok.component, key].add(tok.text)
+                texts[key].add(tok.text)
     for component in CORPUS_KEYED:
-        fixed[component] = _fixed_block(
+        fixed |= _fixed_block(
             component, _top_keys(counts[component], ranges.fixed_capacity(component)), ranges)
-    lookup_lists = {id_: tuple(sorted(texts[component, key]))
-                    for component in _CALLS for key, id_ in fixed[component].items()}
+    lookup_lists = {id_: tuple(sorted(texts[key])) for key, id_ in fixed.items()
+                    if key[1] in _CALLS}
     return Vocabulary(ranges, fixed, lookup_lists)
 
 
@@ -259,16 +243,16 @@ class NamespaceScope:
 def assign_ids(tokens, vocabulary, scope):
     """Map classified tokens to numeric IDs.
 
-    Every token is looked up by its ``(text, component)`` key in the
-    vocabulary's private ``_id_by_key`` table, built from its fixed tables on
-    first use; only the misses are visited, and each distinct missing key is
-    resolved once.  User-scoped tokens, and corpus-keyed ones with no fixed ID,
-    take their IDs from ``scope``; a whitespace run expands to one ID per
-    character so that decoding recovers the exact text.
+    Every token is looked up by its ``(text, component)`` key in
+    ``vocabulary.fixed``; only the misses are visited, and each distinct
+    missing key is resolved once: a dotted call is looked up again by member
+    name.  User-scoped tokens, and corpus-keyed ones with no fixed ID, take
+    their IDs from ``scope``; a whitespace run expands to one ID per character
+    so that decoding recovers the exact text.
     """
-    keys = list(map(itemgetter(0, 1), tokens))
-    ids = list(map(vocabulary._id_by_key.get, keys))
     fixed = vocabulary.fixed
+    keys = list(map(itemgetter(0, 1), tokens))
+    ids = list(map(fixed.get, keys))
     resolved, runs = {}, []   # runs: indices of whitespace runs, expanded below
     for i in compress(count(), map(is_, ids, repeat(None))):
         key = keys[i]
@@ -279,12 +263,11 @@ def assign_ids(tokens, vocabulary, scope):
                 id_ = scope.allocate(component, text)
             elif component in CORPUS_KEYED:
                 corpus_key = _corpus_key(tokens[i])
-                id_ = fixed[component].get(corpus_key)
+                id_ = fixed.get((corpus_key, component))
                 if id_ is None:
                     id_ = scope.allocate(component, corpus_key)
             elif component is Component.WHITESPACE:
-                table = fixed[component]
-                id_ = [table[ch] for ch in text]
+                id_ = [fixed[ch, component] for ch in text]
             else:
                 raise VocabError(f"{component.value} token {text!r} missing from its fixed table")
             resolved[key] = id_
@@ -336,14 +319,13 @@ def decode(ids, vocabulary):
     other ID outside the fixed tables raises DecodeError.
     """
     ranges = vocabulary.ranges
-    fixed = {id_: (component, text) for component, table in vocabulary.fixed.items()
-             for text, id_ in table.items()}
+    fixed = {id_: key for key, id_ in vocabulary.fixed.items()}
     out = []
     for id_ in map(int, ids):
         if id_ == PAD_ID:
             out.append(DecodedId(id_, None, ("<PAD>",), "pad"))
         elif id_ in fixed:
-            component, text = fixed[id_]
+            text, component = fixed[id_]
             lookup = vocabulary.lookup_lists.get(id_)
             out.append(DecodedId(id_, component, (text,), "exact") if lookup is None
                        else DecodedId(id_, component, lookup, "ambiguous"))
@@ -365,14 +347,18 @@ FORMAT_HEADER = "clcp-vocab"
 def vocab_to_text(vocabulary):
     """Byte-deterministic JSON with sorted keys.
 
-    ``ranges`` keeps the range table's order; ``fixed`` holds one text->ID
-    table per component label (built-ins, operator pool, numbers and calls);
+    ``ranges`` keeps the range table's order; ``fixed`` holds one key->ID
+    table per component label, one for every component that is not
+    user-scoped (built-ins, operator pool, numbers and calls);
     ``lookup_lists`` is keyed by the call ID as a string.
     """
+    tables = {c.value: {} for c in Component if c not in USER_SCOPED}
+    for (key, component), id_ in vocabulary.fixed.items():
+        tables.setdefault(component.value, {})[key] = id_
     return json.dumps({
         "format": FORMAT_HEADER,
         "ranges": [[c.value, lo, hi] for c, lo, hi in vocabulary.ranges.table],
-        "fixed": {c.value: table for c, table in vocabulary.fixed.items()},
+        "fixed": tables,
         "lookup_lists": {str(id_): texts for id_, texts in vocabulary.lookup_lists.items()},
     }, sort_keys=True, indent=0) + "\n"
 
@@ -391,30 +377,34 @@ def vocab_from_text(text):
                 raise VocabError(f"ID {id_!r} is not an integer")
         ranges = IdRanges(tuple((component_from_label(label), lo, hi)
                                 for label, lo, hi in doc["ranges"]))
-        fixed = {component_from_label(label): table for label, table in doc["fixed"].items()}
+        tables = {component_from_label(label): table for label, table in doc["fixed"].items()}
         lookup_items = doc["lookup_lists"].items()
     except (KeyError, TypeError, AttributeError) as exc:
         raise VocabError(f"malformed vocabulary file: {exc!r}") from exc
-    missing = [c.value for c in Component if c not in USER_SCOPED and c not in fixed]
+    # a user-scoped entry would be found before the scope is asked
+    if scoped := [c.value for c in USER_SCOPED if c in tables]:
+        raise VocabError(f"vocabulary file has a fixed table for user-scoped {', '.join(scoped)}")
+    missing = [c.value for c in Component if c not in USER_SCOPED and c not in tables]
     if missing:
         raise VocabError(f"vocabulary file has no fixed table for {', '.join(missing)}")
+    fixed = {(key, component): id_ for component, table in tables.items()
+             for key, id_ in table.items()}
     owners = {}   # ID -> the entry that holds it
-    for component, table in fixed.items():
+    for (key, component), id_ in fixed.items():
         lo, hi = ranges.range_for(component)
         where = "range"
         if component in CORPUS_KEYED:   # a scope allocates the tail above
             where, hi = "fixed range", ranges.tail_start(component) - 1
-        for text, id_ in table.items():
-            entry = f"{component.value} {text!r}"
-            if not lo <= id_ <= hi:
-                raise VocabError(f"{entry}: ID {id_} outside its {where} {lo}..{hi}")
-            if component in _CALLS and "." in text:
-                raise VocabError(f"{entry}: a call key is a member name, without '.'")
-            if component is Component.WHITESPACE and len(text) != 1:
-                raise VocabError(f"{entry}: a whitespace key is one character")
-            if owners.setdefault(id_, entry) != entry:
-                raise VocabError(f"{entry}: ID {id_} already taken by {owners[id_]}")
-    call_ids = {str(id_) for c in _CALLS for id_ in fixed[c].values()}
+        entry = f"{component.value} {key!r}"
+        if not lo <= id_ <= hi:
+            raise VocabError(f"{entry}: ID {id_} outside its {where} {lo}..{hi}")
+        if component in _CALLS and "." in key:
+            raise VocabError(f"{entry}: a call key is a member name, without '.'")
+        if component is Component.WHITESPACE and len(key) != 1:
+            raise VocabError(f"{entry}: a whitespace key is one character")
+        if owners.setdefault(id_, entry) != entry:
+            raise VocabError(f"{entry}: ID {id_} already taken by {owners[id_]}")
+    call_ids = {str(id_) for (_, component), id_ in fixed.items() if component in _CALLS}
     lookup_lists = {}
     for id_, texts in lookup_items:
         if not (id_ in call_ids and isinstance(texts, list) and texts

@@ -6,13 +6,14 @@ evaluates two regimes: a fixed test size and a test size growing with the
 ladder.  Ladder sizes here are desk-scale stand-ins for the full-corpus runs
 (30k..456k train, 50..1000 test); pass your own SamplePlan to change scale.
 
-Cells share a ``LadderState``: the zero-shot split of the records as given
-(clean them first for cleaned docs), each snippet tokenized once, and per train
-size the vocabularies, the encoded train subset and the encoded growing test
-list, which a cell embeds once; its leading rows are the fixed list.  Configs
-with one ``network_key`` train once per train size.  ``run_ablations`` shares
-one state, and its process pool if any, across its rows, so memory holds every
-train size's prepared arrays for the whole run.
+Cells share a ``LadderState``: the zero-shot train and test pools of the
+records as given (clean them first for cleaned docs), whose prefixes are the
+ladder's samples, each snippet tokenized once, and per train size the
+vocabularies, the encoded train sample and the encoded growing test list, which
+a cell embeds once; its leading rows are the fixed list.  Configs with one
+``network_key`` train once per train size.  ``run_ablations`` shares one state,
+and its process pool if any, across its rows, so memory holds every train
+size's prepared arrays for the whole run.
 """
 from __future__ import annotations
 
@@ -100,7 +101,7 @@ class LadderState:
 
     def __init__(self, records, plan):
         self.plan = plan
-        self.split = sample_split(records, plan)
+        self.train, self.test = sample_split(records, plan)
         self.rows = {}         # (network key, sizes) -> the cell's rows
         self.pool = None       # run_ablations' process pool, lent to every run_ladder call
         self._tokens = {}      # snippet -> tokens
@@ -113,9 +114,8 @@ class LadderState:
         if key not in self._prepared:
             train = test = None
             try:
-                train = prepare_pairs(self.split.train_subset(train_size), config,
-                                      tokens=self._tokens)
-                test = prepare_pairs(self.split.test_subset(test_size), config, train.vocab,
+                train = prepare_pairs(self.train[:train_size], config, tokens=self._tokens)
+                test = prepare_pairs(self.test[:test_size], config, train.vocab,
                                      train.text_vocab, self._tokens)
             except Exception as exc:  # each cell it feeds gets a failed row
                 train, test = (str(exc), None) if train is None else (train, str(exc))

@@ -195,12 +195,16 @@ class TestConfig:
         ModelConfig(temperature_init=1e-3, temperature_max=1e-3, lr=1e-9)
 
     def test_epoch_and_seed_bounds(self):
-        # no epoch returns an untrained model; numpy rejects a negative seed far away
+        # no epoch returns an untrained model; numpy rejects a negative seed, and
+        # encode_streams an empty image, far away
         with pytest.raises(ConfigError, match="^max_epochs: must be >= 1, got 0$"):
             ModelConfig(max_epochs=0)
         with pytest.raises(ConfigError, match="^seed: must be >= 0, got -1$"):
             ModelConfig(seed=-1)
-        ModelConfig(max_epochs=1, seed=0)
+        for bad in (0, -5):
+            with pytest.raises(ConfigError, match=f"^image_len: must be >= 1, got {bad}$"):
+                ModelConfig(image_len=bad)
+        ModelConfig(max_epochs=1, seed=0, image_len=1)
 
     @pytest.mark.parametrize("field_name", ["temperature_init", "temperature_max", "lr",
                                             "val_fraction"])

@@ -97,25 +97,24 @@ class TestSamplePlan:
 
 class TestSampleSplit:
     def test_prefix_consistency(self):
+        # a size's sample is the same whatever larger sizes the plan holds
         records = make_records(10)
-        plan = SamplePlan((4, 8), (2,), seed=7)
-        split = sample_split(records, plan)
-        small = [r.id for r in split.train_subset(4)]
-        large = [r.id for r in split.train_subset(8)]
-        assert large[:4] == small
+        small, _ = sample_split(records, SamplePlan((4,), (2,), seed=7))
+        large, _ = sample_split(records, SamplePlan((4, 8), (2,), seed=7))
+        assert len(large) == 8 and large[:4] == small
 
     def test_deterministic(self):
         records = make_records(20)
         plan = SamplePlan((5, 10), (3,), seed=11)
-        s1 = sample_split(records, plan)
-        s2 = sample_split(list(records), plan)
-        assert s1.train_ids == s2.train_ids and s1.test_ids == s2.test_ids
+        train, test = sample_split(records, plan)
+        assert (len(train), len(test)) == (10, 3)
+        assert sample_split(list(records), plan) == (train, test)
 
     def test_disjoint_train_test(self):
         records = make_records(30)
         plan = SamplePlan((10,), (5,), seed=3)
-        split = sample_split(records, plan)
-        assert not set(split.train_ids) & set(split.test_ids)
+        train, test = sample_split(records, plan)
+        assert not {r.id for r in train} & {r.id for r in test}
 
     def test_oversized_request_names_size(self):
         records = make_records(10)
@@ -130,10 +129,11 @@ class TestSampleSplit:
         fresh = [PairRecord(f"f{i}", f"b = {i}", f"unique opening line {i}. tail")
                  for i in range(8)]
         plan = SamplePlan((6,), (2,), seed=5)
-        split = sample_split(shared + fresh, plan)
-        train_sentences = {first_sentence(split.by_id[i].doc) for i in split.train_ids}
-        for tid in split.test_ids:
-            assert first_sentence(split.by_id[tid].doc) not in train_sentences
+        train, test = sample_split(shared + fresh, plan)
+        train_sentences = {first_sentence(r.doc) for r in train}
+        assert len(test) == 2
+        for rec in test:
+            assert first_sentence(rec.doc) not in train_sentences
 
     def test_first_sentence_normalization(self):
         assert first_sentence("Return  the union. &gt;&gt;&gt;") == "return the union"

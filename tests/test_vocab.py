@@ -44,6 +44,11 @@ def empty_vocab():
     return build_vocab([])
 
 
+def _table(vocab, component):
+    """``component``'s key -> ID view of the vocabulary's one fixed table."""
+    return {key: id_ for (key, c), id_ in vocab.fixed.items() if c is component}
+
+
 class TestIdRanges:
     def test_defaults_match_component_table(self, ranges):
         lohi = {c: (lo, hi) for c, lo, hi in DEFAULT_RANGE_TABLE}
@@ -73,14 +78,14 @@ class TestIdRanges:
 
 class TestBuildVocab:
     def test_keywords_take_1_to_35(self, empty_vocab):
-        ids = sorted(empty_vocab.fixed[Component.KEYWORD].values())
+        ids = sorted(_table(empty_vocab, Component.KEYWORD).values())
         assert ids == list(range(1, 36))
 
     def test_empty_corpus_has_only_builtin_maps(self, empty_vocab):
-        assert empty_vocab.fixed[Component.NUMBER] == {}
-        assert all(not empty_vocab.fixed[c]
+        assert _table(empty_vocab, Component.NUMBER) == {}
+        assert all(not _table(empty_vocab, c)
                    for c in (Component.METHOD_CALL, Component.ATTRIBUTE_CALL))
-        classes = empty_vocab.fixed[Component.BUILTIN_CLASS]
+        classes = _table(empty_vocab, Component.BUILTIN_CLASS)
         assert sorted(classes.values()) == list(range(36, 36 + len(classes)))
         assert max(classes.values()) <= 54
 
@@ -88,7 +93,7 @@ class TestBuildVocab:
         a = tokenize("def fa(a_param):\n    return a_param.strip()\n")
         b = tokenize("def fb(address):\n    return address.strip()\n")
         vocab = build_vocab([a, b])
-        strip_id = vocab.fixed[Component.ATTRIBUTE_CALL]["strip"]
+        strip_id = vocab.fixed["strip", Component.ATTRIBUTE_CALL]
         lo, hi = vocab.ranges.range_for(Component.ATTRIBUTE_CALL)
         assert lo <= strip_id <= hi
         assert vocab.lookup_lists[strip_id] == ("a_param.strip", "address.strip")
@@ -97,9 +102,9 @@ class TestBuildVocab:
         a = tokenize("x = 7\ny = 7\nz = 3\nw = 5\n")
         vocab = build_vocab([a])
         lo, _ = vocab.ranges.range_for(Component.NUMBER)
-        assert vocab.fixed[Component.NUMBER]["7"] == lo        # most frequent
-        assert vocab.fixed[Component.NUMBER]["3"] == lo + 1    # tie broken lexicographically
-        assert vocab.fixed[Component.NUMBER]["5"] == lo + 2
+        assert vocab.fixed["7", Component.NUMBER] == lo        # most frequent
+        assert vocab.fixed["3", Component.NUMBER] == lo + 1    # tie broken lexicographically
+        assert vocab.fixed["5", Component.NUMBER] == lo + 2
 
     def test_deterministic_serialization(self):
         streams = [tokenize("def f(a):\n    return a.strip() + 1\n"),
@@ -140,8 +145,8 @@ class TestVocabFile:
         picks = data.draw(st.sets(st.integers(0, len(golden_streams) - 1), max_size=12))
         vocab = build_vocab([golden_streams[i] for i in sorted(picks)])
         # whitespace and newline texts exercise the escaping
-        assert "\n" in vocab.fixed[Component.NEWLINE]
-        assert "\t" in vocab.fixed[Component.WHITESPACE]
+        assert ("\n", Component.NEWLINE) in vocab.fixed
+        assert ("\t", Component.WHITESPACE) in vocab.fixed
         text = vocab_to_text(vocab)
         again = vocab_from_text(text)
         assert again == vocab
@@ -182,6 +187,16 @@ class TestVocabFile:
 
         with pytest.raises(VocabError, match="not an integer"):
             vocab_from_text(self._edited(empty_vocab, stringify))
+
+    def test_rejects_a_table_for_a_user_scoped_component(self, empty_vocab):
+        # a scope allocates Variable IDs; a fixed entry for ``a`` would be found
+        # first, and 7961 would decode as ``a`` instead of ``v0``
+        def add_variable(doc):
+            doc["fixed"]["Variable"] = {"a": 7961}
+
+        message = "vocabulary file has a fixed table for user-scoped Variable"
+        with pytest.raises(VocabError, match=f"^{message}$"):
+            vocab_from_text(self._edited(empty_vocab, add_variable))
 
     def test_rejects_missing_fixed_table(self, empty_vocab):
         def drop_whitespace(doc):
@@ -253,7 +268,7 @@ class TestVocabFile:
                     doc["lookup_lists"][str(id_)] = doc["lookup_lists"].pop(str(old))
             return self._edited(vocab, edit)
 
-        assert vocab_from_text(move(tail_start - 1)).fixed[component][key] == tail_start - 1
+        assert vocab_from_text(move(tail_start - 1)).fixed[key, component] == tail_start - 1
         message = (f"{label} {key!r}: ID {tail_start} outside its fixed range "
                    f"{lo}..{tail_start - 1}")
         with pytest.raises(VocabError, match=f"^{re.escape(message)}$"):
@@ -307,9 +322,19 @@ class TestAssignIds:
     def test_id_outside_the_ranges_is_named(self, bad):
         vocab = build_vocab([])
         bad_id = 0 if bad == "zero" else vocab.max_id + 1
-        vocab.fixed[Component.KEYWORD]["pass"] = bad_id
+        vocab.fixed["pass", Component.KEYWORD] = bad_id
         tokens = tokenize("def f():\n    pass\n    return 1\n")
         with pytest.raises(VocabError, match=f"assigned ID {bad_id} escapes"):
+            assign_ids(tokens, vocab, NamespaceScope())
+
+    def test_an_edit_after_first_use_takes_effect(self):
+        # assign_ids reads the fixed table itself, not a copy taken on first use
+        vocab = build_vocab([])
+        tokens = tokenize("def f():\n    pass\n")
+        assert vocab.fixed["pass", Component.KEYWORD] in assign_ids(tokens, vocab,
+                                                                    NamespaceScope())
+        vocab.fixed["pass", Component.KEYWORD] = 0
+        with pytest.raises(VocabError, match="assigned ID 0 escapes"):
             assign_ids(tokens, vocab, NamespaceScope())
 
     def test_whitespace_expands_per_character(self, empty_vocab):
@@ -387,19 +412,6 @@ class TestAgainstOracle:
             want = _outcome(vocab_oracle.assign_ids, tokens, vocab, on_exhaust)
             assert _outcome(assign_ids, tokens, vocab, on_exhaust) == want
 
-    def test_keys_build_vocab_never_makes_are_not_looked_up(self):
-        # a table edited in memory may hold a whitespace run or a dotted call text
-        # as a key (a file that does will not load); runs still expand per
-        # character and calls still go by member name
-        vocab = build_vocab([_SEEN])
-        vocab.fixed[Component.WHITESPACE]["  "] = 11553
-        vocab.fixed[Component.ATTRIBUTE_CALL]["b.strip"] = 11272
-        tokens = [_tok(Component.WHITESPACE)("  "), _tok(Component.ATTRIBUTE_CALL)("b.strip")]
-        want = _outcome(vocab_oracle.assign_ids, tokens, vocab, "error")
-        assert want[0] == [vocab.fixed[Component.WHITESPACE][" "]] * 2 + [
-            vocab.fixed[Component.ATTRIBUTE_CALL]["strip"]]
-        assert _outcome(assign_ids, tokens, vocab, "error") == want
-
     @settings(max_examples=300, deadline=None)
     @given(tokens=st.lists(_STREAM_TOKENS, max_size=80),
            n_unseen=st.integers(0, 40),
@@ -413,11 +425,10 @@ class TestAgainstOracle:
         vocab = build_vocab([_SEEN])
         if fault is not None:
             # an unknown keyword, or ``pass`` given an ID outside the ranges
-            # before the vocabulary's first use
             text = "nope" if fault == "unknown-text" else "pass"
             tokens.append(_tok(Component.KEYWORD)(text))
             if fault != "unknown-text":
-                vocab.fixed[Component.KEYWORD]["pass"] = (
+                vocab.fixed["pass", Component.KEYWORD] = (
                     0 if fault == "zero" else vocab.max_id + 1)
         tokens = data.draw(st.permutations(tokens))
         want = _outcome(vocab_oracle.assign_ids, tokens, vocab, on_exhaust)
@@ -459,7 +470,7 @@ class TestDecode:
         assert empty_vocab.ranges.tail_start(Component.NUMBER) > lo
         op_hi = empty_vocab.ranges.range_for(Component.OPERATOR)[1]
         assert op_hi not in {i for c in SYMBOL_POOL + (Component.OPERATOR,)
-                             for i in empty_vocab.fixed[c].values()}
+                             for i in _table(empty_vocab, c).values()}
         for id_ in (lo, op_hi):
             with pytest.raises(DecodeError, match=f"^ID {id_} .* unassigned fixed slot$"):
                 decode([7961, id_], empty_vocab)

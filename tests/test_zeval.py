@@ -91,7 +91,7 @@ def test_cell_embeds_its_growing_list_once(records, monkeypatch):
     results = zeval.run_ladder(records, PLAN, [BASE])
     # one embedding per cell, of its rung's growing list: 6 rows, then 8
     assert sizes == list(PLAN.test_sizes)
-    fixed_list = sample_split(records, PLAN).test_subset(PLAN.test_sizes[0])
+    fixed_list = sample_split(records, PLAN)[1][:PLAN.test_sizes[0]]
     for outcome, train_size in zip(outcomes, PLAN.train_sizes):
         direct = zeval.evaluate_pairs(outcome.model, outcome.vocab, outcome.text_vocab,
                                       fixed_list)
@@ -210,10 +210,19 @@ def test_failed_cell_keeps_seed(records):
     assert {r.seed for r in results} == {7}
 
 
-def test_failed_train_data_fails_every_cell_it_feeds(records):
-    # an empty image fails in encode_streams, so no cell of the ladder trains
-    configs = [replace(BASE, image_len=0), replace(BASE, image_len=0, family="rn")]
+def test_failed_train_data_fails_every_cell_it_feeds(records, monkeypatch):
+    # each rung's first call prepares its train data; when that fails, no cell
+    # of the rung trains and its test list is never prepared
+    calls = []
+
+    def failing_call(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("image_len too short for any snippet")
+
+    monkeypatch.setattr(zeval, "prepare_pairs", failing_call)
+    configs = [BASE, replace(BASE, family="rn")]
     results = zeval.run_ladder(records, PLAN, configs)
+    assert len(calls) == len(PLAN.train_sizes)
     assert len(results) == len(configs) * len(PLAN.train_sizes)
     message, = {r.failed for r in results}
     assert "image_len" in message

@@ -1,9 +1,10 @@
 """Reference ID assignment: one token at a time, for differential tests.
 
 The per-token loop ``clcp.vocab.assign_ids`` ran before it looked tokens up in
-one table: every token takes its component's branch, and a Placeholder is
-looked up as ``STR`` whatever its text.  It is kept only as an independent
-oracle.
+bulk: every token takes its component's branch and looks its own key up in
+the vocabulary's ``(key, component)`` table (a whitespace run per character, a
+call by member name, a Placeholder as ``STR`` whatever its text).  It is kept
+only as an independent oracle.
 """
 from __future__ import annotations
 
@@ -20,17 +21,16 @@ def assign_ids(tokens, vocabulary, scope):
     for tok in tokens:
         component = tok.component
         if component is whitespace:
-            table = fixed[component]
-            ids.extend([table[ch] for ch in tok.text])
+            ids.extend([fixed[ch, component] for ch in tok.text])
         elif component in USER_SCOPED:
             append(allocate(component, tok.text))
         elif component in CORPUS_KEYED:
             key = _corpus_key(tok)
-            id_ = fixed[component].get(key)
+            id_ = fixed.get((key, component))
             append(id_ if id_ is not None else allocate(component, key))
         else:
             text = PLACEHOLDER_TEXT if component is placeholder else tok.text
-            id_ = fixed.get(component, {}).get(text)
+            id_ = fixed.get((text, component))
             if id_ is None:
                 raise VocabError(f"{component.value} token {text!r} missing from its fixed table")
             append(id_)

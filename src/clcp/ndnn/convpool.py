@@ -125,8 +125,9 @@ def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, train
     """Per-channel standardization of (B, C, L) with learned scale and shift.
 
     Training mode normalizes with biased batch statistics over (B, L) and
-    updates the running buffers in place; eval mode uses the running buffers.
-    Training requires batch size >= 2.
+    updates the running buffers in place; eval mode uses the running buffers'
+    mean and ``1 / sqrt(var + eps)``, cast to ``x``'s dtype.  Training requires
+    batch size >= 2.
     """
     if x.ndim != 3:
         raise ShapeError(f"batch_norm1d expects (B, C, L), got {x.shape}")
@@ -141,9 +142,11 @@ def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, train
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
+        inv_std = 1.0 / np.sqrt(var + eps)
     else:
-        mean, var = running_mean, running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
+        # from the float64 buffers, then in x's dtype: ops keep their input's dtype
+        mean = running_mean.astype(x.dtype, copy=False)
+        inv_std = (1.0 / np.sqrt(running_var + eps)).astype(x.dtype, copy=False)
     xhat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
 
     def backward(g):

@@ -1,5 +1,15 @@
-"""Adam parameter updates."""
+"""Adam parameter updates, in each parameter's own dtype.
+
+The moments and the update take the parameter's dtype: float32 for every
+model, float64 only for the gradient checks' float64 tensors.  Float32 is the
+full precision of mixed-precision training's master weights and optimizer
+state (Micikevicius et al. 2018), and Adam is elementwise on the parameters.
+The update is Kingma & Ba's in PyTorch's arrangement,
+``p -= (lr / (1 - b1**t)) * m / (sqrt(v) / sqrt(1 - b2**t) + eps)``.
+"""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,41 +43,55 @@ class Adam:
         self.t = 0
         self.m = {}
         self.v = {}
-        # float64 scratch for one slice's update; not state
-        self._num, self._den = np.empty(_CHUNK), np.empty(_CHUNK)
+        self._scratch = {}   # dtype -> two rows of one slice's update; not state
 
     def step(self, named_params):
-        """One update, slice by slice: the same elementwise ops in the same
-        dtypes as a whole-array update, so the same result bit for bit."""
+        """One update, slice by slice, in each parameter's dtype.
+
+        With the Python-float scalars ``step_size = lr / (1 - b1**t)`` and
+        ``c2 = sqrt(1 - b2**t)``, each parameter and its moments take
+
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * (g * g)
+            p -= step_size * m / (sqrt(v) / c2 + eps)
+
+        the textbook update in PyTorch's arrangement.  Each slice applies the
+        same elementwise ops in the same order as the whole-array expressions,
+        so the result is the same bit for bit.
+        """
         named_params = list(named_params)
         _check_grads(named_params)
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        step_size = self.lr / (1.0 - self.beta1 ** self.t)
+        c2 = math.sqrt(1.0 - self.beta2 ** self.t)
         for name, p in named_params:
             if name not in self.m:
-                self.m[name] = np.zeros(p.data.shape)
-                self.v[name] = np.zeros(p.data.shape)
+                self.m[name] = np.zeros(p.data.shape, p.data.dtype)
+                self.v[name] = np.zeros(p.data.shape, p.data.dtype)
             updated = (p.data, self.m[name], self.v[name])   # in place, by flat views
             if not all(a.flags.c_contiguous for a in updated):
                 raise ValueError(f"parameter {name} or its moments are not C-contiguous")
+            if p.data.dtype not in self._scratch:
+                self._scratch[p.data.dtype] = np.empty((2, _CHUNK), p.data.dtype)
+            scratch = self._scratch[p.data.dtype]
             data, m, v, g = (a.reshape(-1) for a in (*updated, p.grad))
             for start in range(0, data.size, _CHUNK):
                 s = slice(start, start + _CHUNK)
                 ms, vs, gs = m[s], v[s], g[s]
-                num, den = self._num[:len(gs)], self._den[:len(gs)]
+                den, num = scratch[:, :len(gs)]
                 ms *= self.beta1
-                ms += (1.0 - self.beta1) * gs
+                np.multiply(1.0 - self.beta1, gs, out=num)
+                ms += num
                 vs *= self.beta2
-                vs += (1.0 - self.beta2) * (gs * gs)
-                # lr * (m / b1t) / (sqrt(v / b2t) + eps), one op at a time in place
-                np.divide(ms, b1t, out=num)
-                np.multiply(self.lr, num, out=num)
-                np.divide(vs, b2t, out=den)
-                np.sqrt(den, out=den)
-                np.add(den, self.eps, out=den)
-                np.divide(num, den, out=num)
-                data[s] -= num.astype(data.dtype, copy=False)
+                np.multiply(gs, gs, out=num)
+                num *= 1.0 - self.beta2
+                vs += num
+                np.sqrt(vs, out=den)
+                den /= c2
+                den += self.eps
+                np.multiply(step_size, ms, out=num)
+                num /= den
+                data[s] -= num
 
     def state_arrays(self):
         """Moment buffers plus the step counter, for checkpointing."""
@@ -82,12 +106,17 @@ class Adam:
         """Raise ValueError unless ``arrays`` holds a loadable state for these parameters.
 
         ``adam.t`` is always needed; after a step, so is each parameter's pair
-        of moments, in the parameter's shape.
+        of moments, in the parameter's shape and dtype.
         """
         _check_members(arrays, [("adam.t", (1,))])
         if int(arrays["adam.t"][0]) != 0:
-            _check_members(arrays, [(f"adam.{moment}.{name}", p.data.shape)
-                                    for name, p in named_params for moment in "mv"])
+            moments = [(f"adam.{moment}.{name}", p.data) for name, p in named_params
+                       for moment in "mv"]
+            _check_members(arrays, [(key, data.shape) for key, data in moments])
+            for key, data in moments:
+                if arrays[key].dtype != data.dtype:
+                    raise ValueError(
+                        f"dtype mismatch for {key}: {arrays[key].dtype} vs {data.dtype}")
 
     def load_state_arrays(self, arrays):
         self.t = int(arrays["adam.t"][0])

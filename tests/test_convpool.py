@@ -124,6 +124,26 @@ class TestBatchNorm:
         out = layer.forward(nd.Tensor(np.full((1, 2, 4), 3.0)))
         np.testing.assert_allclose(out.data, 0.0, atol=0.2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_output_keeps_input_dtype(self, dtype):
+        rng = np.random.default_rng(2)
+        # float32 values, so both dtypes start from the same numbers
+        x, gamma, beta = (rng.normal(scale=3.0, size=shape).astype(np.float32)
+                          for shape in ((4, 3, 6), 3, 3))
+        running_mean, running_var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+
+        def eval_bn(dt):
+            # float64 buffers, as BatchNorm1dLayer holds them
+            return nd.batch_norm1d(nd.Tensor(x.astype(dt)), nd.Tensor(gamma.astype(dt)),
+                                   nd.Tensor(beta.astype(dt)), running_mean.copy(),
+                                   running_var.copy(), 1e-5, 0.1, False).data
+
+        out, want = eval_bn(dtype), eval_bn(np.float64)
+        assert out.dtype == dtype
+        # a handful of float32 roundings, each within half an ulp of the value
+        np.testing.assert_allclose(out, want, rtol=4 * np.finfo(np.float32).eps,
+                                   atol=4 * np.finfo(np.float32).eps * np.abs(want).max())
+
 
 class TestGradients:
     def _check(self, build, arrays, tol=1e-6):

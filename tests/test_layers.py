@@ -1,4 +1,5 @@
 """Layer containers: init statistics, optimizers, checkpoints, determinism."""
+import math
 import zipfile
 
 import numpy as np
@@ -60,68 +61,80 @@ class TestOptim:
         assert clone.t == 3
         np.testing.assert_array_equal(clone.m["p"], opt.m["p"])
 
+    @staticmethod
+    def _textbook_step(data, m, v, g, t, lr, b1, b2, eps):
+        # the whole-array update as one expression per line, fresh temporaries
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        data -= (lr / (1.0 - b1 ** t)) * m / (np.sqrt(v) / math.sqrt(1.0 - b2 ** t) + eps)
+
     def test_adam_matches_textbook_formula_bit_for_bit(self):
-        # the update written as one expression, with fresh temporaries per step
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(7)
         # sizes shrink and grow, so the scratch is reused at several sizes
-        inits = [("small", rng.normal(size=(3, 2)).astype(np.float32)),
-                 ("large", rng.normal(size=(5, 4, 3)).astype(np.float32)),
+        inits = [("small", rng.normal(size=(3, 2))),
+                 ("large", rng.normal(size=(5, 4, 3))),
                  ("scalar", np.array(0.5)),
                  ("mid", rng.normal(size=7))]
+        inits = [(n, a.astype(np.float32)) for n, a in inits]
         params = [(n, nd.Tensor(a.copy(), requires_grad=True)) for n, a in inits]
-        ref = {n: (a.copy(), np.zeros(a.shape), np.zeros(a.shape)) for n, a in inits}
+        ref = {n: (a.copy(), np.zeros_like(a), np.zeros_like(a)) for n, a in inits}
         opt = nd.Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
         for t in range(1, 21):
             for name, p in params:
-                p.grad = rng.normal(size=p.shape).astype(p.dtype)
-                data, m, v = ref[name]
-                m *= b1
-                m += (1.0 - b1) * p.grad
-                v *= b2
-                v += (1.0 - b2) * (p.grad * p.grad)
-                update = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
-                data -= update.astype(data.dtype, copy=False)
+                p.grad = rng.normal(size=p.shape).astype(np.float32)
+                self._textbook_step(*ref[name], p.grad, t, lr, b1, b2, eps)
             opt.step(params)
         for name, p in params:
             data, m, v = ref[name]
-            assert p.data.dtype == data.dtype
+            assert p.data.dtype == opt.m[name].dtype == opt.v[name].dtype == np.float32
             assert p.data.tobytes() == data.tobytes()
             assert opt.m[name].tobytes() == m.tobytes()
             assert opt.v[name].tobytes() == v.tobytes()
-        # the scratch buffers are not optimizer state
-        assert sorted(opt.state_arrays()) == ["adam.m.large", "adam.m.mid", "adam.m.scalar",
-                                              "adam.m.small", "adam.t", "adam.v.large",
-                                              "adam.v.mid", "adam.v.scalar", "adam.v.small"]
 
     def test_chunked_step_matches_one_shot_update(self):
-        # 3 chunks and a remainder, against the whole-array update done one op
-        # at a time; the gradient is a transposed, non-contiguous view
+        # 3 chunks and a remainder, against the whole-array update; the
+        # gradient is a transposed, non-contiguous view
         rows, cols = 3 * _CHUNK // 64 + 3, 64
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(11)
         init = rng.normal(size=(rows, cols)).astype(np.float32)
         p = nd.Tensor(init.copy(), requires_grad=True)
-        data, m, v = init.copy(), np.zeros(init.shape), np.zeros(init.shape)
+        data, m, v = init.copy(), np.zeros_like(init), np.zeros_like(init)
         opt = nd.Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
         for t in range(1, 4):
             p.grad = g = rng.normal(size=(cols, rows)).astype(np.float32).T
             assert not g.flags.c_contiguous
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            num = np.divide(m, 1.0 - b1 ** t)
-            np.multiply(lr, num, out=num)
-            den = np.divide(v, 1.0 - b2 ** t)
-            np.sqrt(den, out=den)
-            np.add(den, eps, out=den)
-            np.divide(num, den, out=num)
-            data -= num.astype(data.dtype, copy=False)
+            self._textbook_step(data, m, v, g, t, lr, b1, b2, eps)
             opt.step([("p", p)])
             assert p.data.tobytes() == data.tobytes()
             assert opt.m["p"].tobytes() == m.tobytes()
             assert opt.v["p"].tobytes() == v.tobytes()
+
+    def test_moments_and_scratch_follow_each_parameter_dtype(self):
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(3)
+        inits = [("f32", rng.normal(size=(4, 3)).astype(np.float32)),
+                 ("f64", rng.normal(size=5))]
+        params = [(n, nd.Tensor(a.copy(), requires_grad=True)) for n, a in inits]
+        ref = {n: (a.copy(), np.zeros_like(a), np.zeros_like(a)) for n, a in inits}
+        opt = nd.Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 4):
+            for name, p in params:
+                p.grad = rng.normal(size=p.shape).astype(p.dtype)
+                self._textbook_step(*ref[name], p.grad, t, lr, b1, b2, eps)
+            opt.step(params)
+        for name, p in params:
+            assert opt.m[name].dtype == opt.v[name].dtype == p.dtype
+            assert p.data.tobytes() == ref[name][0].tobytes()
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert {dtype: buf.dtype for dtype, buf in opt._scratch.items()} == {f32: f32, f64: f64}
+        # the scratch buffers are not optimizer state
+        state = opt.state_arrays()
+        assert sorted(state) == ["adam.m.f32", "adam.m.f64", "adam.t", "adam.v.f32", "adam.v.f64"]
+        assert [state[f"adam.{k}.f32"].dtype for k in "mv"] == [np.float32] * 2
 
     def test_non_contiguous_parameter_rejected(self):
         p = nd.Tensor(np.ones((4, 3), dtype=np.float32).T, requires_grad=True)

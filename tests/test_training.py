@@ -259,6 +259,7 @@ class TestTrainLoop:
         load_checkpoint(path, CLCPModel(tiny_cfg(), text_vocab_size=32), loaded)
         assert loaded.t == saved.t == 1
         for name, m in saved.m.items():
+            assert m.dtype == saved.v[name].dtype == np.float32
             np.testing.assert_array_equal(loaded.m[name], m)
             np.testing.assert_array_equal(loaded.v[name], saved.v[name])
 
@@ -266,6 +267,8 @@ class TestTrainLoop:
         ("adam.t", "delete", "missing members: adam.t"),
         ("adam.v.logit_scale", "delete", "missing members: adam.v.logit_scale"),
         ("adam.m.logit_scale", "reshape", "shape mismatch for adam.m.logit_scale"),
+        ("adam.m.logit_scale", "float64", "dtype mismatch for adam.m.logit_scale"),
+        ("adam.v.logit_scale", "float64", "dtype mismatch for adam.v.logit_scale"),
     ])
     def test_bad_optimizer_state_leaves_model_unchanged(self, tmp_path, member, edit, message):
         path = tmp_path / training.CHECKPOINT_NAME
@@ -273,6 +276,8 @@ class TestTrainLoop:
         arrays = load_arrays(path)
         if edit == "delete":
             del arrays[member]
+        elif edit == "float64":   # a checkpoint from before moments took the parameter's dtype
+            arrays[member] = arrays[member].astype(np.float64)
         else:
             arrays[member] = np.zeros((2, 2))
         save_arrays(path, arrays.items())

@@ -11,9 +11,11 @@ The front end turns source text into classified tokens in three stages:
   (``a.strip``) into single tokens and resolves identifier components against
   the built-in tables.
 
-A ``Token`` is a named tuple ``(text, component, span)``; whitespace and
-newline tokens (``LAYOUT``) are the only ones that are not significant.  The
-concatenation of token texts always reproduces the lexed source exactly.
+A ``Token`` is a named tuple ``(text, component)``, exactly its key in the
+vocabulary's fixed table; whitespace and newline tokens (``LAYOUT``) are the
+only ones that are not significant.  The concatenation of ``lex``'s token texts
+always reproduces the lexed source exactly, so a token's offsets are the
+running sum of the texts before it.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import string
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate, chain, compress, repeat
+from itertools import compress, repeat
 from operator import is_, itemgetter
 from typing import NamedTuple
 
@@ -66,11 +68,10 @@ def component_from_label(label):
 
 
 class Token(NamedTuple):
-    """One lexical unit: text, component class, and (start, end) offsets."""
+    """One lexical unit: its text and component class."""
 
     text: str
     component: Component
-    span: tuple[int, int]
 
 
 #: Components of layout tokens; every other token is significant.
@@ -258,17 +259,15 @@ def lex(src, tables=None):
     """Tokenize cleaned source in one regex pass; identifiers come out as Variables.
 
     Whitespace is emitted as maximal same-character runs and newlines one per
-    character, so the token texts tile ``src`` and each span is a running sum
-    of their lengths.  A token's component is that of its text in the tables
-    (keywords, ``STR``, operators, symbols, single layout characters), else a
-    name or a whitespace run by its first character, else Number.  A
-    character no token starts with, such as a
-    quote or ``#`` (``clean_code`` leaves none), raises ``LexError`` at the
-    first offset where the matched texts stop tiling ``src``.
+    character, so the token texts tile ``src``.  A token's component is that of
+    its text in the tables (keywords, ``STR``, operators, symbols, single layout
+    characters), else a name or a whitespace run by its first character, else
+    Number.  A character no token starts with, such as a quote or ``#``
+    (``clean_code`` leaves none), raises ``LexError`` at the first offset where
+    the matched texts stop tiling ``src``; only then are offsets computed.
     """
     texts = _TOKEN_RE.findall(src)
-    ends = list(accumulate(map(len, texts)))
-    if (ends[-1] if ends else 0) != len(src):   # findall skipped a character
+    if sum(map(len, texts)) != len(src):   # findall skipped a character
         pos = 0
         for text in texts:
             if not src.startswith(text, pos):
@@ -279,8 +278,7 @@ def lex(src, tables=None):
                      map(_FIRST_CHAR_COMPONENT.get, map(itemgetter(0), texts),
                          repeat(Component.NUMBER)))
     # tuple.__new__ builds each Token in C, skipping Token's Python-level __new__
-    return list(map(tuple.__new__, repeat(Token),
-                    zip(texts, components, zip(chain((0,), ends), ends))))
+    return list(map(tuple.__new__, repeat(Token), zip(texts, components)))
 
 
 # -- step 3: classification ------------------------------------------------------
@@ -293,7 +291,9 @@ def classify(tokens, tables=None):
     after ``class`` a Class.  A name directly followed by ``.name`` pairs fuses
     with them into one composite token, classified by receiver root and member
     name (a called member that some ``def`` of the input names is a
-    MethodCall), as is a name directly after a ``.``.  A bare name is checked
+    MethodCall), as is a name directly after a ``.``.  "Directly" means
+    neighbouring in ``tokens``, with no layout token between; on ``lex`` output,
+    neighbouring tokens are adjacent in the source.  A bare name is checked
     against the built-in class and function tables; "called" means the next
     significant token is ``(``.  Every token whose component does not change
     is passed through as the same object, so the function is idempotent.
@@ -321,33 +321,29 @@ def classify(tokens, tables=None):
             continue
         prev_text = texts[p] if p >= 0 else None
         if prev_text in ("def", "class") and comps[p] is keyword:
-            end, text, span = i + 1, texts[i], tokens[i].span
+            end, text = i + 1, texts[i]
             component = Component.METHOD if prev_text == "def" else Component.CLASS
         else:
             end = i + 1
             while (end + 1 < n and texts[end] == "." and comps[end] is symbol
-                   and comps[end + 1] is variable
-                   and tokens[end - 1].span[1] == tokens[end].span[0]
-                   and tokens[end].span[1] == tokens[end + 1].span[0]):
+                   and comps[end + 1] is variable):
                 end += 2
             nxt = end
             while nxt < n and comps[nxt] in LAYOUT:
                 nxt += 1
             called = nxt < n and texts[nxt] == "(" and comps[nxt] is symbol
-            after_dot = (prev_text == "." and comps[p] is symbol
-                         and tokens[p].span[1] == tokens[i].span[0])
+            after_dot = p == i - 1 and prev_text == "." and comps[p] is symbol
             if end > i + 1 or after_dot:
                 segments = texts[i:end:2]
-                text, span = ".".join(segments), (tokens[i].span[0], tokens[end - 1].span[1])
+                text = ".".join(segments)
                 component = _classify_dotted(segments, called, after_dot, def_names, tables)
             else:
                 text = texts[i]
                 component = _classify_bare(text, called, tables)
                 if component is variable:
                     continue
-                span = tokens[i].span
         out += tokens[done:i]
-        out.append(Token(text, component, span))
+        out.append(Token(text, component))
         done = end
     out += tokens[done:]
     return out

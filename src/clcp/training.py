@@ -202,10 +202,10 @@ def prepare_pairs(pairs, config, vocab=None, text_vocab=None, tokens=None):
     tensorize.  ``tokens`` maps snippets to their tokens and gains the new ones.
 
     The cyclic garbage collector is paused meanwhile: the front end allocates
-    several tracked objects per token (each ``Token`` and its span) but never a
-    reference cycle, so the collections that allocation would trigger find
-    nothing to free.  The collector's state is restored on every exit, and the
-    young generation is collected once after the body's locals are gone.
+    a tracked object per token (each ``Token`` tuple) but never a reference
+    cycle, so the collections that allocation would trigger find nothing to
+    free.  The collector's state is restored on every exit, and the young
+    generation is collected once after the body's locals are gone.
     """
     enabled = gc.isenabled()
     gc.disable()

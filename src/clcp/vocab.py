@@ -17,7 +17,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import is_, itemgetter
+from operator import is_
 from pathlib import Path
 
 from .pylex import Component, component_from_label, load_default_tables, member_key
@@ -211,8 +211,12 @@ def build_vocab(token_streams, tables=None):
 class NamespaceScope:
     """Per-namespace allocator for user-defined and fallback IDs.
 
-    The same key always maps to the same ID within a scope; fresh scopes
-    restart every cursor, so IDs are reused across namespaces.
+    The same key always maps to the same ID within a scope.  A new key takes
+    the next ID of the component's scope bounds, ``lo + len(local) %
+    capacity``, so fresh scopes start again at ``lo`` and IDs are reused
+    across namespaces.  Past ``capacity`` keys a scope raises RangeExhausted,
+    or with ``on_exhaust="recycle"`` wraps to ``lo`` and records the component
+    in ``recycled``.
     """
 
     def __init__(self, ranges=None, on_exhaust="error"):
@@ -221,7 +225,6 @@ class NamespaceScope:
         self.ranges = ranges or IdRanges()
         self.on_exhaust = on_exhaust
         self.recycled = set()
-        self._cursors = {}
         self._local = {c: {} for c in USER_SCOPED + CORPUS_KEYED}
 
     def allocate(self, component, key):
@@ -229,40 +232,37 @@ class NamespaceScope:
         id_ = local.get(key)
         if id_ is None:
             lo, hi = self.ranges.scope_bounds(component)
-            cursor = self._cursors.get(component, lo)
-            if cursor > hi:
+            capacity = hi - lo + 1
+            if len(local) >= capacity:
                 if self.on_exhaust == "error":
-                    raise RangeExhausted(component, hi - lo + 1)
-                cursor = lo
+                    raise RangeExhausted(component, capacity)
                 self.recycled.add(component)
-            local[key] = id_ = cursor
-            self._cursors[component] = cursor + 1
+            local[key] = id_ = lo + len(local) % capacity
         return id_
 
 
 def assign_ids(tokens, vocabulary, scope):
     """Map classified tokens to numeric IDs.
 
-    Every token is looked up by its ``(text, component)`` key in
-    ``vocabulary.fixed``; only the misses are visited, and each distinct
-    missing key is resolved once: a dotted call is looked up again by member
-    name.  User-scoped tokens, and corpus-keyed ones with no fixed ID, take
-    their IDs from ``scope``; a whitespace run expands to one ID per character
-    so that decoding recovers the exact text.
+    A token is its own ``(text, component)`` key in ``vocabulary.fixed``, so
+    every token is looked up as it is; only the misses are visited, and each
+    distinct missing key is resolved once: a dotted call is looked up again by
+    member name.  User-scoped tokens, and corpus-keyed ones with no fixed ID,
+    take their IDs from ``scope``; a whitespace run expands to one ID per
+    character so that decoding recovers the exact text.
     """
     fixed = vocabulary.fixed
-    keys = list(map(itemgetter(0, 1), tokens))
-    ids = list(map(fixed.get, keys))
+    ids = list(map(fixed.get, tokens))
     resolved, runs = {}, []   # runs: indices of whitespace runs, expanded below
     for i in compress(count(), map(is_, ids, repeat(None))):
-        key = keys[i]
+        key = tokens[i]
         id_ = resolved.get(key)
         if id_ is None:
             text, component = key
             if component in USER_SCOPED:
                 id_ = scope.allocate(component, text)
             elif component in CORPUS_KEYED:
-                corpus_key = _corpus_key(tokens[i])
+                corpus_key = _corpus_key(key)
                 id_ = fixed.get((corpus_key, component))
                 if id_ is None:
                     id_ = scope.allocate(component, corpus_key)

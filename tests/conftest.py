@@ -16,14 +16,12 @@ def parse_token_lines(text):
     from clcp.pylex import Token, component_from_label
 
     out = []
-    pos = 0
     for line in text.splitlines():
         if not line or line.startswith("#"):
             continue
         label, _, raw = line.partition("\t")
         tok_text = re.sub(r"\\[\\nt]", lambda m: _TOKEN_UNESCAPES[m.group()], raw)
-        out.append(Token(tok_text, component_from_label(label), (pos, pos + len(tok_text))))
-        pos += len(tok_text)
+        out.append(Token(tok_text, component_from_label(label)))
     return out
 
 

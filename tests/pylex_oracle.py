@@ -54,8 +54,7 @@ def lex(src, tables=None):
     tokens = []
     pos = 0
     for m in _MASTER_RE.finditer(src):
-        span = m.span()
-        if span[0] != pos:   # finditer skipped a character no group matches
+        if m.start() != pos:   # finditer skipped a character no group matches
             break
         text, kind = m.group(), m.lastgroup
         if kind == "name":
@@ -64,8 +63,8 @@ def lex(src, tables=None):
                          Component.VARIABLE)
         else:
             component = _GROUP_COMPONENT[kind]
-        tokens.append(Token(text, component, span))
-        pos = span[1]
+        tokens.append(Token(text, component))
+        pos = m.end()
     if pos < len(src):
         raise LexError(f"unexpected character {src[pos]!r}", (pos, pos + 1))
     return tokens
@@ -100,8 +99,6 @@ def _fuse_dotted(tokens, i):
             break
         if ident.component is not Component.VARIABLE:
             break
-        if tokens[j - 1].span[1] != dot.span[0] or dot.span[1] != ident.span[0]:
-            break
         segments.append(ident.text)
         j += 2
     return segments, j
@@ -124,23 +121,22 @@ def classify(tokens, tables=None):
         if prev is not None and prev.component is Component.KEYWORD \
                 and prev.text in ("def", "class"):
             component = Component.METHOD if prev.text == "def" else Component.CLASS
-            prev = Token(tok.text, component, tok.span)
+            prev = Token(tok.text, component)
             out.append(prev)
             i += 1
             continue
-        after_dot = (prev is not None and prev.component is Component.SYMBOL
-                     and prev.text == "." and prev.span[1] == tok.span[0])
+        # only a ``.`` directly before the name, with no layout between
+        after_dot = out[-1:] == [Token(".", Component.SYMBOL)]
         segments, end = _fuse_dotted(tokens, i)
         nxt = _next_significant(tokens, end)
         called = nxt is not None and nxt.component is Component.SYMBOL and nxt.text == "("
         if len(segments) > 1 or after_dot:
             text = ".".join(segments)
-            span = (tok.span[0], tokens[end - 1].span[1])
             component = _classify_dotted(segments, called, after_dot, def_names, tables)
         else:
-            text, span = tok.text, tok.span
+            text = tok.text
             component = _classify_bare(text, called, tables)
-        prev = Token(text, component, span)
+        prev = Token(text, component)
         out.append(prev)
         i = end
     return out

@@ -210,6 +210,23 @@ class TestGradients:
 
         self._check(build, arrs, tol=5e-6)
 
+    def test_batch_norm_eval_mode(self):
+        # the running buffers are constants: no batch statistic couples the samples
+        rng = np.random.default_rng(27)
+        arrs = [rng.normal(size=(3, 3, 5)), rng.uniform(0.5, 1.5, size=3), rng.normal(size=3)]
+        running_mean, running_var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+
+        def build(arrays):
+            x = nd.Tensor(arrays[0], requires_grad=True)
+            gamma = nd.Tensor(arrays[1], requires_grad=True)
+            beta = nd.Tensor(arrays[2], requires_grad=True)
+            out = nd.batch_norm1d(x, gamma, beta, running_mean.copy(), running_var.copy(),
+                                  1e-5, 0.1, False)
+            w = nd.Tensor(np.linspace(0.5, 1.5, out.size).reshape(out.shape))
+            return nd.tsum(out * w), [x, gamma, beta]
+
+        self._check(build, arrs)
+
     def test_max_pool_gradient_sparsity(self):
         # exactly one nonzero per (channel, window) with non-overlapping windows
         rng = np.random.default_rng(25)

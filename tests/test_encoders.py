@@ -1,5 +1,6 @@
 """Encoder construction, shape planning, config files, text masking."""
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -206,6 +207,14 @@ class TestConfig:
                 ModelConfig(image_len=bad)
         ModelConfig(max_epochs=1, seed=0, image_len=1)
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ModelConfig(family="xx"), "family: must be one of lp, gp, rn, got 'xx'"),
+        (lambda: apply_ablation(ModelConfig(), "+Dropout"), "delta: unknown ablation '+Dropout'"),
+    ], ids=["family", "ablation"])
+    def test_unknown_family_or_ablation_is_named(self, build, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
+
     @pytest.mark.parametrize("field_name", ["temperature_init", "temperature_max", "lr",
                                             "val_fraction"])
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
@@ -297,6 +306,13 @@ class TestTextSide:
         path.write_text(json.dumps(words), encoding="utf-8")
         with pytest.raises(ValueError, match="not a JSON list of distinct words"):
             TextVocabulary.load(path)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 7), (6,)])
+    def test_ids_of_the_wrong_length_are_named(self, shape):
+        enc = TextEncoder(small_cfg(), vocab_size=32)
+        with pytest.raises(ndnn.ShapeError,
+                           match=f"^{re.escape(f'text ids must be (B, 6), got {shape}')}$"):
+            enc.forward(np.full(shape, 2))
 
     def test_degenerate_zero_layer_runs(self):
         cfg = small_cfg()

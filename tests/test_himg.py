@@ -13,7 +13,7 @@ VOCAB = build_vocab([])
 def keyword_stream(ids):
     """Tokens that encode to exactly ``ids``: keyword IDs are 1.. in table order."""
     keywords = load_default_tables().keywords
-    return [Token(keywords[i - 1], Component.KEYWORD, (0, 0)) for i in ids]
+    return [Token(keywords[i - 1], Component.KEYWORD) for i in ids]
 
 
 def encode_one(tokens, image_len):
@@ -45,7 +45,7 @@ class TestMakeImage:
         # distinct numbers outside the vocabulary fill the scope-local tail,
         # whose last ID is MAX_ID
         tail = VOCAB.ranges.fallback_tail(Component.NUMBER)
-        numbers = [Token(str(k), Component.NUMBER, (0, 0)) for k in range(tail)]
+        numbers = [Token(str(k), Component.NUMBER) for k in range(tail)]
         tokens = keyword_stream([1]) + numbers + keyword_stream([7])
         ids, _, _ = encode_one(tokens, image_len=tail + 4)
         assert ids.max() == MAX_ID

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from clcp import synth
 from clcp.ingest import (
     IngestError,
     PairRecord,
@@ -85,7 +86,29 @@ class TestLoadPairs:
         assert codes == [f"x = {i}" for i in range(4)]
 
 
+class TestPairRecord:
+    @pytest.mark.parametrize("code,doc,message", [
+        ("", "sets x", "record r: empty code"),
+        ("x = 1", " \n\t", "record r: empty doc"),
+    ], ids=["empty-code", "blank-doc"])
+    def test_empty_field_is_named(self, code, doc, message):
+        with pytest.raises(IngestError, match=f"^{message}$"):
+            PairRecord("r", code, doc)
+
+
+def test_synth_rejects_an_unknown_split():
+    with pytest.raises(ValueError,
+                       match=r"^split must be one of \['heldout', 'train'\], got 'test'$"):
+        synth.generate_pairs(4, 0, split="test")
+
+
 class TestSamplePlan:
+    @pytest.mark.parametrize("train,test,name", [((), (1,), "train_sizes"),
+                                                 ((1,), (), "test_sizes")])
+    def test_rejects_empty_sizes(self, train, test, name):
+        with pytest.raises(IngestError, match=f"^{name} must not be empty$"):
+            SamplePlan(train, test, seed=0)
+
     def test_rejects_decreasing_sizes(self):
         with pytest.raises(IngestError):
             SamplePlan((8, 4), (2,), seed=0)
@@ -134,6 +157,14 @@ class TestSampleSplit:
         assert len(test) == 2
         for rec in test:
             assert first_sentence(rec.doc) not in train_sentences
+
+    def test_short_zero_shot_pool_names_sizes(self):
+        # every doc opens with the train pool's sentence, so no record is zero-shot
+        records = [PairRecord(f"s{i}", f"a = {i}", f"shared sentence here. tail {i}")
+                   for i in range(8)]
+        with pytest.raises(IngestError,
+                           match="^requested size 2 exceeds zero-shot test pool of 0$"):
+            sample_split(records, SamplePlan((4,), (2,), seed=5))
 
     def test_first_sentence_normalization(self):
         assert first_sentence("Return  the union. &gt;&gt;&gt;") == "return the union"

@@ -50,6 +50,21 @@ class TestRules:
         assert report.dropped
         assert report.rules_fired.get("strip_parameter_tables") == 1
 
+    def test_parameter_table_ends_at_prose(self):
+        cleaned, report = clean_doc("Scale the input.\nParameters\n----------\n"
+                                    "x : float\n    the input\n\n"
+                                    "The result is never negative.")
+        assert cleaned == "Scale the input. The result is never negative."
+        assert report.rules_fired.get("strip_parameter_tables") == 1
+
+    def test_parameter_table_runs_on_through_a_second_section(self):
+        # a second underlined header and its entries go with the first table
+        cleaned, report = clean_doc("Scale the input.\nParameters\n----------\n"
+                                    "x : float\nRaises\n------\nValueError : if x < 0\n"
+                                    "Works on every float.")
+        assert cleaned == "Scale the input. Works on every float."
+        assert report.rules_fired.get("strip_parameter_tables") == 1
+
     def test_identity_case(self):
         cleaned, report = clean_doc("no redundancy here")
         assert cleaned == "no redundancy here"

@@ -3,15 +3,17 @@
 For each of the 210 golden sources (``tests/golden/*.py``) this pins the
 sha256 of the ``clean_code`` output, of the ``lex`` tokens and of the
 ``classify`` tokens, plus the classified token count.  A token is hashed as
-its text, component label and span, so any change to cleaning, token
-boundaries, offsets or classification shows up here, not only a change of
-assigned IDs (``test_image_golden.py``).
+its text, component label and (start, end) offsets.  Tokens store no offsets;
+the token texts tile the cleaned source, so the offsets are running sums of
+the text lengths.  Any change to cleaning, token boundaries or classification
+shows up here, not only a change of assigned IDs (``test_image_golden.py``).
 
 Rewrite the golden file only for an intended change of front-end output:
 ``PYTHONPATH=src python tests/test_token_golden.py``.
 """
 import hashlib
 import json
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -28,8 +30,9 @@ def _sha256(text):
 
 
 def _token_sha256(tokens):
-    return _sha256("\n".join(json.dumps([t.text, t.component.value, *t.span])
-                             for t in tokens))
+    ends = accumulate(len(t.text) for t in tokens)
+    return _sha256("\n".join(json.dumps([t.text, t.component.value, end - len(t.text), end])
+                             for t, end in zip(tokens, ends)))
 
 
 def run_source(path):

@@ -134,6 +134,16 @@ class TestTrainLoop:
         assert [m["train_loss"] for m in m1] == [m["train_loss"] for m in m2]
         assert [m["val_loss"] for m in m1] == [m["val_loss"] for m in m2]
 
+    @pytest.mark.parametrize("n,val_fraction,message", [
+        (1, 0.0, "training needs at least 2 pairs"),
+        (3, 0.5, "validation split leaves fewer than 2 training pairs"),
+    ], ids=["one-pair", "val-split"])
+    def test_too_few_training_pairs_are_named(self, n, val_fraction, message):
+        cfg = tiny_cfg(val_fraction=val_fraction)
+        data = prepare_pairs(generate_pairs(n, seed=11), cfg)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            training.fit(data, cfg)
+
     def test_batch_size_one_warns(self):
         pairs = generate_pairs(8, seed=7)
         with pytest.warns(UserWarning, match="batch size 1"):

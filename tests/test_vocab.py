@@ -305,6 +305,11 @@ class TestAssignIds:
         with pytest.raises(RangeExhausted, match="Variable"):
             scope.allocate(Component.VARIABLE, "one_too_many")
 
+    def test_unknown_exhaust_mode_is_named(self):
+        with pytest.raises(ValueError,
+                           match="^on_exhaust must be 'error' or 'recycle', got 'wrap'$"):
+            NamespaceScope(on_exhaust="wrap")
+
     def test_recycle_mode_wraps(self):
         scope = NamespaceScope(on_exhaust="recycle")
         for i in range(2039):
@@ -312,9 +317,11 @@ class TestAssignIds:
         wrapped = scope.allocate(Component.VARIABLE, "extra")
         assert wrapped == 7961
         assert scope.recycled == {Component.VARIABLE}
+        assert scope.allocate(Component.VARIABLE, "second_extra") == 7962
+        assert scope.allocate(Component.VARIABLE, "extra") == 7961
 
     def test_unknown_builtin_text_is_named(self, empty_vocab):
-        tok = Token("nope", Component.KEYWORD, (0, 4))
+        tok = Token("nope", Component.KEYWORD)
         with pytest.raises(VocabError, match="Keyword token 'nope'"):
             assign_ids([tok], empty_vocab, NamespaceScope())
 
@@ -369,7 +376,7 @@ def _outcome(assign, tokens, vocab, on_exhaust):
 
 
 def _tok(component):
-    return lambda text: Token(text, component, (0, 0))
+    return lambda text: Token(text, component)
 
 
 _TABLES = load_default_tables()
@@ -381,10 +388,10 @@ _CALL_TEXTS = st.tuples(st.sampled_from(["", "a.", "self.rows."]),
                         st.sampled_from(["push", "strip", "merge", "scan"])).map("".join)
 _STREAM_TOKENS = st.one_of(
     st.sampled_from(_TABLES.keywords).map(_tok(Component.KEYWORD)),
-    st.sampled_from(_TABLES.symbols).map(lambda tc: Token(tc[0], tc[1], (0, 0))),
-    st.just(Token("STR", Component.PLACEHOLDER, (0, 0))),
+    st.sampled_from(_TABLES.symbols).map(lambda tc: Token(tc[0], tc[1])),
+    st.just(Token("STR", Component.PLACEHOLDER)),
     st.tuples(st.sampled_from(" \t"), st.integers(1, 12)).map(
-        lambda ck: Token(ck[0] * ck[1], Component.WHITESPACE, (0, 0))),
+        lambda ck: Token(ck[0] * ck[1], Component.WHITESPACE)),
     st.sampled_from(_TABLES.classes).map(_tok(Component.BUILTIN_CLASS)),
     st.sampled_from(_TABLES.functions).map(_tok(Component.BUILTIN_METHOD)),
     st.sampled_from(_TABLES.dotted_functions).map(_tok(Component.BUILTIN_METH_CALL)),

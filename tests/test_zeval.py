@@ -1,4 +1,5 @@
 """Zero-shot matching and the ablation ladder on a tiny synthetic plan."""
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -178,6 +179,13 @@ def test_empty_held_out_list_is_named(records):
         zeval.evaluate_pairs(model, data.vocab, data.text_vocab, [])
     with pytest.raises(ValueError, match="held-out embedding batches are empty"):
         zero_shot_match(np.zeros((0, 8)), np.zeros((0, 8)))
+
+
+@pytest.mark.parametrize("code_shape,text_shape", [((3, 8), (4, 8)), ((3, 8), (3, 4))])
+def test_embedding_batches_of_different_shapes_are_named(code_shape, text_shape):
+    message = f"embedding batches differ: {code_shape} vs {text_shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        zero_shot_match(np.zeros(code_shape), np.zeros(text_shape))
 
 
 def test_parallel_ablation_opens_one_pool(records, ablation, monkeypatch):

@@ -11,6 +11,20 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, Tensor, _accum
 
+# conv1d's backward multiplies only the windows whose output gradient is nonzero
+# when they are at most this share of all windows.  Measured on gradients
+# captured in real training steps (default config, batch 32, BLAS on 1 thread;
+# share of live windows, then sparse / dense backward time per layer):
+#   gp and rn on synth pairs, below their global max pool   4-11%   0.12-0.66
+#   gp and rn on the `encode` benchmark's modules            7-29%   0.21-0.95
+#   lp (local pools), none and -Init                       52-67%   1.0-2.1
+#   +BN and -Pool                                            100%   1.9-2.6
+# The paths tie near 30%; at one quarter, no layer measured slower on the sparse
+# path takes it.  A first training step can be sparse without batch norm: with
+# zero biases, a conv over zero padding outputs 0, where relu passes no
+# gradient (6-7% live in lp's first step on synth images).
+SPARSE_LIVE_SHARE = 0.25
+
 
 def conv_out_len(length, kernel, stride):
     """Output length of a valid 1D convolution or local pooling window."""
@@ -34,11 +48,30 @@ def conv1d(x, weight, bias, stride):
     (B, C_out, L_out) view of that (C_out, B*L_out) product, so its memory is
     laid out (C_out, B, L_out); the elementwise ops after it keep that layout,
     and an upstream gradient in it reshapes to (C_out, B*L_out) for free.
-    When the result requires grad, its backward keeps ``cols``, computes the
-    weight gradient ``g2 @ cols.T`` as ``(cols @ g2.T).T`` in C order (OpenBLAS
-    runs it faster at the lp and rn shapes, with the same bits) and the input
-    gradient as one GEMM ``W2.T @ g2`` whose rows are added back into place one
-    window offset at a time; otherwise ``cols`` is freed on return.
+    When the result requires grad, its backward keeps ``cols``; otherwise
+    ``cols`` is freed on return.
+
+    The backward has two paths, chosen by the share of windows (columns of the
+    (C_out, B*L_out) gradient ``g2``) that carry a nonzero gradient in some
+    channel.  A global max pool downstream leaves at most one live window per
+    (sample, channel), so most are exactly zero.  Above ``SPARSE_LIVE_SHARE``
+    the dense path computes the weight gradient ``g2 @ cols.T`` as
+    ``(cols @ g2.T).T`` in C order (OpenBLAS runs it faster at the lp and rn
+    shapes, with the same bits) and the input gradient as one GEMM
+    ``W2.T @ g2`` whose rows are added back into place one window offset at a
+    time.  At or below it, the sparse path does the same over the live columns
+    alone: ``(cols[:, live] @ g2[:, live].T).T``, and ``W2.T @ g2[:, live]``
+    added into each live window's input positions, one offset at a time.  The
+    input gradient leaves out only adds of +0.0, so it is bit-identical to the
+    dense one; the weight gradient sums fewer exact zeros, which BLAS may
+    block differently (in float32, up to about 2e-6 of its largest entry).
+    The bias gradient is ``g.sum(axis=(0, 2))`` on both paths.
+
+    Non-finite values: a NaN or inf in ``g`` keeps its window live.  On the
+    sparse path, ``x`` and ``weight`` enter the gradients only through live
+    windows: an inf in ``x`` under windows whose gradient is all zero leaves
+    the weight gradient finite, where the dense path's ``0 * inf`` makes it
+    NaN (the encoders reject such activations in the forward).
     """
     b, c_in, length = x.shape
     c_out, c_in_w, kernel = weight.shape
@@ -53,15 +86,30 @@ def conv1d(x, weight, bias, stride):
 
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, b * l_out)
-        _accum(weight, np.ascontiguousarray((cols @ g2.T).T).reshape(weight.shape))
         _accum(bias, g.sum(axis=(0, 2)))
-        if x.requires_grad:
-            gcols = (w2.T @ g2).reshape(c_in, kernel, b, l_out)
-            gx = np.zeros_like(x.data)
+        live = np.flatnonzero(g2.any(axis=0))
+        sparse = len(live) <= SPARSE_LIVE_SHARE * b * l_out
+        if sparse:
+            g2, cols_used = g2[:, live], cols[:, live]
+        else:
+            cols_used = cols
+        _accum(weight, np.ascontiguousarray((cols_used @ g2.T).T).reshape(weight.shape))
+        if not x.requires_grad:
+            return
+        gcols = w2.T @ g2
+        gx = np.zeros_like(x.data)
+        if sparse:
+            # one live window per (row, offs): no index repeats within an offset j
+            gcols = gcols.reshape(c_in, kernel, len(live))
+            rows, offs = np.divmod(live, l_out)
+            for j in range(kernel):
+                gx[rows, :, offs * stride + j] += gcols[:, j].T
+        else:
+            gcols = gcols.reshape(c_in, kernel, b, l_out)
             span = stride * (l_out - 1) + 1
             for j in range(kernel):
                 gx[:, :, j:j + span:stride] += gcols[:, j].transpose(1, 0, 2)
-            _accum(x, gx)
+        _accum(x, gx)
 
     return Tensor(out2.reshape(c_out, b, l_out).transpose(1, 0, 2),
                   _parents=(x, weight, bias), _backward=backward)

@@ -140,9 +140,9 @@ _STRING_PREFIX = frozenset(
     p for p in ("r", "b", "u", "f", "rb", "br", "fr", "rf", "bf", "fb")
 )
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# A run of text copied unchanged: anything but a comment, a quote or an
-# identifier directly followed by a quote (which may be a string prefix).
-_PLAIN_RE = re.compile(r"(?:[^#\"'A-Za-z_]+|[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_\"']))+")
+# A run of text copied unchanged: anything but a comment, a quote, a backslash
+# or an identifier directly followed by a quote (which may be a string prefix).
+_PLAIN_RE = re.compile(r"(?:[^#\"'\\A-Za-z_]+|[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_\"']))+")
 
 
 def _scan_string(src, i):
@@ -180,8 +180,9 @@ def _scan_string(src, i):
 def clean_code(src):
     """Replace every string literal with ``STR`` and drop comments.
 
-    Line breaks outside literals are preserved; whitespace that only padded a
-    removed comment is dropped with it.
+    Line breaks outside literals are preserved, except that a backslash
+    continuation joins its two lines, as Python's tokenizer does; whitespace
+    that only padded a removed comment is dropped with it.
     """
     src = src.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     out = []
@@ -206,6 +207,13 @@ def clean_code(src):
             i = src.find("\n", i)
             if i < 0:
                 i = n
+            continue
+        if ch == "\\":
+            if src.startswith("\n", i + 1):
+                i += 2
+            else:   # no continuation: lex rejects it
+                append(ch)
+                i += 1
             continue
         if ch in "\"'":
             i = _scan_string(src, i)

@@ -121,26 +121,38 @@ def _strip_listings(text):
     return "\n".join(out), hits
 
 
+def _underlined_header(lines, i):
+    return (i + 1 < len(lines)
+            and lines[i].strip().lower().rstrip(":") in _SECTION_HEADERS
+            and _DASHES_RE.match(lines[i + 1]))
+
+
+def _in_section(lines, i):
+    """Whether line ``i`` continues a section: blank or indented, a
+    ``name : type`` entry, a bare entry (a numpydoc return type) followed by
+    its indented description, or a stray dash line or header."""
+    line = lines[i]
+    return (not line.strip() or line[:1] in (" ", "\t")
+            or _PARAM_ENTRY_RE.match(line) or _DASHES_RE.match(line)
+            or line.strip().lower().rstrip(":") in _SECTION_HEADERS
+            or (i + 1 < len(lines) and lines[i + 1][:1] in (" ", "\t")
+                and lines[i + 1].strip()))
+
+
 def _strip_param_tables(text):
-    """Remove a section header with a dashed underline and its entries."""
+    """Remove each section header with a dashed underline and its entries;
+    each underlined header is one hit, also when it follows another's entries."""
     lines = text.split("\n")
     out = []
     hits = 0
     i = 0
     while i < len(lines):
-        if (i + 1 < len(lines)
-                and lines[i].strip().lower().rstrip(":") in _SECTION_HEADERS
-                and _DASHES_RE.match(lines[i + 1])):
+        if _underlined_header(lines, i):
             hits += 1
             i += 2
-            while i < len(lines):
-                line = lines[i]
-                if (not line.strip() or line[:1] in (" ", "\t")
-                        or _PARAM_ENTRY_RE.match(line) or _DASHES_RE.match(line)
-                        or line.strip().lower().rstrip(":") in _SECTION_HEADERS):
-                    i += 1
-                    continue
-                break
+            while (i < len(lines) and not _underlined_header(lines, i)
+                   and _in_section(lines, i)):
+                i += 1
             continue
         out.append(lines[i])
         i += 1

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 from clcp import ndnn as nd
+from clcp.ndnn import convpool
 from clcp.ndnn.convpool import conv_out_len
 from fdcheck import check_op, spaced_random
 
@@ -377,33 +378,46 @@ class TestConvProperty:
                         x_channel_major=True, g_channel_major=True))   # stride > 1
     @example(_conv_case(3, 2, 2, 15, 2, 5, g_channel_major=True))      # stride > kernel
     def test_matches_loop_reference(self, case):
-        data, weight, bias, stride, g = case
-        x = nd.Tensor(data, requires_grad=True)
-        w = nd.Tensor(weight, requires_grad=True)
-        b = nd.Tensor(bias, requires_grad=True)
-        out = nd.conv1d(x, w, b, stride)
-        out.backward(g)
-        ref = _reference_conv(data, weight, bias, stride, g)
-        # the same sums over the terms' magnitudes
-        mag = _reference_conv(*(np.abs(a) for a in (data, weight, bias)), stride, np.abs(g))
-        tol = CONV_TOL[data.dtype]
-        for got, want, size in zip((out.data, x.grad, w.grad, b.grad), ref, mag):
-            assert got.dtype == data.dtype and got.shape == want.shape
-            assert (np.abs(got - want) <= tol * size).all()
+        _check_conv(*case)
+
+
+def _check_conv(data, weight, bias, stride, g):
+    """conv1d's output and gradients against the loop reference; returns (x, w)."""
+    x = nd.Tensor(data, requires_grad=True)
+    w = nd.Tensor(weight, requires_grad=True)
+    b = nd.Tensor(bias, requires_grad=True)
+    out = nd.conv1d(x, w, b, stride)
+    out.backward(g)
+    ref = _reference_conv(data, weight, bias, stride, g)
+    # the same sums over the terms' magnitudes
+    mag = _reference_conv(*(np.abs(a) for a in (data, weight, bias)), stride, np.abs(g))
+    tol = CONV_TOL[data.dtype]
+    for got, want, size in zip((out.data, x.grad, w.grad, b.grad), ref, mag):
+        assert got.dtype == data.dtype and got.shape == want.shape
+        assert (np.abs(got - want) <= tol * size).all()
+    return x, w
 
 
 class TestConvWeightGradient:
-    def _check(self, c_in, c_out, length, kernel):
+    def _check(self, c_in, c_out, length, kernel, pooled=False):
         x, w, b, stride, g = _conv_case(32, c_in, c_out, length, kernel, 1, np.float32,
                                         x_channel_major=True, g_channel_major=True)
+        if pooled:
+            g = _pooled_grad(g)
         weight = nd.Tensor(w, requires_grad=True)
         nd.conv1d(nd.Tensor(x), weight, nd.Tensor(b), stride).backward(g)
         cols = sliding_window_view(x, kernel, axis=2).transpose(1, 3, 0, 2).reshape(
             c_in * kernel, -1)
         g2 = g.transpose(1, 0, 2).reshape(c_out, -1)
+        if pooled:
+            live = np.flatnonzero(g2.any(axis=0))
+            assert len(live) <= convpool.SPARSE_LIVE_SHARE * g2.shape[1]
+            want = (cols[:, live] @ g2[:, live].T).T
+        else:
+            want = g2 @ cols.T
         # Adam updates through a flat view, which a transposed gradient would copy
         assert weight.grad.shape == w.shape and weight.grad.flags.c_contiguous
-        assert weight.grad.tobytes() == (g2 @ cols.T).reshape(w.shape).tobytes()
+        assert weight.grad.tobytes() == want.reshape(w.shape).tobytes()
 
     def test_rn_shape_float32_is_c_contiguous_and_exact(self):
         # an rn3 conv: 32 channels in and out, kernel 5, (C, B, L) memory in and out
@@ -412,6 +426,89 @@ class TestConvWeightGradient:
     def test_rn_shortcut_float32_is_c_contiguous_and_exact(self):
         # an rn3 1 x 1 shortcut from 16 to 32 channels
         self._check(16, 32, 500, 1)
+
+    def test_rn_shapes_under_global_pool_use_live_windows(self):
+        # rn's global max pool leaves few windows live: the sparse path's sum
+        self._check(32, 32, 496, 5, pooled=True)
+        self._check(16, 32, 500, 1, pooled=True)
+
+
+def _pooled_grad(g):
+    """The gradient global_max_pool1d sends back: one window per (sample, channel)."""
+    t = nd.Tensor(np.random.default_rng(7).normal(size=g.shape).astype(g.dtype),
+                  requires_grad=True)
+    nd.global_max_pool1d(t).backward(g[:, :, :1])
+    return t.grad
+
+
+# SPARSE_LIVE_SHARE values that force each backward path
+PATHS = {"dense": -1.0, "sparse": 1.0}
+
+
+class TestConvSparseBackward:
+    """The backward from only the windows whose output gradient is nonzero."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("grad", ["pooled", "zero", "dense"])
+    @pytest.mark.parametrize("kernel,stride", [(1, 1), (5, 1), (1, 2), (5, 2)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_both_paths_match_loop_reference(self, monkeypatch, path, grad, kernel,
+                                             stride, dtype):
+        monkeypatch.setattr(convpool, "SPARSE_LIVE_SHARE", PATHS[path])
+        data, weight, bias, stride, g = _conv_case(3, 2, 3, 40, kernel, stride, dtype,
+                                                   x_channel_major=True, seed=kernel)
+        g = {"pooled": _pooled_grad, "zero": np.zeros_like, "dense": np.asarray}[grad](g)
+        _check_conv(data, weight, bias, stride, g)
+
+    @pytest.mark.parametrize("live_windows", [0, 1, 2, 3, None])
+    @pytest.mark.parametrize("kernel,stride", [(1, 1), (5, 1), (5, 2), (3, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_gradient_equals_dense_bit_for_bit(self, monkeypatch, live_windows,
+                                                     kernel, stride, dtype):
+        # a pooled gradient, or one with its first 0-3 windows kept and the rest
+        # zeroed; the dense path adds +0.0 for every other window
+        data, weight, bias, stride, g = _conv_case(4, 8, 16, 120, kernel, stride, dtype,
+                                                   x_channel_major=True,
+                                                   g_channel_major=True, seed=stride)
+        g = _pooled_grad(g)
+        if live_windows is not None:
+            g[:, :, live_windows:] = 0
+        grads = {}
+        for path, share in PATHS.items():
+            monkeypatch.setattr(convpool, "SPARSE_LIVE_SHARE", share)
+            x = nd.Tensor(data, requires_grad=True)
+            nd.conv1d(x, nd.Tensor(weight, requires_grad=True), nd.Tensor(bias),
+                      stride).backward(g)
+            grads[path] = x.grad
+        assert grads["sparse"].tobytes() == grads["dense"].tobytes()
+
+    def test_nan_gradient_keeps_its_window_live(self):
+        data, weight, bias, stride, _ = _conv_case(2, 3, 4, 30, 5, 2)
+        g = np.zeros((2, 4, 13))
+        g[1, 2, 6] = np.nan
+        x, w = nd.Tensor(data, requires_grad=True), nd.Tensor(weight, requires_grad=True)
+        nd.conv1d(x, w, nd.Tensor(bias), stride).backward(g)
+        nan_x = np.zeros(data.shape, bool)
+        nan_x[1, :, 12:17] = True
+        np.testing.assert_array_equal(np.isnan(x.grad), nan_x)
+        assert (x.grad[~nan_x] == 0).all()
+        assert np.isnan(w.grad[2]).all()
+        assert (np.delete(w.grad, 2, axis=0) == 0).all()
+
+    def test_non_finite_input_under_a_dead_window_stays_out(self):
+        # inf only under windows whose gradient is zero: 0 * inf is never formed
+        data, weight, bias, stride, g = _conv_case(2, 3, 4, 60, 5, 1)
+        g = _pooled_grad(g)
+        dead = np.ones(data.shape[2], bool)
+        for l in np.nonzero(g.any(axis=1))[1]:
+            dead[l:l + 5] = False
+        assert dead.any()
+        data[0, 1, dead] = np.inf
+        _, w = _check_conv(np.where(np.isinf(data), 0.0, data), weight, bias, stride, g)
+        w_inf = nd.Tensor(weight, requires_grad=True)
+        with np.errstate(invalid="ignore"):   # the forward's inf - inf
+            nd.conv1d(nd.Tensor(data), w_inf, nd.Tensor(bias), stride).backward(g)
+        assert w_inf.grad.tobytes() == w.grad.tobytes()
 
 
 class TestMaxPoolNaN:

@@ -1,4 +1,8 @@
 """Lexer front end: cleaning, tokenization, classification."""
+import ast
+import sysconfig
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -52,6 +56,19 @@ class TestCleanCode:
 
     def test_crlf_normalized(self):
         assert clean_code("a = 1\r\nb = 2\r\n") == "a = 1\nb = 2\n"
+
+    def test_backslash_continuation_joins_lines(self):
+        src = "x = 1 + \\\n    2\n"
+        assert clean_code(src) == "x = 1 +     2\n"
+        assert tokenize(src) == tokenize("x = 1 +     2\n")
+        # in a literal it stays the literal's; a comment ending in one joins nothing
+        assert clean_code('s = "a\\\nb" + \\\n c\n') == "s = STR +  c\n"
+        assert clean_code("a = 1  # C:\\\nb = 2\n") == "a = 1\nb = 2\n"
+
+    def test_stray_backslash_is_left_for_lex(self):
+        assert clean_code("x = \\ 1") == "x = \\ 1"
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize("x = \\ 1")
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.sampled_from(
@@ -222,6 +239,25 @@ class TestAgainstReference:
             for seq in (tokens, [t for t in tokens if t.component not in LAYOUT]):
                 assert classify(seq) == pylex_oracle.classify(seq)
         assert _outcome(tokenize, src) == _outcome(pylex_oracle.tokenize, src)
+
+
+# Standard-library modules whose functions hold backslash continuations outside
+# literals on Python 3.10 and 3.11 (csv.Sniffer.sniff, shlex.shlex.pop_source,
+# string.Formatter._vformat, textwrap.dedent, warnings.filterwarnings).
+CONTINUATION_MODULES = ("csv", "shlex", "string", "textwrap", "warnings")
+
+
+def test_every_function_in_stdlib_modules_tokenizes():
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    continued = 0
+    for name in CONTINUATION_MODULES:
+        src = (stdlib / f"{name}.py").read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                code = ast.get_source_segment(src, node)
+                continued += "\\\n" in code
+                assert tokenize(code), f"{name}.{node.name}"
+    assert continued >= len(CONTINUATION_MODULES)
 
 
 class TestGoldenCorpus:

@@ -57,13 +57,29 @@ class TestRules:
         assert cleaned == "Scale the input. The result is never negative."
         assert report.rules_fired.get("strip_parameter_tables") == 1
 
-    def test_parameter_table_runs_on_through_a_second_section(self):
-        # a second underlined header and its entries go with the first table
+    def test_second_underlined_header_is_its_own_section(self):
+        # the second header follows the first table's entries, and counts apart
         cleaned, report = clean_doc("Scale the input.\nParameters\n----------\n"
                                     "x : float\nRaises\n------\nValueError : if x < 0\n"
                                     "Works on every float.")
         assert cleaned == "Scale the input. Works on every float."
-        assert report.rules_fired.get("strip_parameter_tables") == 1
+        assert report.rules_fired.get("strip_parameter_tables") == 2
+
+    @pytest.mark.parametrize("params", ["", "Parameters\n----------\nx : float\n"
+                                            "    The input.\n"])
+    def test_bare_return_type_with_description_belongs_to_its_section(self, params):
+        cleaned, report = clean_doc(f"Scale the input.\n\n{params}Returns\n-------\n"
+                                    "float\n    The scaled value, never negative.\n")
+        assert cleaned == "Scale the input."
+        assert report.rules_fired.get("strip_parameter_tables") == 1 + bool(params)
+
+    def test_two_sections_end_at_prose(self):
+        cleaned, report = clean_doc("Scale the input.\n\nParameters\n----------\n"
+                                    "x : float\n    The input.\n\nReturns\n-------\n"
+                                    "float\n    The scaled value.\n\n"
+                                    "Works on every float.")
+        assert cleaned == "Scale the input. Works on every float."
+        assert report.rules_fired.get("strip_parameter_tables") == 2
 
     def test_identity_case(self):
         cleaned, report = clean_doc("no redundancy here")

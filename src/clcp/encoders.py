@@ -2,11 +2,11 @@
 
 Each experiment axis is one table here.  ``ModelConfig.family`` picks one of
 ``FAMILIES``: ``lp`` (conv blocks with local max pooling), ``gp`` (same, but
-the last block pools globally), or ``rn`` (1D residual blocks with a global
-pool).  ``ABLATIONS`` maps each ablation tag (+BN, -Pool, -Init) to the one
-config flag it sets.  The text side embeds a word-level vocabulary, adds
-learned position rows, takes the mean over non-pad positions and projects it
-to the shared space.
+the last block does not pool) or ``rn`` (1D residual blocks); gp and rn end in
+a global max pool stage.  ``ABLATIONS`` maps each ablation tag (+BN, -Pool,
+-Init) to the one config flag it sets.  The text side embeds a word-level
+vocabulary, adds learned position rows, takes the mean over non-pad positions
+and projects it to the shared space.
 """
 from __future__ import annotations
 
@@ -165,31 +165,38 @@ def apply_ablation(config, delta):
 
 @dataclass(frozen=True)
 class _ConvStage:
-    """[conv -> [bn] -> relu] -> [pool]: an lp/gp block, rn's input conv, or
-    rn's closing global pool (no conv)."""
+    """conv -> [bn] -> relu -> [max pool]: an lp/gp block or rn's input conv;
+    ``pool`` is the local pool's (window, stride)."""
 
-    conv: ndnn.Conv1dLayer | None = None
+    conv: ndnn.Conv1dLayer
     bn: ndnn.BatchNorm1dLayer | None = None
-    pool: ndnn.Pool1dLayer | None = None
+    pool: tuple[int, int] | None = None
 
     def lengths(self, length):
-        if self.conv is not None:
-            length = conv_out_len(length, self.conv.kernel, self.conv.stride)
+        length = conv_out_len(length, self.conv.kernel, self.conv.stride)
         if self.pool is None:
             return length, length
-        if self.pool.scope == "global":
-            return length, 1
-        return length, conv_out_len(length, self.pool.window, self.pool.stride)
+        return length, conv_out_len(length, *self.pool)
 
     def forward(self, h):
-        if self.conv is not None:
-            h = self.conv.forward(h)
-            if self.bn is not None:
-                h = self.bn.forward(h)
-            h = ndnn.relu(h)
+        h = self.conv.forward(h)
+        if self.bn is not None:
+            h = self.bn.forward(h)
+        h = ndnn.relu(h)
         if self.pool is not None:
-            h = self.pool.forward(h)
+            h = ndnn.max_pool1d(h, *self.pool)
         return h
+
+
+@dataclass(frozen=True)
+class _GlobalPool:
+    """The global max pool that closes gp and rn."""
+
+    def lengths(self, length):
+        return length, 1
+
+    def forward(self, h):
+        return ndnn.global_max_pool1d(h)
 
 
 @dataclass(frozen=True)
@@ -232,11 +239,7 @@ def _stages(config, layer):
     def bn(ch):
         return layer(ndnn.BatchNorm1dLayer, ch) if config.use_bn else None
 
-    def pool(scope):
-        if not config.use_pooling:
-            return None
-        return layer(ndnn.Pool1dLayer, config.pool_window, config.pool_stride, scope)
-
+    pool = (config.pool_window, config.pool_stride) if config.use_pooling else None
     stages = []
     if residual:
         stages.append(("input", "input", _ConvStage(
@@ -249,12 +252,11 @@ def _stages(config, layer):
                                    conv(in_ch, out_ch, 1, config.stride),
                                    bn(out_ch), bn(out_ch))
         else:
-            global_here = config.family == "gp" and i == len(chans) - 1
-            stage = _ConvStage(main, bn(out_ch),
-                               pool("global" if global_here else "local"))
+            last_gp = config.family == "gp" and i == len(chans) - 1
+            stage = _ConvStage(main, bn(out_ch), None if last_gp else pool)
         stages.append((i, f"block{i}", stage))
-    if residual and config.use_pooling:
-        stages.append(("pool", "pool", _ConvStage(pool=pool("global"))))
+    if config.family != "lp" and config.use_pooling:
+        stages.append(("pool", "pool", _GlobalPool()))
     return stages
 
 
@@ -272,10 +274,10 @@ def _check_finite(name, tensor):
 
 
 class CodeEncoder:
-    """A list of named stages (conv blocks or residual blocks), then a
-    projection to d.  ``plan`` lists each stage's {"block", "conv", "pool"}
-    output lengths; construction raises ConfigError naming the block whose
-    input is shorter than a window."""
+    """A list of named stages (conv or residual blocks, then gp's and rn's
+    global pool), then a projection to d.  ``plan`` lists each stage's
+    {"block", "conv", "pool"} output lengths; construction raises ConfigError
+    naming the block whose input is shorter than a window."""
 
     def __init__(self, config):
         rng = np.random.default_rng(config.seed)
@@ -293,9 +295,9 @@ class CodeEncoder:
                 raise ConfigError(f"block {key}: {exc}") from exc
             self.plan.append({"block": key, "conv": conv_len, "pool": length})
             self.stages[name] = stage
-            for f in fields(stage):   # a stage's fields are its layers
+            for f in fields(stage):   # a stage's fields are its layers, and a pool pair
                 layer = getattr(stage, f.name)
-                if layer is None:
+                if layer is None or f.name == "pool":
                     continue
                 # rn's input conv is registered as input.weight, input.bias
                 prefix = name if name == "input" else f"{name}.{f.name}"
@@ -316,10 +318,6 @@ class CodeEncoder:
         """Batch-norm running statistics: model state that is not trained."""
         return [(f"{prefix}.{stat}", getattr(bn, stat)) for prefix, bn in self._bn_layers
                 for stat in ("running_mean", "running_var")]
-
-    def set_training(self, flag):
-        for _, bn in self._bn_layers:
-            bn.set_training(flag)
 
     def forward(self, x):
         """x: Tensor (B, 1, image_len) of normalized IDs -> (B, embed_dim)."""

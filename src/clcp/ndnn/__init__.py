@@ -22,12 +22,12 @@ from .tensor import (
     tsum,
 )
 from .convpool import batch_norm1d, conv1d, global_max_pool1d, max_pool1d
-from .layers import BatchNorm1dLayer, Conv1dLayer, DenseLayer, Pool1dLayer
+from .layers import BatchNorm1dLayer, Conv1dLayer, DenseLayer
 from .optim import Adam
 
 __all__ = [
     "Adam", "BatchNorm1dLayer", "Conv1dLayer", "DenseLayer", "NumericError",
-    "Pool1dLayer", "ShapeError", "Tensor", "add", "batch_norm1d", "clip_max",
+    "ShapeError", "Tensor", "add", "batch_norm1d", "clip_max",
     "conv1d", "diagonal", "embedding", "exp", "global_max_pool1d", "l2_normalize",
     "log_softmax", "matmul", "max_pool1d", "mul", "narrow", "relu", "reshape",
     "tmean", "transpose", "tsum",

@@ -1,9 +1,9 @@
-"""Conv, pool, dense and batch-norm layers: parameter containers with a forward.
+"""Conv, dense and batch-norm layers: parameter containers with a forward.
 
 Each holds its parameters as float32 Tensors with requires_grad=True (batch
 norm's may be float64) and lists them through ``params()`` as (name, tensor)
-pairs; a pooling layer lists none.  Optimizers and the checkpoint writer rely
-on those names being stable and unique within a model.
+pairs.  Optimizers and the checkpoint writer rely on those names being stable
+and unique within a model.
 """
 from __future__ import annotations
 
@@ -47,27 +47,6 @@ class Conv1dLayer:
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-class Pool1dLayer:
-    """Max pooling, local (window k', step s') or global."""
-
-    def __init__(self, window=2, stride=2, scope="local"):
-        if scope not in ("local", "global"):
-            raise ValueError(f"pool scope must be 'local' or 'global', got {scope!r}")
-        if scope == "local" and (window < 1 or stride < 1):
-            raise ShapeError("local pooling needs window and stride >= 1")
-        self.window = window
-        self.stride = stride
-        self.scope = scope
-
-    def forward(self, x):
-        if self.scope == "global":
-            return convpool.global_max_pool1d(x)
-        return convpool.max_pool1d(x, self.window, self.stride)
-
-    def params(self):
-        return []
-
-
 class DenseLayer:
     """Affine map on the last axis: x @ W + b."""
 
@@ -86,19 +65,16 @@ class BatchNorm1dLayer:
     """Per-channel batch norm of (B, C, L) maps; eps 1e-5, running-stat momentum 0.1."""
 
     def __init__(self, channels, dtype=np.float32):
-        self.training = True
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
 
     def forward(self, x):
+        # batch statistics while the parameters require grad, the running ones otherwise
         return convpool.batch_norm1d(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            eps=1e-5, momentum=0.1, training=self.training)
-
-    def set_training(self, flag):
-        self.training = flag
+            eps=1e-5, momentum=0.1, training=self.gamma.requires_grad)
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

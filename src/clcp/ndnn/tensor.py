@@ -200,22 +200,22 @@ def diagonal(a):
 # -- reductions ---------------------------------------------------------------
 
 
-def _spread(g, shape, axis, keepdims):
+def _spread(g, shape, axis):
     """A reduction's upstream gradient, copied back out to the input ``shape``."""
-    if axis is not None and not keepdims:
+    if axis is not None:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape).copy()
 
 
-def tsum(a, axis=None, keepdims=False):
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,),
-                  _backward=lambda g: _accum(a, _spread(g, a.shape, axis, keepdims)))
+def tsum(a, axis=None):
+    return Tensor(a.data.sum(axis=axis), _parents=(a,),
+                  _backward=lambda g: _accum(a, _spread(g, a.shape, axis)))
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a, axis=None):
     count = a.size if axis is None else a.shape[axis]
-    return Tensor(a.data.mean(axis=axis, keepdims=keepdims), _parents=(a,),
-                  _backward=lambda g: _accum(a, _spread(g, a.shape, axis, keepdims) / count))
+    return Tensor(a.data.mean(axis=axis), _parents=(a,),
+                  _backward=lambda g: _accum(a, _spread(g, a.shape, axis) / count))
 
 
 # -- linear algebra -----------------------------------------------------------

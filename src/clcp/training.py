@@ -97,12 +97,12 @@ class CLCPModel:
         return [(f"code.{n}", b) for n, b in self.code_encoder.named_buffers()]
 
     def set_training(self, flag):
-        """Switch batch norm's statistics and gradient recording together.
+        """Set whether every parameter requires grad; this one switch is also
+        batch norm's mode (batch statistics while training, running ones not).
 
         With ``flag`` false no parameter requires grad, so a forward records
         no tape and frees each op's inputs as soon as the next op has run.
         """
-        self.code_encoder.set_training(flag)
         for _, p in self.named_params():
             p.requires_grad = flag
 

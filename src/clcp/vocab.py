@@ -72,7 +72,14 @@ class DecodeError(VocabError):
 
 @dataclass(frozen=True)
 class IdRanges:
-    """Pairwise-disjoint inclusive ID ranges, one per table component."""
+    """Pairwise-disjoint inclusive ID ranges, one per table component.
+
+    ``bounds(component)`` is ``(lo, split, hi)``: fixed IDs take ``lo..split-1``
+    and a namespace scope allocates from ``split..hi``.  Built-in and
+    operator-pool ranges are all fixed, user-scoped ones all scoped, and a
+    corpus-keyed range leaves its last eighth, rounded up, to scopes as a
+    fallback tail.  The symbol-pool components share Operator's bounds.
+    """
 
     table: tuple[tuple[Component, int, int], ...] = DEFAULT_RANGE_TABLE
 
@@ -83,41 +90,22 @@ class IdRanges:
                 raise VocabError(f"ranges overlap: {c} and {c2}")
         if spans[0][0] <= PAD_ID:
             raise VocabError("ID 0 is reserved for padding")
-        object.__setattr__(self, "_by_component", {c: (lo, hi) for c, lo, hi in self.table})
+        bounds = {}
+        for c, lo, hi in self.table:
+            split = hi + 1
+            if c in USER_SCOPED:
+                split = lo
+            elif c in CORPUS_KEYED:
+                split -= math.ceil((hi - lo + 1) / 8)
+            bounds[c] = lo, split, hi
+        if Component.OPERATOR in bounds:
+            bounds = dict.fromkeys(SYMBOL_POOL, bounds[Component.OPERATOR]) | bounds
+        object.__setattr__(self, "_bounds", bounds)
         object.__setattr__(self, "_max_id", spans[-1][1])
-        # where a namespace scope allocates: a user-scoped component's whole
-        # range, a corpus-keyed component's fallback tail
-        object.__setattr__(self, "_scope_bounds", {
-            c: (self.tail_start(c) if c in CORPUS_KEYED else lo, hi)
-            for c, lo, hi in self.table if c in USER_SCOPED or c in CORPUS_KEYED})
 
-    def range_for(self, component):
-        if component in SYMBOL_POOL:
-            component = Component.OPERATOR
+    def bounds(self, component):
         try:
-            return self._by_component[component]
-        except KeyError:
-            raise VocabError(f"no ID range for component {component.value}") from None
-
-    def capacity(self, component):
-        lo, hi = self.range_for(component)
-        return hi - lo + 1
-
-    def fallback_tail(self, component):
-        """Trailing slice of a corpus-keyed range reserved for scope-local IDs."""
-        return math.ceil(self.capacity(component) / 8)
-
-    def fixed_capacity(self, component):
-        return self.capacity(component) - self.fallback_tail(component)
-
-    def tail_start(self, component):
-        lo, hi = self.range_for(component)
-        return hi - self.fallback_tail(component) + 1
-
-    def scope_bounds(self, component):
-        """Inclusive (lo, hi) that a namespace scope allocates ``component`` from."""
-        try:
-            return self._scope_bounds[component]
+            return self._bounds[component]
         except KeyError:
             raise VocabError(f"no ID range for component {component.value}") from None
 
@@ -133,9 +121,9 @@ class IdRanges:
 
 
 def _fixed_block(component, keys, ranges):
-    lo, _ = ranges.range_for(component)
-    if len(keys) > ranges.capacity(component):
-        raise RangeExhausted(component, ranges.capacity(component))
+    lo, split, _ = ranges.bounds(component)
+    if len(keys) > split - lo:
+        raise RangeExhausted(component, split - lo)
     return {key: lo + i for i, key in enumerate(keys)}
 
 
@@ -201,8 +189,8 @@ def build_vocab(token_streams, tables=None):
                 counter[key] += 1
                 texts[key].add(tok.text)
     for component in CORPUS_KEYED:
-        fixed |= _fixed_block(
-            component, _top_keys(counts[component], ranges.fixed_capacity(component)), ranges)
+        lo, split, _ = ranges.bounds(component)
+        fixed |= _fixed_block(component, _top_keys(counts[component], split - lo), ranges)
     lookup_lists = {id_: tuple(sorted(texts[key])) for key, id_ in fixed.items()
                     if key[1] in _CALLS}
     return Vocabulary(ranges, fixed, lookup_lists)
@@ -212,11 +200,11 @@ class NamespaceScope:
     """Per-namespace allocator for user-defined and fallback IDs.
 
     The same key always maps to the same ID within a scope.  A new key takes
-    the next ID of the component's scope bounds, ``lo + len(local) %
-    capacity``, so fresh scopes start again at ``lo`` and IDs are reused
+    the next ID of the component's ``split..hi``, ``split + len(local) %
+    capacity``, so fresh scopes start again at ``split`` and IDs are reused
     across namespaces.  Past ``capacity`` keys a scope raises RangeExhausted,
-    or with ``on_exhaust="recycle"`` wraps to ``lo`` and records the component
-    in ``recycled``.
+    or with ``on_exhaust="recycle"`` wraps to ``split`` and records the
+    component in ``recycled``.
     """
 
     def __init__(self, ranges=None, on_exhaust="error"):
@@ -231,13 +219,13 @@ class NamespaceScope:
         local = self._local[component]
         id_ = local.get(key)
         if id_ is None:
-            lo, hi = self.ranges.scope_bounds(component)
-            capacity = hi - lo + 1
+            _, split, hi = self.ranges.bounds(component)
+            capacity = hi - split + 1
             if len(local) >= capacity:
                 if self.on_exhaust == "error":
                     raise RangeExhausted(component, capacity)
                 self.recycled.add(component)
-            local[key] = id_ = lo + len(local) % capacity
+            local[key] = id_ = split + len(local) % capacity
         return id_
 
 
@@ -311,10 +299,9 @@ class DecodedId:
 def decode(ids, vocabulary):
     """Decode an ID row with nothing but the vocabulary that encoded it.
 
-    Abstracted call IDs decode to their lookup lists.  An ID inside
-    ``scope_bounds(component)`` decodes to a canonical name, the component's
-    prefix plus the ID's offset from the bounds' low end (``v0``, ``m0``,
-    ``C0``, ``n0``, ...).  A scope hands out IDs in first-appearance order, so
+    Abstracted call IDs decode to their lookup lists.  An ID at or above its
+    component's split decodes to a canonical name, the component's prefix
+    plus the ID's offset from the split (``v0``, ``m0``, ``C0``, ``n0``, ...).  A scope hands out IDs in first-appearance order, so
     within a row two tokens share a name exactly when they share an ID.  Any
     other ID outside the fixed tables raises DecodeError.
     """
@@ -331,10 +318,10 @@ def decode(ids, vocabulary):
                        else DecodedId(id_, component, lookup, "ambiguous"))
         else:
             component = ranges.component_of(id_)
-            slot = id_ - ranges.scope_bounds(component)[0] if component in _SCOPED_PREFIX else -1
-            if slot < 0:
+            _, split, _ = ranges.bounds(component)
+            if id_ < split:
                 raise DecodeError(f"ID {id_} ({component.value}) is an unassigned fixed slot")
-            out.append(DecodedId(id_, component, (f"{_SCOPED_PREFIX[component]}{slot}",),
+            out.append(DecodedId(id_, component, (f"{_SCOPED_PREFIX[component]}{id_ - split}",),
                                  "scoped"))
     return out
 
@@ -391,13 +378,10 @@ def vocab_from_text(text):
              for key, id_ in table.items()}
     owners = {}   # ID -> the entry that holds it
     for (key, component), id_ in fixed.items():
-        lo, hi = ranges.range_for(component)
-        where = "range"
-        if component in CORPUS_KEYED:   # a scope allocates the tail above
-            where, hi = "fixed range", ranges.tail_start(component) - 1
+        lo, split, _ = ranges.bounds(component)
         entry = f"{component.value} {key!r}"
-        if not lo <= id_ <= hi:
-            raise VocabError(f"{entry}: ID {id_} outside its {where} {lo}..{hi}")
+        if not lo <= id_ < split:
+            raise VocabError(f"{entry}: ID {id_} outside its fixed range {lo}..{split - 1}")
         if component in _CALLS and "." in key:
             raise VocabError(f"{entry}: a call key is a member name, without '.'")
         if component is Component.WHITESPACE and len(key) != 1:

@@ -121,7 +121,8 @@ class TestBatchNorm:
         rng = np.random.default_rng(1)
         for _ in range(200):
             layer.forward(nd.Tensor(rng.normal(3.0, 2.0, size=(16, 2, 8))))
-        layer.set_training(False)
+        # parameters that record no gradient put the layer in inference mode
+        layer.gamma.requires_grad = layer.beta.requires_grad = False
         out = layer.forward(nd.Tensor(np.full((1, 2, 4), 3.0)))
         np.testing.assert_allclose(out.data, 0.0, atol=0.2)
 

@@ -44,16 +44,15 @@ def _dry_run(cfg):
     for i in range(cfg.blocks):
         if cfg.family == "rn":   # conv1 strided, conv2 stride 1, no local pool
             conv = pool = out(out(n, cfg.kernel, cfg.stride), cfg.kernel, 1)
-        else:
+        else:   # gp's last block leaves pooling to the global pool after it
             conv = out(n, cfg.kernel, cfg.stride)
-            pool = out(conv, cfg.pool_window, cfg.pool_stride)
-            if cfg.family == "gp" and i == cfg.blocks - 1:
-                pool = None if conv is None else 1
+            last_gp = cfg.family == "gp" and i == cfg.blocks - 1
+            pool = conv if last_gp else out(conv, cfg.pool_window, cfg.pool_stride)
         if pool is None:
             return plan, i
         plan.append({"block": i, "conv": conv, "pool": pool})
         n = pool
-    if cfg.family == "rn":
+    if cfg.family != "lp":
         plan.append({"block": "pool", "conv": n, "pool": 1})
     return plan, None
 

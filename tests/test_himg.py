@@ -44,7 +44,8 @@ class TestMakeImage:
     def test_values_bounded(self):
         # distinct numbers outside the vocabulary fill the scope-local tail,
         # whose last ID is MAX_ID
-        tail = VOCAB.ranges.fallback_tail(Component.NUMBER)
+        _, split, hi = VOCAB.ranges.bounds(Component.NUMBER)
+        tail = hi - split + 1
         numbers = [Token(str(k), Component.NUMBER) for k in range(tail)]
         tokens = keyword_stream([1]) + numbers + keyword_stream([7])
         ids, _, _ = encode_one(tokens, image_len=tail + 4)

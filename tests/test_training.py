@@ -332,7 +332,7 @@ class TestTrainLoop:
         ids = np.rint(data.code_batch[:, 0].astype(np.float64) * out.vocab.max_id)
         for component in (Component.METHOD_CALL, Component.ATTRIBUTE_CALL, Component.CLASS,
                           Component.BUILTIN_ATTRIBUTE, Component.BUILTIN_ATTR_CALL):
-            lo, hi = out.vocab.ranges.range_for(component)
+            lo, _, hi = out.vocab.ranges.bounds(component)
             assert ((ids >= lo) & (ids <= hi)).any(), component
         assert out.vocab.lookup_lists
         assert load_run(tmp_path).vocab.lookup_lists == out.vocab.lookup_lists
@@ -409,6 +409,29 @@ class TestTapeRecording:
         for out in (model.encode_code(code), model.encode_text(text),
                     *model.pair_loss(code, text)):
             assert (out.requires_grad, out._parents, out._backward) == (False, (), None)
+
+    @pytest.mark.parametrize("family", ["lp", "gp", "rn"])
+    def test_set_training_is_batch_norms_mode(self, family):
+        # one switch: with no parameter recording gradients, batch norm reads
+        # its running statistics and leaves them alone
+        cfg = dataclasses.replace(tiny_cfg(use_bn=True), family=family)
+        model = CLCPModel(cfg, text_vocab_size=32)
+        code, _ = self._batch(cfg, 4)
+
+        def buffers():
+            return {name: b.copy() for name, b in model.named_buffers()}
+
+        start = buffers()
+        assert start
+        model.set_training(False)
+        first, second = (model.encode_code(code).data for _ in range(2))
+        assert first.tobytes() == second.tobytes()
+        for name, b in buffers().items():
+            assert b.tobytes() == start[name].tobytes(), name
+        model.set_training(True)
+        model.encode_code(code)
+        for name, b in buffers().items():
+            assert not np.array_equal(b, start[name]), name
 
     def test_training_step_after_evaluation_gets_every_gradient(self):
         pairs = generate_pairs(8, seed=3)

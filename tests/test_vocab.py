@@ -60,7 +60,17 @@ class TestIdRanges:
     def test_symbol_pool_shares_operator_range(self, ranges):
         for comp in (Component.SYMBOL, Component.WHITESPACE, Component.NEWLINE,
                      Component.PLACEHOLDER):
-            assert ranges.range_for(comp) == (11510, 11554)
+            assert ranges.bounds(comp) == ranges.bounds(Component.OPERATOR) == (
+                11510, 11555, 11554)
+
+    def test_builtin_ranges_are_all_fixed_and_user_scoped_all_scoped(self, ranges):
+        # a corpus-keyed range's split is its fallback tail, see TestVocabFile
+        assert ranges.bounds(Component.KEYWORD) == (1, 36, 35)
+        assert ranges.bounds(Component.VARIABLE) == (7961, 7961, 9999)
+
+    def test_bounds_of_a_component_with_no_range(self):
+        with pytest.raises(VocabError, match="^no ID range for component Number$"):
+            IdRanges(((Component.KEYWORD, 1, 35),)).bounds(Component.NUMBER)
 
     def test_component_of_boundaries(self, ranges):
         assert ranges.component_of(1) is Component.KEYWORD
@@ -94,14 +104,14 @@ class TestBuildVocab:
         b = tokenize("def fb(address):\n    return address.strip()\n")
         vocab = build_vocab([a, b])
         strip_id = vocab.fixed["strip", Component.ATTRIBUTE_CALL]
-        lo, hi = vocab.ranges.range_for(Component.ATTRIBUTE_CALL)
-        assert lo <= strip_id <= hi
+        lo, split, _ = vocab.ranges.bounds(Component.ATTRIBUTE_CALL)
+        assert lo <= strip_id < split
         assert vocab.lookup_lists[strip_id] == ("a_param.strip", "address.strip")
 
     def test_number_ids_by_frequency_then_lexicographic(self):
         a = tokenize("x = 7\ny = 7\nz = 3\nw = 5\n")
         vocab = build_vocab([a])
-        lo, _ = vocab.ranges.range_for(Component.NUMBER)
+        lo, _, _ = vocab.ranges.bounds(Component.NUMBER)
         assert vocab.fixed["7", Component.NUMBER] == lo        # most frequent
         assert vocab.fixed["3", Component.NUMBER] == lo + 1    # tie broken lexicographically
         assert vocab.fixed["5", Component.NUMBER] == lo + 2
@@ -222,7 +232,7 @@ class TestVocabFile:
         (lambda doc: doc["lookup_lists"].pop("11271"),
          "AttributeCall 'strip': ID 11271 has no lookup list"),
         (lambda doc: doc["fixed"]["Keyword"].update({"def": 11600}),
-         "Keyword 'def': ID 11600 outside its range 1..35"),
+         "Keyword 'def': ID 11600 outside its fixed range 1..35"),
         (lambda doc: doc["fixed"]["Keyword"].update({"return": 1}),
          "Keyword 'return': ID 1 already taken by Keyword 'False'"),
     ], ids=["unlisted-call-id", "id-outside-range", "id-used-twice"])
@@ -258,7 +268,8 @@ class TestVocabFile:
         # give an unseen key the same ID (``7`` and ``9`` both 13529)
         vocab = build_vocab([tokenize("def push(a):\n    return a.strip() + 7\nb.push()\n")])
         component = component_from_label(label)
-        lo, _ = vocab.ranges.range_for(component)
+        lo, split, _ = vocab.ranges.bounds(component)
+        assert split == tail_start
 
         def move(id_):
             def edit(doc):
@@ -360,7 +371,7 @@ class TestAssignIds:
             scope = NamespaceScope()
             for tok in tokens:
                 ids = assign_ids([tok], vocab, scope)
-                lo, hi = ranges.range_for(tok.component)
+                lo, _, hi = ranges.bounds(tok.component)
                 for id_ in ids:
                     assert lo <= id_ <= hi, (name, tok, id_)
 
@@ -473,9 +484,9 @@ class TestDecode:
     def test_unassigned_fixed_slot(self, empty_vocab):
         # the empty corpus gives the Number range no fixed IDs; the operator
         # pool leaves the top of its range unused
-        lo, hi = empty_vocab.ranges.range_for(Component.NUMBER)
-        assert empty_vocab.ranges.tail_start(Component.NUMBER) > lo
-        op_hi = empty_vocab.ranges.range_for(Component.OPERATOR)[1]
+        lo, split, _ = empty_vocab.ranges.bounds(Component.NUMBER)
+        assert split > lo
+        op_hi = empty_vocab.ranges.bounds(Component.OPERATOR)[2]
         assert op_hi not in {i for c in SYMBOL_POOL + (Component.OPERATOR,)
                              for i in _table(empty_vocab, c).values()}
         for id_ in (lo, op_hi):
@@ -556,7 +567,7 @@ def test_every_stored_id_decodes(stored_corpora, corpus, vocab_from):
 
 def test_recycled_row_still_decodes(empty_vocab):
     # one more distinct variable than the Variable range holds
-    lo, hi = empty_vocab.ranges.range_for(Component.VARIABLE)
+    lo, _, hi = empty_vocab.ranges.bounds(Component.VARIABLE)
     src = "".join(f"x{i} = 1\n" for i in range(hi - lo + 2))
     tokens = tokenize(src)
     scope = NamespaceScope(on_exhaust="recycle")

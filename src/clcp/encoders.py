@@ -163,6 +163,25 @@ def apply_ablation(config, delta):
 # -- the code encoder: a list of named stages ---------------------------------
 
 
+def _out_lens(length, windows):
+    """Length after each valid (kernel, stride) window, applied in series."""
+    lens = []
+    for kernel, stride in windows:
+        length = conv_out_len(length, kernel, stride)
+        lens.append(length)
+    return lens
+
+
+def _reach(windows):
+    """(rf, jump) of valid windows applied in series: output ``o`` reads inputs
+    ``o * jump`` to ``o * jump + rf - 1``, and no others."""
+    rf, jump = 1, 1
+    for kernel, stride in windows:
+        rf += (kernel - 1) * jump
+        jump *= stride
+    return rf, jump
+
+
 @dataclass(frozen=True)
 class _ConvStage:
     """conv -> [bn] -> relu -> [max pool]: an lp/gp block or rn's input conv;
@@ -172,11 +191,14 @@ class _ConvStage:
     bn: ndnn.BatchNorm1dLayer | None = None
     pool: tuple[int, int] | None = None
 
+    @property
+    def windows(self):
+        conv = (self.conv.kernel, self.conv.stride)
+        return (conv,) if self.pool is None else (conv, self.pool)
+
     def lengths(self, length):
-        length = conv_out_len(length, self.conv.kernel, self.conv.stride)
-        if self.pool is None:
-            return length, length
-        return length, conv_out_len(length, *self.pool)
+        lens = _out_lens(length, self.windows)
+        return lens[0], lens[-1]
 
     def forward(self, h):
         h = self.conv.forward(h)
@@ -191,6 +213,8 @@ class _ConvStage:
 @dataclass(frozen=True)
 class _GlobalPool:
     """The global max pool that closes gp and rn."""
+
+    windows = ()
 
     def lengths(self, length):
         return length, 1
@@ -210,9 +234,13 @@ class _ResidualStage:
     bn1: ndnn.BatchNorm1dLayer | None = None
     bn2: ndnn.BatchNorm1dLayer | None = None
 
+    @property
+    def windows(self):
+        # the 1x1 shortcut reads the first input of each conv1 window
+        return (self.conv1.kernel, self.conv1.stride), (self.conv2.kernel, self.conv2.stride)
+
     def lengths(self, length):
-        series = conv_out_len(length, self.conv1.kernel, self.conv1.stride)
-        series = conv_out_len(series, self.conv2.kernel, self.conv2.stride)
+        series = _out_lens(length, self.windows)[-1]
         return series, series
 
     def forward(self, h):
@@ -282,7 +310,8 @@ class CodeEncoder:
     def __init__(self, config):
         rng = np.random.default_rng(config.seed)
         self.stages, self.plan, self._params, self._bn_layers = {}, [], [], []
-        length = config.image_len
+        self.image_len = length = config.image_len
+        windows = []
         def layer(cls, *args):   # a conv is the only stage layer that draws
             if cls is ndnn.Conv1dLayer:
                 return cls(*args, rng, he=config.use_he_init)
@@ -295,6 +324,7 @@ class CodeEncoder:
                 raise ConfigError(f"block {key}: {exc}") from exc
             self.plan.append({"block": key, "conv": conv_len, "pool": length})
             self.stages[name] = stage
+            windows.extend(stage.windows)
             for f in fields(stage):   # a stage's fields are its layers, and a pool pair
                 layer = getattr(stage, f.name)
                 if layer is None or f.name == "pool":
@@ -307,6 +337,7 @@ class CodeEncoder:
         self.proj = ndnn.DenseLayer(config.channel_plan()[-1] * self.plan[-1]["pool"],
                                     config.embed_dim, rng, he=config.use_he_init)
         self._register("proj", self.proj)
+        self._reach = _reach(windows)
 
     def _register(self, prefix, layer):
         self._params.extend((f"{prefix}.{n}", p) for n, p in layer.params())
@@ -320,15 +351,46 @@ class CodeEncoder:
                 for stat in ("running_mean", "running_var")]
 
     def forward(self, x):
-        """x: Tensor (B, 1, image_len) of normalized IDs -> (B, embed_dim)."""
-        h = x
+        """x: Tensor (B, 1, image_len) of normalized IDs -> (B, embed_dim).
+
+        The stages read the batch's content span plus its reach, not its zero
+        tail.  The span ends at the last column holding a nonzero value in any
+        sample (pad is ID 0, which no real token gets).  In valid convolution
+        and pooling, every output that reads only zero-tail inputs has the same
+        value, in every sample.  So the stages run on the first
+        ``ceil(span / jump) * jump + rf`` columns (at most ``image_len``), where
+        ``rf`` and ``jump`` are the receptive field and total stride of their
+        windows.  Their last output column then reads only padding.  gp's and
+        rn's global max pool, and its first-maximum argmax, see what they see at
+        full length.  A map that flattens into ``proj`` is extended back to its
+        planned length by repeating that column (``ndnn.repeat_last``), whose
+        backward sums the repeats' gradients into it.  Batch norm with batch
+        statistics (``gamma.requires_grad``) reads every position, so then the
+        stages run at full length.  Against a full-length run, only float32
+        rounding differs: BLAS may round a GEMM with fewer columns differently.
+        """
+        if x.shape[1:] != (1, self.image_len):
+            raise ndnn.ShapeError(f"code images must be (B, 1, {self.image_len}), "
+                                  f"got {x.shape}")
+        h = ndnn.narrow(x, 2, 0, self._span_with_reach(x.data))
         for name, stage in self.stages.items():
             h = stage.forward(h)
             _check_finite(name, h)
+        if h.shape[2] < self.plan[-1]["pool"]:
+            h = ndnn.repeat_last(h, self.plan[-1]["pool"])
         flat = ndnn.reshape(h, (h.shape[0], -1))
         out = self.proj.forward(flat)
         _check_finite("proj", out)
         return out
+
+    def _span_with_reach(self, images):
+        """Columns of ``images`` the stages must read; see ``forward``."""
+        if any(bn.gamma.requires_grad for _, bn in self._bn_layers):
+            return self.image_len
+        content = np.flatnonzero(images.any(axis=(0, 1)))
+        span = int(content[-1]) + 1 if content.size else 0
+        rf, jump = self._reach
+        return min(-(-span // jump) * jump + rf, self.image_len)
 
 
 _WORD_RE = re.compile(r"[a-z0-9]+")

@@ -16,6 +16,7 @@ from .tensor import (
     mul,
     narrow,
     relu,
+    repeat_last,
     reshape,
     tmean,
     transpose,
@@ -29,6 +30,6 @@ __all__ = [
     "Adam", "BatchNorm1dLayer", "Conv1dLayer", "DenseLayer", "NumericError",
     "ShapeError", "Tensor", "add", "batch_norm1d", "clip_max",
     "conv1d", "diagonal", "embedding", "exp", "global_max_pool1d", "l2_normalize",
-    "log_softmax", "matmul", "max_pool1d", "mul", "narrow", "relu", "reshape",
-    "tmean", "transpose", "tsum",
+    "log_softmax", "matmul", "max_pool1d", "mul", "narrow", "relu", "repeat_last",
+    "reshape", "tmean", "transpose", "tsum",
 ]

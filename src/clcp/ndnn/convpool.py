@@ -13,16 +13,21 @@ from .tensor import ShapeError, Tensor, _accum
 
 # conv1d's backward multiplies only the windows whose output gradient is nonzero
 # when they are at most this share of all windows.  Measured on gradients
-# captured in real training steps (default config, batch 32, BLAS on 1 thread;
-# share of live windows, then sparse / dense backward time per layer):
-#   gp and rn on synth pairs, below their global max pool   4-11%   0.12-0.66
-#   gp and rn on the `encode` benchmark's modules            7-29%   0.21-0.95
-#   lp (local pools), none and -Init                       52-67%   1.0-2.1
-#   +BN and -Pool                                            100%   1.9-2.6
-# The paths tie near 30%; at one quarter, no layer measured slower on the sparse
-# path takes it.  A first training step can be sparse without batch norm: with
-# zero biases, a conv over zero padding outputs 0, where relu passes no
-# gradient (6-7% live in lp's first step on synth images).
+# captured in one epoch of training steps (default config, batch 32, seed 601,
+# BLAS on 1 thread), the code encoder reading each batch's content span plus its
+# reach.  Share of live windows per conv layer and step, then sparse / dense
+# backward time at shares up to 25%, and from 25 to 35%:
+#                                            live     <= 25%        25-35%
+#   gp and rn, synth pairs                  24-68%    0.74 (once)   0.55-1.51
+#   gp and rn, `encode` benchmark modules    7-39%    0.29-1.22     0.56-1.83
+#   lp (local pools)                        27-76%    -             0.60-1.07
+#   +BN (full length) and -Pool               100%    every window carries a gradient
+# The paths tie near 30% (medians 0.90-1.23); at or below a quarter the sparse
+# path ran in a median 0.52-0.61 of the dense time on the encode modules.  Synth
+# images hold a median of 28 IDs, so with the zero tail cut nearly every layer
+# there takes the dense path.  A first step has fewer live windows (26-38% on
+# synth): with zero biases, a conv over padding outputs 0, where relu passes no
+# gradient.
 SPARSE_LIVE_SHARE = 0.25
 
 
@@ -54,10 +59,10 @@ def conv1d(x, weight, bias, stride):
     The backward has two paths, chosen by the share of windows (columns of the
     (C_out, B*L_out) gradient ``g2``) that carry a nonzero gradient in some
     channel.  A global max pool downstream leaves at most one live window per
-    (sample, channel), so most are exactly zero.  Above ``SPARSE_LIVE_SHARE``
-    the dense path computes the weight gradient ``g2 @ cols.T`` as
-    ``(cols @ g2.T).T`` in C order (OpenBLAS runs it faster at the lp and rn
-    shapes, with the same bits) and the input gradient as one GEMM
+    (sample, channel), so over long content most are exactly zero.  Above
+    ``SPARSE_LIVE_SHARE`` the dense path computes the weight gradient
+    ``g2 @ cols.T`` as ``(cols @ g2.T).T`` in C order (OpenBLAS runs it faster
+    at the lp and rn shapes, with the same bits) and the input gradient as one GEMM
     ``W2.T @ g2`` whose rows are added back into place one window offset at a
     time.  At or below it, the sparse path does the same over the live columns
     alone: ``(cols[:, live] @ g2[:, live].T).T``, and ``W2.T @ g2[:, live]``

@@ -190,6 +190,22 @@ def narrow(a, axis, start, length):
     return _index(a, tuple(index))
 
 
+def repeat_last(a, length):
+    """Extend the last axis to ``length`` by repeating its last entry; the
+    backward adds the repeats' gradients into that entry."""
+    n = a.shape[-1]
+    if not 1 <= n <= length:
+        raise ShapeError(f"repeat_last cannot extend a last axis of {n} to {length}")
+    tail = np.repeat(a.data[..., -1:], length - n, axis=-1)
+
+    def backward(g):
+        gx = g[..., :n].copy()
+        gx[..., -1] = g[..., n - 1:].sum(axis=-1)
+        _accum(a, gx)
+
+    return Tensor(np.concatenate([a.data, tail], axis=-1), _parents=(a,), _backward=backward)
+
+
 def diagonal(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"diagonal needs a square matrix, got {a.shape}")

@@ -374,6 +374,9 @@ def vocab_from_text(text):
     missing = [c.value for c in Component if c not in USER_SCOPED and c not in tables]
     if missing:
         raise VocabError(f"vocabulary file has no fixed table for {', '.join(missing)}")
+    ranged = {c for c, _, _ in ranges.table}
+    if missing := [c.value for c in Component if c not in SYMBOL_POOL and c not in ranged]:
+        raise VocabError(f"vocabulary file has no ID range for {', '.join(missing)}")
     fixed = {(key, component): id_ for component, table in tables.items()
              for key, id_ in table.items()}
     owners = {}   # ID -> the entry that holds it

@@ -107,6 +107,113 @@ class TestShapePlan:
         assert out.shape == (2, cfg.embed_dim)
 
 
+def _full_length(enc, x):
+    """The encoder's stages and projection over every column of ``x``: what its
+    forward must match, up to rounding, whatever span it reads."""
+    h = x
+    for stage in enc.stages.values():
+        h = stage.forward(h)
+    return enc.proj.forward(ndnn.reshape(h, (h.shape[0], -1)))
+
+
+def _span_encoder(family, delta, dtype=np.float32, **geometry):
+    """A small encoder with random biases, so that padding maps to nonzero
+    activations, and a list that records the input length of its first conv."""
+    enc = CodeEncoder(apply_ablation(small_cfg(family=family, **geometry), delta))
+    rng = np.random.default_rng(3)
+    for name, p in enc.named_params():
+        p.data = p.data.astype(dtype)
+        if name.endswith(("bias", "beta")):
+            p.data[:] = rng.normal(0.0, 0.5, p.shape)
+    first = next(iter(enc.stages.values())).conv
+    lengths, forward = [], first.forward
+
+    def recording_forward(x):
+        lengths.append(x.shape[2])
+        return forward(x)
+
+    first.forward = recording_forward
+    return enc, lengths
+
+
+def _content_batch(t, image_len, dtype=np.float32):
+    """Two images: content in the first ``t`` columns of one and the first
+    ``t // 3`` of the other, then zero padding."""
+    rng = np.random.default_rng(t)
+    x = np.zeros((2, 1, image_len), dtype=dtype)
+    x[0, 0, :t] = rng.uniform(0.05, 1.0, t)
+    x[1, 0, :t // 3] = rng.uniform(0.05, 1.0, t // 3)
+    return ndnn.Tensor(x)
+
+
+# stride and pooling variants that build at small_cfg's image_len of 96; rn has
+# no local pool, so only the stride varies it
+GEOMETRIES = {"k5s1p2s2": {},
+              "k2s2p1s1": dict(kernel=2, stride=2, pool_window=1, pool_stride=1),
+              "p3s2": dict(pool_window=3, pool_stride=2),
+              "p2s3": dict(pool_window=2, pool_stride=3),
+              "p3s1": dict(pool_window=3, pool_stride=1)}
+SPAN_CASES = [(family, delta, geometry) for family in FAMILIES
+              for delta in ("none", "-Pool", "-Init") for geometry in GEOMETRIES
+              if family != "rn" or geometry in ("k5s1p2s2", "k2s2p1s1")]
+
+
+class TestContentSpan:
+    """The forward reads the batch's content span plus the stages' reach."""
+
+    @pytest.mark.parametrize("family,delta,geometry", SPAN_CASES)
+    def test_every_content_length_matches_full_length(self, family, delta, geometry):
+        # float32 as in training: BLAS may round a GEMM with fewer columns
+        # differently, by at most 3.6e-7 at these shapes (|out| <= 7.4)
+        enc, lengths = _span_encoder(family, delta, **GEOMETRIES[geometry])
+        for t in range(enc.image_len + 1):
+            x = _content_batch(t, enc.image_len)
+            np.testing.assert_allclose(enc.forward(x).data, _full_length(enc, x).data,
+                                       rtol=0, atol=1e-6, err_msg=f"content length {t}")
+        trimmed = lengths[::2]   # the full-length run reads every column
+        assert trimmed[0] < enc.image_len   # an all-pad batch reads only the reach
+        assert trimmed[-1] == enc.image_len
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("delta", ["none", "-Pool", "-Init"])
+    def test_gradients_match_full_length(self, family, delta):
+        # float64, so that only summation order separates the two runs
+        enc, _ = _span_encoder(family, delta, dtype=np.float64)
+        weights = ndnn.Tensor(np.random.default_rng(4).normal(size=(2, 8)))
+        for t in (0, 1, 17, 60, enc.image_len):
+            grads = []
+            for forward in (enc.forward, lambda x: _full_length(enc, x)):
+                for _, p in enc.named_params():
+                    p.grad = None
+                ndnn.tsum(forward(_content_batch(t, enc.image_len, np.float64))
+                          * weights).backward()
+                grads.append([p.grad for _, p in enc.named_params()])
+            for (name, _), got, want in zip(enc.named_params(), *grads):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12,
+                                           err_msg=f"{name} at content length {t}")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_batch_norm_reads_every_column_only_with_batch_statistics(self, family):
+        enc, lengths = _span_encoder(family, "+BN")
+        x = _content_batch(10, enc.image_len)
+        train = enc.forward(x).data
+        assert lengths == [enc.image_len]
+        np.testing.assert_array_equal(train, _full_length(enc, x).data)
+        # eval mode normalizes with the running statistics, per position
+        for _, p in enc.named_params():
+            p.requires_grad = False
+        lengths.clear()
+        np.testing.assert_allclose(enc.forward(x).data, _full_length(enc, x).data,
+                                   rtol=0, atol=1e-6)
+        assert lengths[0] < enc.image_len
+
+    @pytest.mark.parametrize("length", [95, 97])
+    def test_images_of_another_length_are_rejected(self, length):
+        enc = CodeEncoder(small_cfg())
+        with pytest.raises(ndnn.ShapeError, match=rf"^code images must be \(B, 1, 96\)"):
+            enc.forward(ndnn.Tensor(np.zeros((2, 1, length), dtype=np.float32)))
+
+
 class TestConfig:
     def test_file_round_trip(self, tmp_path):
         # non-default channels and float defaults (temperature_init = 1/0.07)

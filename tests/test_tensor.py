@@ -154,6 +154,17 @@ class TestGradients:
 
         self._check(build, arrs)
 
+    def test_repeat_last(self):
+        rng = np.random.default_rng(14)
+        arrs = [rng.normal(size=(2, 3, 4))]
+        weights = nd.Tensor(rng.normal(size=(2, 3, 7)))   # a distinct gradient per column
+
+        def build(arrays):
+            x = nd.Tensor(arrays[0], requires_grad=True)
+            return nd.tsum(nd.repeat_last(x, 7) * weights), [x]
+
+        self._check(build, arrs)
+
     def test_exp_and_clip(self):
         arrs = [np.array([0.1, 0.5, 5.2])]  # exp(5.2) > 100 exercises the clamp
 

@@ -27,6 +27,17 @@ are: the sum leaves out exact zeros, and BLAS blocks the shorter sum
 differently.  Only cases that end in a global max pool without batch norm
 reach that path (gp and rn, none and -Init).  They moved by at most 9.9e-8
 in training and 4.2e-7 in validation loss; the other 8 are unchanged.
+
+Regenerated again when the code encoder began to read only a batch's content
+span plus its stages' reach (a map that flattens into the projection gets its
+last column repeated back to its planned length).  The arithmetic is that of a
+full-length run on fewer positions, but BLAS rounds a GEMM with fewer columns
+differently.  Largest training / validation loss deltas: lp none 3.3e-8 /
+4.2e-7, gp none 6.6e-8 / 3.6e-7, rn none 4.1e-8 / 2.4e-7, lp -Pool 3.3e-8 /
+6.0e-8, gp -Pool 3.3e-8 / 6.0e-8, rn -Pool 2.1e-8 / 1.2e-7, rn -Init 0 /
+6.0e-8; lp -Init moved its parameters only.  +BN trains at full length, so lp
+and gp +BN moved only in their eval-mode validation losses (6.0e-8 and 1.2e-7),
+with unchanged parameters.  gp -Init and rn +BN are unchanged.
 """
 import hashlib
 import json

@@ -215,6 +215,14 @@ class TestVocabFile:
         with pytest.raises(VocabError, match="no fixed table for Whitespace"):
             vocab_from_text(self._edited(empty_vocab, drop_whitespace))
 
+    def test_rejects_missing_id_range(self, empty_vocab):
+        # a scope would find no range at the first variable it numbers
+        def drop_variable(doc):
+            doc["ranges"] = [r for r in doc["ranges"] if r[0] != "Variable"]
+
+        with pytest.raises(VocabError, match="^vocabulary file has no ID range for Variable$"):
+            vocab_from_text(self._edited(empty_vocab, drop_variable))
+
     @pytest.mark.parametrize("id_,texts", [("11271", "abc"), ("11271", [1, 2]), ("5", ["x"])],
                              ids=["string", "ints", "keyword-id"])
     def test_rejects_malformed_lookup_list(self, id_, texts):

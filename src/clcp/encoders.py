@@ -185,7 +185,9 @@ def _reach(windows):
 @dataclass(frozen=True)
 class _ConvStage:
     """conv -> [bn] -> relu -> [max pool]: an lp/gp block or rn's input conv;
-    ``pool`` is the local pool's (window, stride)."""
+    ``pool`` is the local pool's (window, stride).  Every stage's ``forward``
+    takes its input's planned ``length``, which a trimmed input falls short of;
+    each batch norm counts its own shortfall as ``repeats``."""
 
     conv: ndnn.Conv1dLayer
     bn: ndnn.BatchNorm1dLayer | None = None
@@ -200,10 +202,10 @@ class _ConvStage:
         lens = _out_lens(length, self.windows)
         return lens[0], lens[-1]
 
-    def forward(self, h):
+    def forward(self, h, length):
         h = self.conv.forward(h)
         if self.bn is not None:
-            h = self.bn.forward(h)
+            h = self.bn.forward(h, self.lengths(length)[0] - h.shape[2])
         h = ndnn.relu(h)
         if self.pool is not None:
             h = ndnn.max_pool1d(h, *self.pool)
@@ -219,7 +221,7 @@ class _GlobalPool:
     def lengths(self, length):
         return length, 1
 
-    def forward(self, h):
+    def forward(self, h, length):
         return ndnn.global_max_pool1d(h)
 
 
@@ -243,15 +245,16 @@ class _ResidualStage:
         series = _out_lens(length, self.windows)[-1]
         return series, series
 
-    def forward(self, h):
+    def forward(self, h, length):
         series = self.conv1.forward(h)
         if self.bn1 is not None:
-            series = self.bn1.forward(series)
+            conv1_len = conv_out_len(length, self.conv1.kernel, self.conv1.stride)
+            series = self.bn1.forward(series, conv1_len - series.shape[2])
         series = self.conv2.forward(ndnn.relu(series))
         skip = ndnn.narrow(self.shortcut.forward(h), 2, 0, series.shape[2])
         merged = series + skip
         if self.bn2 is not None:
-            merged = self.bn2.forward(merged)
+            merged = self.bn2.forward(merged, self.lengths(length)[0] - merged.shape[2])
         return ndnn.relu(merged)
 
 
@@ -364,18 +367,26 @@ class CodeEncoder:
         rn's global max pool, and its first-maximum argmax, see what they see at
         full length.  A map that flattens into ``proj`` is extended back to its
         planned length by repeating that column (``ndnn.repeat_last``), whose
-        backward sums the repeats' gradients into it.  Batch norm with batch
-        statistics (``gamma.requires_grad``) reads every position, so then the
-        stages run at full length.  Against a full-length run, only float32
-        rounding differs: BLAS may round a GEMM with fewer columns differently.
+        backward sums the repeats' gradients into it.  Every cut column of a
+        map also repeats its last column, per channel and in every sample, so
+        batch norm with batch statistics (``gamma.requires_grad``) gets the
+        count of columns cut from its input as ``repeats`` and computes the
+        full-length statistics and gradients (see ``ndnn.batch_norm1d``).
+        Against a full-length run, only rounding differs: BLAS may round a GEMM
+        with fewer columns differently, and the statistics sum in another order.
+        An all-pad batch is the exception under batch statistics: every channel
+        has zero batch variance, so both runs scale rounding noise by about
+        ``1 / sqrt(eps)``.
         """
         if x.shape[1:] != (1, self.image_len):
             raise ndnn.ShapeError(f"code images must be (B, 1, {self.image_len}), "
                                   f"got {x.shape}")
         h = ndnn.narrow(x, 2, 0, self._span_with_reach(x.data))
-        for name, stage in self.stages.items():
-            h = stage.forward(h)
+        length = self.image_len
+        for (name, stage), planned in zip(self.stages.items(), self.plan):
+            h = stage.forward(h, length)
             _check_finite(name, h)
+            length = planned["pool"]
         if h.shape[2] < self.plan[-1]["pool"]:
             h = ndnn.repeat_last(h, self.plan[-1]["pool"])
         flat = ndnn.reshape(h, (h.shape[0], -1))
@@ -385,8 +396,6 @@ class CodeEncoder:
 
     def _span_with_reach(self, images):
         """Columns of ``images`` the stages must read; see ``forward``."""
-        if any(bn.gamma.requires_grad for _, bn in self._bn_layers):
-            return self.image_len
         content = np.flatnonzero(images.any(axis=(0, 1)))
         span = int(content[-1]) + 1 if content.size else 0
         rf, jump = self._reach

@@ -21,7 +21,7 @@ from .tensor import ShapeError, Tensor, _accum
 #   gp and rn, synth pairs                  24-68%    0.74 (once)   0.55-1.51
 #   gp and rn, `encode` benchmark modules    7-39%    0.29-1.22     0.56-1.83
 #   lp (local pools)                        27-76%    -             0.60-1.07
-#   +BN (full length) and -Pool               100%    every window carries a gradient
+#   +BN and -Pool                             100%    every window carries a gradient
 # The paths tie near 30% (medians 0.90-1.23); at or below a quarter the sparse
 # path ran in a median 0.52-0.61 of the dense time on the encode modules.  Synth
 # images hold a median of 28 IDs, so with the zero tail cut nearly every layer
@@ -174,13 +174,24 @@ def global_max_pool1d(x):
     return Tensor(x.data.max(axis=2, keepdims=True), _parents=(x,), _backward=backward)
 
 
-def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, training):
+def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, training,
+                 repeats=0):
     """Per-channel standardization of (B, C, L) with learned scale and shift.
 
     Training mode normalizes with biased batch statistics over (B, L) and
     updates the running buffers in place; eval mode uses the running buffers'
     mean and ``1 / sqrt(var + eps)``, cast to ``x``'s dtype.  Training requires
     batch size >= 2.
+
+    ``repeats`` (training mode only) counts columns cut from the end of every
+    sample that would have repeated its last column: the statistics count that
+    column ``repeats`` more times, over ``n = B * (L + repeats)`` positions, and
+    the backward adds the cut copies' share of the per-position term
+    ``-(sum(g) + xhat * sum(g * xhat)) / n * inv_std`` to the last column's
+    input gradient.  That is exact when the last column holds one value per
+    channel in every sample, as a column that reads only zero padding does, and
+    when the op downstream sends the cut columns' gradient into the last kept
+    column.  Eval mode normalizes each position alone and ignores it.
     """
     if x.ndim != 3:
         raise ShapeError(f"batch_norm1d expects (B, C, L), got {x.shape}")
@@ -188,9 +199,11 @@ def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, train
         if x.shape[0] < 2:
             raise ShapeError("batch normalization needs batch size >= 2 in training mode")
         axes = (0, 2)
-        n = x.shape[0] * x.shape[2]
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        n = x.shape[0] * (x.shape[2] + repeats)
+        mean = (x.data.sum(axis=axes) + repeats * x.data[:, :, -1].sum(axis=0)) / n
+        centered = x.data - mean[None, :, None]
+        sq = np.square(centered)
+        var = (sq.sum(axis=axes) + repeats * sq[:, :, -1].sum(axis=0)) / n
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -200,7 +213,8 @@ def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, train
         # from the float64 buffers, then in x's dtype: ops keep their input's dtype
         mean = running_mean.astype(x.dtype, copy=False)
         inv_std = (1.0 / np.sqrt(running_var + eps)).astype(x.dtype, copy=False)
-    xhat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
+        centered = x.data - mean[None, :, None]
+    xhat = centered * inv_std[None, :, None]
 
     def backward(g):
         _accum(gamma, (g * xhat).sum(axis=(0, 2)))
@@ -212,7 +226,10 @@ def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, train
             # batch statistics couple every sample in the channel
             sum_g = gxhat.sum(axis=(0, 2), keepdims=True)
             sum_gx = (gxhat * xhat).sum(axis=(0, 2), keepdims=True)
-            gx = (gxhat - (sum_g + xhat * sum_gx) / n) * inv_std[None, :, None]
+            shared = (sum_g + xhat * sum_gx) / n
+            gx = (gxhat - shared) * inv_std[None, :, None]
+            if repeats:
+                gx[:, :, -1] -= repeats * shared[:, :, -1] * inv_std
         else:
             gx = gxhat * inv_std[None, :, None]
         _accum(x, gx)

@@ -70,11 +70,12 @@ class BatchNorm1dLayer:
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
 
-    def forward(self, x):
-        # batch statistics while the parameters require grad, the running ones otherwise
+    def forward(self, x, repeats=0):
+        # batch statistics while the parameters require grad, the running ones
+        # otherwise; ``repeats`` as in ``convpool.batch_norm1d``
         return convpool.batch_norm1d(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            eps=1e-5, momentum=0.1, training=self.gamma.requires_grad)
+            eps=1e-5, momentum=0.1, training=self.gamma.requires_grad, repeats=repeats)
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

@@ -126,6 +126,35 @@ class TestBatchNorm:
         out = layer.forward(nd.Tensor(np.full((1, 2, 4), 3.0)))
         np.testing.assert_allclose(out.data, 0.0, atol=0.2)
 
+    @pytest.mark.parametrize("repeats", [1, 5])
+    def test_repeats_count_copies_of_the_last_column(self, repeats):
+        # a map whose last column holds one value per channel, as a column over
+        # zero padding does, against the map extended by `repeats` copies of it
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 2, 6))
+        x[:, :, -1] = rng.normal(size=2)
+        full_x = np.concatenate([x, np.repeat(x[:, :, -1:], repeats, axis=2)], axis=2)
+        gamma, beta = rng.uniform(0.5, 1.5, size=2), rng.normal(size=2)
+        g = rng.normal(size=full_x.shape)
+        # the op downstream sends the copies' gradient into the last kept column
+        g_kept = g[:, :, :6].copy()
+        g_kept[:, :, -1] = g[:, :, 5:].sum(axis=2)
+
+        def run(data, upstream, k):
+            xt, gt, bt = (nd.Tensor(a.copy(), requires_grad=True) for a in (data, gamma, beta))
+            running_mean, running_var = np.zeros(2), np.ones(2)
+            out = nd.batch_norm1d(xt, gt, bt, running_mean, running_var, 1e-5, 0.1, True,
+                                  repeats=k)
+            nd.tsum(out * nd.Tensor(upstream)).backward()
+            return out.data, running_mean, running_var, gt.grad, bt.grad, xt.grad
+
+        out, mean, var, ggamma, gbeta, gx = run(x, g_kept, repeats)
+        f_out, f_mean, f_var, f_ggamma, f_gbeta, f_gx = run(full_x, g, 0)
+        for got, want in ((out, f_out[:, :, :6]), (mean, f_mean), (var, f_var),
+                          (ggamma, f_ggamma), (gbeta, f_gbeta), (gx[:, :, :-1], f_gx[:, :, :5]),
+                          (gx[:, :, -1], f_gx[:, :, 5:].sum(axis=2))):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_eval_output_keeps_input_dtype(self, dtype):
         rng = np.random.default_rng(2)
@@ -201,16 +230,19 @@ class TestGradients:
         rng = np.random.default_rng(24)
         arrs = [rng.normal(size=(4, 3, 5)), rng.uniform(0.5, 1.5, size=3), rng.normal(size=3)]
 
-        def build(arrays):
-            x = nd.Tensor(arrays[0], requires_grad=True)
-            gamma = nd.Tensor(arrays[1], requires_grad=True)
-            beta = nd.Tensor(arrays[2], requires_grad=True)
-            out = nd.batch_norm1d(x, gamma, beta, np.zeros(3), np.ones(3),
-                                  1e-5, 0.1, True)
-            w = nd.Tensor(np.linspace(0.5, 1.5, out.size).reshape(out.shape))
-            return nd.tsum(out * w), [x, gamma, beta]
+        # with repeats, the statistics count the last column that many more
+        # times, whatever it holds
+        for repeats in (0, 3):
+            def build(arrays, repeats=repeats):
+                x = nd.Tensor(arrays[0], requires_grad=True)
+                gamma = nd.Tensor(arrays[1], requires_grad=True)
+                beta = nd.Tensor(arrays[2], requires_grad=True)
+                out = nd.batch_norm1d(x, gamma, beta, np.zeros(3), np.ones(3),
+                                      1e-5, 0.1, True, repeats=repeats)
+                w = nd.Tensor(np.linspace(0.5, 1.5, out.size).reshape(out.shape))
+                return nd.tsum(out * w), [x, gamma, beta]
 
-        self._check(build, arrs, tol=5e-6)
+            self._check(build, arrs, tol=5e-6)
 
     def test_batch_norm_eval_mode(self):
         # the running buffers are constants: no batch statistic couples the samples

@@ -205,7 +205,7 @@ class _ConvStage:
     def forward(self, h, length):
         h = self.conv.forward(h)
         if self.bn is not None:
-            h = self.bn.forward(h, self.lengths(length)[0] - h.shape[2])
+            h = self.bn.forward(h, _out_lens(length, self.windows)[0] - h.shape[2])
         h = ndnn.relu(h)
         if self.pool is not None:
             h = ndnn.max_pool1d(h, *self.pool)
@@ -221,7 +221,7 @@ class _GlobalPool:
     def lengths(self, length):
         return length, 1
 
-    def forward(self, h, length):
+    def forward(self, h, length):   # one column whatever the length
         return ndnn.global_max_pool1d(h)
 
 
@@ -246,15 +246,15 @@ class _ResidualStage:
         return series, series
 
     def forward(self, h, length):
+        lens = _out_lens(length, self.windows)
         series = self.conv1.forward(h)
         if self.bn1 is not None:
-            conv1_len = conv_out_len(length, self.conv1.kernel, self.conv1.stride)
-            series = self.bn1.forward(series, conv1_len - series.shape[2])
+            series = self.bn1.forward(series, lens[0] - series.shape[2])
         series = self.conv2.forward(ndnn.relu(series))
         skip = ndnn.narrow(self.shortcut.forward(h), 2, 0, series.shape[2])
         merged = series + skip
         if self.bn2 is not None:
-            merged = self.bn2.forward(merged, self.lengths(length)[0] - merged.shape[2])
+            merged = self.bn2.forward(merged, lens[-1] - merged.shape[2])
         return ndnn.relu(merged)
 
 

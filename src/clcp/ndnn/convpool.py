@@ -11,26 +11,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, Tensor, _accum
 
-# conv1d's backward multiplies only the windows whose output gradient is nonzero
-# when they are at most this share of all windows.  Measured on gradients
-# captured in one epoch of training steps (default config, batch 32, seed 601,
-# BLAS on 1 thread), the code encoder reading each batch's content span plus its
-# reach.  Share of live windows per conv layer and step, then sparse / dense
-# backward time at shares up to 25%, and from 25 to 35%:
-#                                            live     <= 25%        25-35%
-#   gp and rn, synth pairs                  24-68%    0.74 (once)   0.55-1.51
-#   gp and rn, `encode` benchmark modules    7-39%    0.29-1.22     0.56-1.83
-#   lp (local pools)                        27-76%    -             0.60-1.07
-#   +BN and -Pool                             100%    every window carries a gradient
-# The paths tie near 30% (medians 0.90-1.23); at or below a quarter the sparse
-# path ran in a median 0.52-0.61 of the dense time on the encode modules.  Synth
-# images hold a median of 28 IDs, so with the zero tail cut nearly every layer
-# there takes the dense path.  A first step has fewer live windows (26-38% on
-# synth): with zero biases, a conv over padding outputs 0, where relu passes no
-# gradient.
-SPARSE_LIVE_SHARE = 0.25
-
-
 def conv_out_len(length, kernel, stride):
     """Output length of a valid 1D convolution or local pooling window."""
     if length < kernel:
@@ -56,27 +36,19 @@ def conv1d(x, weight, bias, stride):
     When the result requires grad, its backward keeps ``cols``; otherwise
     ``cols`` is freed on return.
 
-    The backward has two paths, chosen by the share of windows (columns of the
-    (C_out, B*L_out) gradient ``g2``) that carry a nonzero gradient in some
-    channel.  A global max pool downstream leaves at most one live window per
-    (sample, channel), so over long content most are exactly zero.  Above
-    ``SPARSE_LIVE_SHARE`` the dense path computes the weight gradient
-    ``g2 @ cols.T`` as ``(cols @ g2.T).T`` in C order (OpenBLAS runs it faster
-    at the lp and rn shapes, with the same bits) and the input gradient as one GEMM
-    ``W2.T @ g2`` whose rows are added back into place one window offset at a
-    time.  At or below it, the sparse path does the same over the live columns
-    alone: ``(cols[:, live] @ g2[:, live].T).T``, and ``W2.T @ g2[:, live]``
-    added into each live window's input positions, one offset at a time.  The
-    input gradient leaves out only adds of +0.0, so it is bit-identical to the
-    dense one; the weight gradient sums fewer exact zeros, which BLAS may
-    block differently (in float32, up to about 2e-6 of its largest entry).
-    The bias gradient is ``g.sum(axis=(0, 2))`` on both paths.
+    The backward computes the weight gradient ``g2 @ cols.T``, with ``g2`` the
+    (C_out, B*L_out) upstream gradient, as ``(cols @ g2.T).T`` in C order
+    (OpenBLAS runs it faster at the lp and rn shapes, with the same bits), the
+    input gradient as one GEMM ``W2.T @ g2`` whose rows are added back into
+    place one window offset at a time, and the bias gradient as
+    ``g.sum(axis=(0, 2))``.
 
-    Non-finite values: a NaN or inf in ``g`` keeps its window live.  On the
-    sparse path, ``x`` and ``weight`` enter the gradients only through live
-    windows: an inf in ``x`` under windows whose gradient is all zero leaves
-    the weight gradient finite, where the dense path's ``0 * inf`` makes it
-    NaN (the encoders reject such activations in the forward).
+    Non-finite values: a NaN or inf in ``g`` spreads through its window.  Every
+    window enters the weight gradient, so an inf in ``x``, even under windows
+    whose gradient is all zero, makes it NaN through ``0 * inf``.  Two checks
+    keep such values out of training: ``encoders._check_finite`` rejects
+    non-finite activations in the forward, and ``Adam.step`` rejects a
+    non-finite gradient, naming its parameter.
     """
     b, c_in, length = x.shape
     c_out, c_in_w, kernel = weight.shape
@@ -92,28 +64,14 @@ def conv1d(x, weight, bias, stride):
     def backward(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, b * l_out)
         _accum(bias, g.sum(axis=(0, 2)))
-        live = np.flatnonzero(g2.any(axis=0))
-        sparse = len(live) <= SPARSE_LIVE_SHARE * b * l_out
-        if sparse:
-            g2, cols_used = g2[:, live], cols[:, live]
-        else:
-            cols_used = cols
-        _accum(weight, np.ascontiguousarray((cols_used @ g2.T).T).reshape(weight.shape))
+        _accum(weight, np.ascontiguousarray((cols @ g2.T).T).reshape(weight.shape))
         if not x.requires_grad:
             return
-        gcols = w2.T @ g2
+        gcols = (w2.T @ g2).reshape(c_in, kernel, b, l_out)
         gx = np.zeros_like(x.data)
-        if sparse:
-            # one live window per (row, offs): no index repeats within an offset j
-            gcols = gcols.reshape(c_in, kernel, len(live))
-            rows, offs = np.divmod(live, l_out)
-            for j in range(kernel):
-                gx[rows, :, offs * stride + j] += gcols[:, j].T
-        else:
-            gcols = gcols.reshape(c_in, kernel, b, l_out)
-            span = stride * (l_out - 1) + 1
-            for j in range(kernel):
-                gx[:, :, j:j + span:stride] += gcols[:, j].transpose(1, 0, 2)
+        span = stride * (l_out - 1) + 1
+        for j in range(kernel):
+            gx[:, :, j:j + span:stride] += gcols[:, j].transpose(1, 0, 2)
         _accum(x, gx)
 
     return Tensor(out2.reshape(c_out, b, l_out).transpose(1, 0, 2),

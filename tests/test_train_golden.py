@@ -49,6 +49,14 @@ a conv bias that feeds batch norm has an exact gradient of 0: in float32 it
 gets rounding noise, which Adam scales to steps of up to ``lr``, so those
 biases drift (to 2.7e-3 to 6.1e-3 after these 8 steps), and eval-mode batch
 norm's running mean lags behind the drift.
+
+Regenerated again when ``conv1d``'s backward went back to one path: the
+weight gradient again sums every window, including the exact zeros that a
+global max pool sends back, and BLAS blocks that longer sum differently.
+Only the four cases that had reached the live-window sum moved; the other 8
+are byte-identical.  Largest training / validation loss deltas: gp none
+5.3e-8 / 3.0e-7, gp -Init 6.6e-8 / 6.0e-8, rn none 6.6e-8 / 2.4e-7, rn -Init
+3.3e-8 / 0.
 """
 import hashlib
 import json

@@ -431,28 +431,31 @@ def _check_conv(data, weight, bias, stride, g):
 
 
 class TestConvWeightGradient:
-    def _check(self, c_in, c_out, length, kernel):
+    def _check(self, c_in, c_out, length, kernel, grad):
         x, w, b, stride, g = _conv_case(32, c_in, c_out, length, kernel, 1, np.float32,
                                         x_channel_major=True, g_channel_major=True)
+        if grad == "pooled":
+            g = _pooled_grad(g)
+        weight = nd.Tensor(w, requires_grad=True)
+        nd.conv1d(nd.Tensor(x), weight, nd.Tensor(b), stride).backward(g)
         cols = sliding_window_view(x, kernel, axis=2).transpose(1, 3, 0, 2).reshape(
             c_in * kernel, -1)
-        # a dense gradient, and the one rn's global max pool sends back: one
-        # window per (sample, channel), every other window an exact zero
-        for grad in (g, _pooled_grad(g)):
-            weight = nd.Tensor(w, requires_grad=True)
-            nd.conv1d(nd.Tensor(x), weight, nd.Tensor(b), stride).backward(grad)
-            want = grad.transpose(1, 0, 2).reshape(c_out, -1) @ cols.T
-            # Adam updates through a flat view, which a transposed gradient would copy
-            assert weight.grad.shape == w.shape and weight.grad.flags.c_contiguous
-            assert weight.grad.tobytes() == want.reshape(w.shape).tobytes()
+        want = g.transpose(1, 0, 2).reshape(c_out, -1) @ cols.T
+        # Adam updates through a flat view, which a transposed gradient would copy
+        assert weight.grad.shape == w.shape and weight.grad.flags.c_contiguous
+        assert weight.grad.tobytes() == want.reshape(w.shape).tobytes()
 
-    def test_rn_shape_float32_is_c_contiguous_and_exact(self):
+    # a dense gradient, and the one rn's global max pool sends back: one window
+    # per (sample, channel), every other window an exact zero
+    @pytest.mark.parametrize("grad", ["dense", "pooled"])
+    def test_rn_shape_float32_is_c_contiguous_and_exact(self, grad):
         # an rn3 conv: 32 channels in and out, kernel 5, (C, B, L) memory in and out
-        self._check(32, 32, 496, 5)
+        self._check(32, 32, 496, 5, grad)
 
-    def test_rn_shortcut_float32_is_c_contiguous_and_exact(self):
+    @pytest.mark.parametrize("grad", ["dense", "pooled"])
+    def test_rn_shortcut_float32_is_c_contiguous_and_exact(self, grad):
         # an rn3 1 x 1 shortcut from 16 to 32 channels
-        self._check(16, 32, 500, 1)
+        self._check(16, 32, 500, 1, grad)
 
 
 def _pooled_grad(g):
@@ -463,17 +466,55 @@ def _pooled_grad(g):
     return t.grad
 
 
+def _live_window_input_grad(shape, weight, stride, g):
+    """conv1d's input gradient summed over only the windows with a nonzero gradient."""
+    b, c_in, _ = shape
+    c_out, _, kernel = weight.shape
+    l_out = g.shape[2]
+    g2 = g.transpose(1, 0, 2).reshape(c_out, b * l_out)
+    live = np.flatnonzero(g2.any(axis=0))
+    gcols = (weight.reshape(c_out, -1).T @ g2[:, live]).reshape(c_in, kernel, len(live))
+    rows, offs = np.divmod(live, l_out)
+    gx = np.zeros(shape, g.dtype)
+    # one live window per (row, offs): no index repeats within an offset j
+    for j in range(kernel):
+        gx[rows, :, offs * stride + j] += gcols[:, j].T
+    return gx
+
+
 class TestConvBackwardGradients:
     """conv1d's backward under dense, pooled (mostly zero), all-zero and NaN gradients."""
 
+    @pytest.mark.parametrize("layout", ["channel-major", "batch-major"])
     @pytest.mark.parametrize("grad", ["pooled", "zero", "dense"])
     @pytest.mark.parametrize("kernel,stride", [(1, 1), (5, 1), (1, 2), (5, 2)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_loop_reference(self, grad, kernel, stride, dtype):
-        data, weight, bias, stride, g = _conv_case(3, 2, 3, 40, kernel, stride, dtype,
-                                                   x_channel_major=True, seed=kernel)
+    def test_matches_loop_reference(self, layout, grad, kernel, stride, dtype):
+        # x laid out (C, B, L), as every conv after the first sees it, or (B, C, L)
+        data, weight, bias, stride, g = _conv_case(
+            3, 2, 3, 40, kernel, stride, dtype,
+            x_channel_major=layout == "channel-major", seed=kernel)
         g = {"pooled": _pooled_grad, "zero": np.zeros_like, "dense": np.asarray}[grad](g)
         _check_conv(data, weight, bias, stride, g)
+
+    @pytest.mark.parametrize("live_windows", [0, 1, 2, 3, None])
+    @pytest.mark.parametrize("kernel,stride", [(1, 1), (5, 1), (5, 2), (3, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_gradient_equals_live_window_sum_bit_for_bit(self, live_windows,
+                                                               kernel, stride, dtype):
+        # a pooled gradient, or one with its first 0-3 windows kept and the rest
+        # zeroed: every window whose gradient is zero adds exactly +0.0
+        data, weight, bias, stride, g = _conv_case(4, 8, 16, 120, kernel, stride, dtype,
+                                                   x_channel_major=True,
+                                                   g_channel_major=True, seed=stride)
+        g = _pooled_grad(g)
+        if live_windows is not None:
+            g[:, :, live_windows:] = 0
+        x = nd.Tensor(data, requires_grad=True)
+        nd.conv1d(x, nd.Tensor(weight, requires_grad=True), nd.Tensor(bias),
+                  stride).backward(g)
+        assert x.grad.tobytes() == _live_window_input_grad(data.shape, weight, stride,
+                                                           g).tobytes()
 
     def test_nan_gradient_keeps_its_window_live(self):
         data, weight, bias, stride, _ = _conv_case(2, 3, 4, 30, 5, 2)
@@ -487,6 +528,30 @@ class TestConvBackwardGradients:
         assert (x.grad[~nan_x] == 0).all()
         assert np.isnan(w.grad[2]).all()
         assert (np.delete(w.grad, 2, axis=0) == 0).all()
+
+    def test_non_finite_input_under_a_dead_window_makes_the_weight_gradient_nan(self):
+        # inf only under windows whose gradient is zero: every window enters the
+        # weight gradient, so 0 * inf reaches each weight that reads the inf
+        data, weight, bias, stride, g = _conv_case(2, 3, 4, 60, 5, 1)
+        g = _pooled_grad(g)
+        dead = np.ones(data.shape[2], bool)
+        for l in np.nonzero(g.any(axis=1))[1]:
+            dead[l:l + 5] = False
+        assert dead.any()
+        data[0, 1, dead] = np.inf
+        _, w = _check_conv(np.where(np.isinf(data), 0.0, data), weight, bias, stride, g)
+        w_inf = nd.Tensor(weight, requires_grad=True)
+        with np.errstate(invalid="ignore"):   # the forward's inf - inf and 0 * inf
+            nd.conv1d(nd.Tensor(data), w_inf, nd.Tensor(bias), stride).backward(g)
+        # weight offset j reads input position l + j of window l (56 windows)
+        nan_offsets = [dead[j:j + 56].any() for j in range(5)]
+        assert any(nan_offsets)
+        np.testing.assert_array_equal(np.isnan(w_inf.grad),
+                                      np.broadcast_to(np.array(nan_offsets) *
+                                                      (np.arange(3) == 1)[:, None],
+                                                      w_inf.grad.shape))
+        kept = ~np.isnan(w_inf.grad)
+        assert w_inf.grad[kept].tobytes() == w.grad[kept].tobytes()
 
 
 class TestMaxPoolNaN:

@@ -5,6 +5,19 @@ layer construction order, parameter names, RNG draws or arithmetic shows up
 here.  Rewrite the golden file only for an intended numeric change:
 ``PYTHONPATH=src python tests/test_train_golden.py``.
 
+A second fixture, ``train_curves_f64.json``, pins the losses of the same 12
+runs in float64: the test casts every parameter and image to float64 before
+training, and ``ndnn`` keeps that dtype through every op.  There a BLAS kernel
+choice or a reordered sum moves a loss by about 1e-15, where float32 moves it
+by 1e-7, so the losses are checked to ``F64_LOSS_ATOL`` and any CPU reproduces
+them.  A change that claims to move float32 rounding only must leave this
+fixture passing unchanged; a change to the arithmetic regenerates it, with
+``PYTHONPATH=src python tests/test_train_golden.py float64``, and names its
+reason here.  +BN validation losses get the looser ``F64_BN_VAL_ATOL``: a conv
+bias that feeds batch norm has an exact gradient of 0, Adam turns its rounding
+noise into steps of about ``lr * 1e-8``, and eval-mode batch norm's running
+mean lags that drift.
+
 Regenerated when ``conv1d`` became an im2col GEMM (one ``W2 @ cols`` forward,
 ``g2 @ cols.T`` and ``W2.T @ g2`` backward, in place of per-offset einsums).
 At these 8-channel shapes that moved the losses by at most 1.2e-7 in training
@@ -60,37 +73,66 @@ are byte-identical.  Largest training / validation loss deltas: gp none
 """
 import hashlib
 import json
+import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from clcp import training
 from clcp.encoders import apply_ablation, config_for_family
 from clcp.synth import generate_pairs
-from clcp.training import train
 
-GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "train_curves.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_PATHS = {"float32": GOLDEN_DIR / "train_curves.json",
+                "float64": GOLDEN_DIR / "train_curves_f64.json"}
 CASES = [(family, delta) for family in ("lp", "gp", "rn")
          for delta in ("none", "+BN", "-Pool", "-Init")]
+F64_LOSS_ATOL = 1e-12
+F64_BN_VAL_ATOL = 1e-9
 
 
-def run_case(family, delta):
+def run_case(family, delta, dtype="float32"):
+    """``train`` on 64 synth pairs, with parameters and images in ``dtype``."""
     cfg = apply_ablation(
         config_for_family(family, 3, image_len=96, channels=(8, 8, 8), embed_dim=16,
                           max_epochs=2, val_fraction=0.1, batch_size=16, seed=0),
         delta)
-    out = train(generate_pairs(64, seed=0), cfg)
+    data = training.prepare_pairs(generate_pairs(64, seed=0), cfg)
+    data.code_batch = data.code_batch.astype(dtype)
+
+    class Model(training.CLCPModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            for _, p in self.named_params():
+                p.data = p.data.astype(dtype)
+
+    with mock.patch.object(training, "CLCPModel", Model):
+        out = training.fit(data, cfg)
+    curves = {"train_loss": [m["train_loss"] for m in out.metrics],
+              "val_loss": [m["val_loss"] for m in out.metrics]}
+    if dtype == "float64":
+        return curves
     digest = hashlib.sha256()
     for name, param in out.model.named_params():
         digest.update(name.encode("utf-8"))
         digest.update(param.data.tobytes())
-    return {"train_loss": [m["train_loss"] for m in out.metrics],
-            "val_loss": [m["val_loss"] for m in out.metrics],
-            "params_sha256": digest.hexdigest()}
+    return {**curves, "params_sha256": digest.hexdigest()}
+
+
+def _golden(dtype):
+    return json.loads(GOLDEN_PATHS[dtype].read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    return _golden("float32")
+
+
+@pytest.fixture(scope="module")
+def golden_f64():
+    return _golden("float64")
 
 
 @pytest.mark.parametrize("family,delta", CASES)
@@ -98,6 +140,15 @@ def test_training_matches_golden(golden, family, delta):
     assert run_case(family, delta) == golden[f"{family}{delta}"]
 
 
+@pytest.mark.parametrize("family,delta", CASES)
+def test_float64_training_matches_golden(golden_f64, family, delta):
+    got, want = run_case(family, delta, "float64"), golden_f64[f"{family}{delta}"]
+    for key in ("train_loss", "val_loss"):
+        atol = F64_BN_VAL_ATOL if (delta, key) == ("+BN", "val_loss") else F64_LOSS_ATOL
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=atol, err_msg=key)
+
+
 if __name__ == "__main__":
-    table = {f"{family}{delta}": run_case(family, delta) for family, delta in CASES}
-    GOLDEN_PATH.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
+    dtype = sys.argv[1] if len(sys.argv) > 1 else "float32"
+    table = {f"{family}{delta}": run_case(family, delta, dtype) for family, delta in CASES}
+    GOLDEN_PATHS[dtype].write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")

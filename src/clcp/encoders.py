@@ -183,11 +183,54 @@ def _reach(windows):
 
 
 @dataclass(frozen=True)
+class _Packing:
+    """Where a batch's rows lie in a packed map (see ``CodeEncoder.forward``):
+    row ``i``'s ``counts[i]`` valid columns start at column ``starts[i]``, and
+    ``planned`` is the map's length at full image length."""
+
+    starts: np.ndarray
+    counts: np.ndarray
+    planned: int
+
+    @classmethod
+    def pack(cls, images, rf, jump):
+        """(packed (1, 1, N) images, their packing): each row's own span."""
+        rows = images.reshape(len(images), -1)
+        image_len = rows.shape[1]
+        content = rows != 0   # pad is ID 0, which no real token gets
+        lengths = np.where(content.any(axis=1), image_len - content[:, ::-1].argmax(axis=1), 0)
+        spans = np.minimum(-(-lengths // jump) * jump + rf, image_len)
+        starts = np.concatenate(([0], np.cumsum(-(-spans[:-1] // jump) * jump)))
+        packed = np.zeros((1, 1, starts[-1] + spans[-1]), dtype=images.dtype)
+        for row, start, span in zip(rows, starts, spans):
+            packed[0, 0, start:start + span] = row[:span]
+        return Tensor(packed), cls(starts, spans, image_len)
+
+    def after(self, windows):
+        """The packing of the map that valid ``windows`` make of this one."""
+        starts, counts, planned = self.starts, self.counts, self.planned
+        for kernel, stride in windows:   # starts are multiples of every stride
+            starts, counts = starts // stride, (counts - kernel) // stride + 1
+            planned = conv_out_len(planned, kernel, stride)
+        return _Packing(starts, counts, planned)
+
+    def weights(self, length):
+        """Batch-norm column weights (1, ``length``) of this packed map: 0 on
+        junk, 1 on a row's columns, and its last one also stands for the
+        row's columns cut from ``planned``."""
+        cols = np.arange(length)
+        row = np.searchsorted(self.starts, cols, side="right") - 1
+        w = (cols - self.starts[row] < self.counts[row]).astype(np.float64)
+        w[self.starts + self.counts - 1] += self.planned - self.counts
+        return w[None]
+
+
+@dataclass(frozen=True)
 class _ConvStage:
     """conv -> [bn] -> relu -> [max pool]: an lp/gp block or rn's input conv;
     ``pool`` is the local pool's (window, stride).  Every stage's ``forward``
-    takes its input's planned ``length``, which a trimmed input falls short of;
-    each batch norm counts its own shortfall as ``repeats``."""
+    takes a packed map and its ``_Packing``, which gives each batch norm its
+    column weights."""
 
     conv: ndnn.Conv1dLayer
     bn: ndnn.BatchNorm1dLayer | None = None
@@ -202,10 +245,10 @@ class _ConvStage:
         lens = _out_lens(length, self.windows)
         return lens[0], lens[-1]
 
-    def forward(self, h, length):
+    def forward(self, h, packing):
         h = self.conv.forward(h)
         if self.bn is not None:
-            h = self.bn.forward(h, _out_lens(length, self.windows)[0] - h.shape[2])
+            h = self.bn.forward(h, packing.after(self.windows[:1]).weights(h.shape[2]))
         h = ndnn.relu(h)
         if self.pool is not None:
             h = ndnn.max_pool1d(h, *self.pool)
@@ -214,15 +257,13 @@ class _ConvStage:
 
 @dataclass(frozen=True)
 class _GlobalPool:
-    """The global max pool that closes gp and rn."""
+    """The global max pool that closes gp and rn: a plan entry, which
+    ``CodeEncoder.forward`` applies to whole rows."""
 
     windows = ()
 
     def lengths(self, length):
         return length, 1
-
-    def forward(self, h, length):   # one column whatever the length
-        return ndnn.global_max_pool1d(h)
 
 
 @dataclass(frozen=True)
@@ -245,16 +286,16 @@ class _ResidualStage:
         series = _out_lens(length, self.windows)[-1]
         return series, series
 
-    def forward(self, h, length):
-        lens = _out_lens(length, self.windows)
+    def forward(self, h, packing):
         series = self.conv1.forward(h)
         if self.bn1 is not None:
-            series = self.bn1.forward(series, lens[0] - series.shape[2])
+            series = self.bn1.forward(
+                series, packing.after(self.windows[:1]).weights(series.shape[2]))
         series = self.conv2.forward(ndnn.relu(series))
         skip = ndnn.narrow(self.shortcut.forward(h), 2, 0, series.shape[2])
         merged = series + skip
         if self.bn2 is not None:
-            merged = self.bn2.forward(merged, lens[-1] - merged.shape[2])
+            merged = self.bn2.forward(merged, packing.after(self.windows).weights(merged.shape[2]))
         return ndnn.relu(merged)
 
 
@@ -305,10 +346,10 @@ def _check_finite(name, tensor):
 
 
 class CodeEncoder:
-    """A list of named stages (conv or residual blocks, then gp's and rn's
-    global pool), then a projection to d.  ``plan`` lists each stage's
-    {"block", "conv", "pool"} output lengths; construction raises ConfigError
-    naming the block whose input is shorter than a window."""
+    """Named local stages (conv or residual blocks), gp's and rn's global max
+    pool, then a projection to d.  ``plan`` lists each stage's {"block",
+    "conv", "pool"} output lengths, the global pool's last; construction raises
+    ConfigError naming the block whose input is shorter than a window."""
 
     def __init__(self, config):
         rng = np.random.default_rng(config.seed)
@@ -326,6 +367,8 @@ class CodeEncoder:
             except ndnn.ShapeError as exc:
                 raise ConfigError(f"block {key}: {exc}") from exc
             self.plan.append({"block": key, "conv": conv_len, "pool": length})
+            if isinstance(stage, _GlobalPool):   # forward pools whole rows
+                continue
             self.stages[name] = stage
             windows.extend(stage.windows)
             for f in fields(stage):   # a stage's fields are its layers, and a pool pair
@@ -356,50 +399,55 @@ class CodeEncoder:
     def forward(self, x):
         """x: Tensor (B, 1, image_len) of normalized IDs -> (B, embed_dim).
 
-        The stages read the batch's content span plus its reach, not its zero
-        tail.  The span ends at the last column holding a nonzero value in any
-        sample (pad is ID 0, which no real token gets).  In valid convolution
-        and pooling, every output that reads only zero-tail inputs has the same
-        value, in every sample.  So the stages run on the first
-        ``ceil(span / jump) * jump + rf`` columns (at most ``image_len``), where
-        ``rf`` and ``jump`` are the receptive field and total stride of their
-        windows.  Their last output column then reads only padding.  gp's and
-        rn's global max pool, and its first-maximum argmax, see what they see at
-        full length.  A map that flattens into ``proj`` is extended back to its
-        planned length by repeating that column (``ndnn.repeat_last``), whose
-        backward sums the repeats' gradients into it.  Every cut column of a
-        map also repeats its last column, per channel and in every sample, so
-        batch norm with batch statistics (``gamma.requires_grad``) gets the
-        count of columns cut from its input as ``repeats`` and computes the
-        full-length statistics and gradients (see ``ndnn.batch_norm1d``).
-        Against a full-length run, only rounding differs: BLAS may round a GEMM
-        with fewer columns differently, and the statistics sum in another order.
-        An all-pad batch is the exception under batch statistics: every channel
+        The local stages run once, on the batch's rows packed end to end, each
+        cut to its own content span plus the stages' reach.  Row ``i``'s content
+        ends at its last nonzero column (pad is ID 0, which no real token gets),
+        after ``len_i`` columns.  In valid convolution and pooling every output
+        that reads only zero padding has the same value, in every row, so the
+        row's span is its first ``ceil(len_i / jump) * jump + rf`` columns, at
+        most ``image_len``, where ``rf`` and ``jump`` are the receptive field
+        and total stride of the stages' windows.  Its last output column then
+        reads only padding and stands for every column cut from it.  Each row's
+        segment of the packed (1, 1, N) input starts at a multiple of ``jump``,
+        so at every stage its outputs are those of the row run alone.  Columns
+        whose windows cross from one segment into the next are junk; they stay
+        in place at each segment's tail, and no valid output reads them.
+        Training-mode batch norm weighs them 0, and each row's last column
+        ``1 +`` its cut columns (``ndnn.batch_norm1d``), which gives the
+        full-length batch statistics.
+
+        After the last local stage ``ndnn.gather_segments`` builds (B, C, L)
+        from each row's valid columns, repeating its last one: to the planned
+        length for a map that flattens into ``proj``, and to the batch's
+        longest valid length before gp's and rn's global max pool, whose
+        maximum and first-maximum argmax the repeats do not move.  Its backward
+        sums the repeats' gradients into the last column.  Against a
+        full-length run only rounding differs: BLAS may round a GEMM with other
+        columns differently, and the statistics sum in another order.  An
+        all-pad batch is the exception under batch statistics: every channel
         has zero batch variance, so both runs scale rounding noise by about
-        ``1 / sqrt(eps)``.
+        ``1 / sqrt(eps)``.  The images are data: no gradient reaches ``x``.
         """
         if x.shape[1:] != (1, self.image_len):
             raise ndnn.ShapeError(f"code images must be (B, 1, {self.image_len}), "
                                   f"got {x.shape}")
-        h = ndnn.narrow(x, 2, 0, self._span_with_reach(x.data))
-        length = self.image_len
-        for (name, stage), planned in zip(self.stages.items(), self.plan):
-            h = stage.forward(h, length)
+        if x.shape[0] < 2 and any(bn.gamma.requires_grad for _, bn in self._bn_layers):
+            raise ndnn.ShapeError("batch normalization needs batch size >= 2 in training mode")
+        h, packing = _Packing.pack(x.data, *self._reach)
+        for name, stage in self.stages.items():
+            h = stage.forward(h, packing)
             _check_finite(name, h)
-            length = planned["pool"]
-        if h.shape[2] < self.plan[-1]["pool"]:
-            h = ndnn.repeat_last(h, self.plan[-1]["pool"])
+            packing = packing.after(stage.windows)
+        pooled = self.plan[-1]["block"] == "pool"
+        h = ndnn.gather_segments(h, packing.starts, packing.counts,
+                                 int(packing.counts.max()) if pooled else packing.planned)
+        if pooled:
+            h = ndnn.global_max_pool1d(h)
+            _check_finite("pool", h)
         flat = ndnn.reshape(h, (h.shape[0], -1))
         out = self.proj.forward(flat)
         _check_finite("proj", out)
         return out
-
-    def _span_with_reach(self, images):
-        """Columns of ``images`` the stages must read; see ``forward``."""
-        content = np.flatnonzero(images.any(axis=(0, 1)))
-        span = int(content[-1]) + 1 if content.size else 0
-        rf, jump = self._reach
-        return min(-(-span // jump) * jump + rf, self.image_len)
 
 
 _WORD_RE = re.compile(r"[a-z0-9]+")

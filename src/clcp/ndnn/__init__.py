@@ -10,13 +10,13 @@ from .tensor import (
     diagonal,
     embedding,
     exp,
+    gather_segments,
     l2_normalize,
     log_softmax,
     matmul,
     mul,
     narrow,
     relu,
-    repeat_last,
     reshape,
     tmean,
     transpose,
@@ -29,7 +29,7 @@ from .optim import Adam
 __all__ = [
     "Adam", "BatchNorm1dLayer", "Conv1dLayer", "DenseLayer", "NumericError",
     "ShapeError", "Tensor", "add", "batch_norm1d", "clip_max",
-    "conv1d", "diagonal", "embedding", "exp", "global_max_pool1d", "l2_normalize",
-    "log_softmax", "matmul", "max_pool1d", "mul", "narrow", "relu", "repeat_last",
+    "conv1d", "diagonal", "embedding", "exp", "gather_segments", "global_max_pool1d",
+    "l2_normalize", "log_softmax", "matmul", "max_pool1d", "mul", "narrow", "relu",
     "reshape", "tmean", "transpose", "tsum",
 ]

@@ -133,35 +133,45 @@ def global_max_pool1d(x):
 
 
 def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, training,
-                 repeats=0):
+                 weights=None):
     """Per-channel standardization of (B, C, L) with learned scale and shift.
 
     Training mode normalizes with biased batch statistics over (B, L) and
     updates the running buffers in place; eval mode uses the running buffers'
-    mean and ``1 / sqrt(var + eps)``, cast to ``x``'s dtype.  Training requires
-    batch size >= 2.
+    mean and ``1 / sqrt(var + eps)``, cast to ``x``'s dtype.  Training without
+    ``weights`` requires batch size >= 2; a caller that passes them counts its
+    own samples, as ``CodeEncoder.forward`` does.
 
-    ``repeats`` (training mode only) counts columns cut from the end of every
-    sample that would have repeated its last column: the statistics count that
-    column ``repeats`` more times, over ``n = B * (L + repeats)`` positions, and
-    the backward adds the cut copies' share of the per-position term
-    ``-(sum(g) + xhat * sum(g * xhat)) / n * inv_std`` to the last column's
-    input gradient.  That is exact when the last column holds one value per
-    channel in every sample, as a column that reads only zero padding does, and
-    when the op downstream sends the cut columns' gradient into the last kept
-    column.  Eval mode normalizes each position alone and ignores it.
+    ``weights`` (training mode only, (B, L), default all 1) counts each
+    column's share of the statistics: they are sums of ``w * x`` over
+    ``n = sum(w)`` positions.  The code encoder runs on a packed map, a single
+    sample that lays the batch's rows end to end (``CodeEncoder.forward``).  It
+    weighs 0 the junk columns between two rows, 1 the columns of a row, and
+    ``1 + r_i`` the last column of row ``i``, which reads only padding and
+    stands for the ``r_i`` columns cut from the row's planned length.  The
+    statistics are then those of the full-length batch.  The backward is the
+    exact gradient of the weighted statistics: column ``l`` of sample ``b``
+    takes ``w[b, l]`` shares of the per-position term ``-(sum(g) + xhat *
+    sum(g * xhat)) / n * inv_std``.  A weight-0 column takes none, so its
+    gradient is its own ``g * gamma * inv_std``: 0 on a junk column, which no
+    valid output reads, and nothing leaks through junk windows into the conv
+    weights before it.  The upstream gradient of a weight ``1 + r_i`` column
+    must already sum its repeats, as ``ndnn.gather_segments``'s backward does.
+    Eval mode normalizes each position alone and ignores the weights.
     """
     if x.ndim != 3:
         raise ShapeError(f"batch_norm1d expects (B, C, L), got {x.shape}")
     if training:
-        if x.shape[0] < 2:
-            raise ShapeError("batch normalization needs batch size >= 2 in training mode")
+        if weights is None:
+            if x.shape[0] < 2:
+                raise ShapeError("batch normalization needs batch size >= 2 in training mode")
+            weights = np.ones(x.shape[::2])
+        w = np.asarray(weights, dtype=x.dtype)[:, None, :]
+        n = w.sum()
         axes = (0, 2)
-        n = x.shape[0] * (x.shape[2] + repeats)
-        mean = (x.data.sum(axis=axes) + repeats * x.data[:, :, -1].sum(axis=0)) / n
+        mean = (x.data * w).sum(axis=axes) / n
         centered = x.data - mean[None, :, None]
-        sq = np.square(centered)
-        var = (sq.sum(axis=axes) + repeats * sq[:, :, -1].sum(axis=0)) / n
+        var = (np.square(centered) * w).sum(axis=axes) / n
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -184,10 +194,7 @@ def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, train
             # batch statistics couple every sample in the channel
             sum_g = gxhat.sum(axis=(0, 2), keepdims=True)
             sum_gx = (gxhat * xhat).sum(axis=(0, 2), keepdims=True)
-            shared = (sum_g + xhat * sum_gx) / n
-            gx = (gxhat - shared) * inv_std[None, :, None]
-            if repeats:
-                gx[:, :, -1] -= repeats * shared[:, :, -1] * inv_std
+            gx = (gxhat - (sum_g + xhat * sum_gx) * (w / n)) * inv_std[None, :, None]
         else:
             gx = gxhat * inv_std[None, :, None]
         _accum(x, gx)

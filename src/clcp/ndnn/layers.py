@@ -70,12 +70,12 @@ class BatchNorm1dLayer:
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
 
-    def forward(self, x, repeats=0):
+    def forward(self, x, weights=None):
         # batch statistics while the parameters require grad, the running ones
-        # otherwise; ``repeats`` as in ``convpool.batch_norm1d``
+        # otherwise; ``weights`` as in ``convpool.batch_norm1d``
         return convpool.batch_norm1d(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            eps=1e-5, momentum=0.1, training=self.gamma.requires_grad, repeats=repeats)
+            eps=1e-5, momentum=0.1, training=self.gamma.requires_grad, weights=weights)
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

@@ -30,7 +30,9 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         if isinstance(data, Tensor):
             raise TypeError("cannot wrap a Tensor in a Tensor")
-        self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
+        # a numpy scalar, such as a float32 reduction's result, keeps its dtype
+        self.data = data if isinstance(data, np.ndarray) else np.asarray(
+            data, dtype=data.dtype if isinstance(data, np.generic) else np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self._parents = _parents if self.requires_grad else ()
@@ -190,20 +192,39 @@ def narrow(a, axis, start, length):
     return _index(a, tuple(index))
 
 
-def repeat_last(a, length):
-    """Extend the last axis to ``length`` by repeating its last entry; the
-    backward adds the repeats' gradients into that entry."""
-    n = a.shape[-1]
-    if not 1 <= n <= length:
-        raise ShapeError(f"repeat_last cannot extend a last axis of {n} to {length}")
-    tail = np.repeat(a.data[..., -1:], length - n, axis=-1)
+def gather_segments(a, starts, counts, length):
+    """Rows (B, C, ``length``) from the segments of one packed (1, C, N) map.
+
+    Row ``i`` holds the ``counts[i]`` columns from ``starts[i]`` on, then its
+    last one repeated up to ``length``.  The segments must not overlap, so each
+    packed column feeds at most one row: the backward writes each row's
+    gradient into its segment's columns, the last one taking the sum over that
+    column and its repeats, and leaves zero in every column outside a segment.
+    """
+    starts, counts = np.asarray(starts), np.asarray(counts)
+    if a.ndim != 3 or a.shape[0] != 1:
+        raise ShapeError(f"gather_segments needs a packed (1, C, N) map, got {a.shape}")
+    ends = starts + counts
+    if (counts.min() < 1 or counts.max() > length or starts[0] < 0
+            or ends[-1] > a.shape[2] or (starts[1:] < ends[:-1]).any()):
+        raise ShapeError(f"segments ({starts}, {counts}) do not fit {a.shape[2]} columns "
+                         f"in order, or rows of {length}")
+    b, c = len(starts), a.shape[1]
+    offsets = np.arange(length)
+    cols = starts[:, None] + np.minimum(offsets, counts[:, None] - 1)   # (B, length)
+    # each row's repeated tail, [counts - 1, length), in a flat (C, B * length) row
+    tails = np.stack([np.arange(b) * length + counts - 1,
+                      np.arange(1, b + 1) * length], axis=1).ravel()[:-1]
+    unique = offsets < counts[:, None] - 1
 
     def backward(g):
-        gx = g[..., :n].copy()
-        gx[..., -1] = g[..., n - 1:].sum(axis=-1)
+        g2 = g.transpose(1, 0, 2)   # (C, B, length)
+        gx = np.zeros_like(a.data)
+        gx[0][:, cols[unique]] = g2[:, unique]
+        gx[0][:, ends - 1] = np.add.reduceat(g2.reshape(c, -1), tails, axis=1)[:, ::2]
         _accum(a, gx)
 
-    return Tensor(np.concatenate([a.data, tail], axis=-1), _parents=(a,), _backward=backward)
+    return Tensor(a.data[0][:, cols].transpose(1, 0, 2), _parents=(a,), _backward=backward)
 
 
 def diagonal(a):

@@ -126,33 +126,45 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data, 0.0, atol=0.2)
 
     @pytest.mark.parametrize("repeats", [1, 5])
-    def test_repeats_count_copies_of_the_last_column(self, repeats):
-        # a map whose last column holds one value per channel, as a column over
-        # zero padding does, against the map extended by `repeats` copies of it
+    def test_weights_count_copies_of_the_last_column(self, repeats):
+        # a packed map: row 0's 4 columns, 2 junk columns, row 1's 3 columns.
+        # Each row's last column stands for the columns cut from it, which
+        # repeat it, as columns over zero padding do: against the full-length
+        # batch of both rows, with the cut columns in place
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(3, 2, 6))
-        x[:, :, -1] = rng.normal(size=2)
-        full_x = np.concatenate([x, np.repeat(x[:, :, -1:], repeats, axis=2)], axis=2)
+        planned = 4 + repeats
+        full_x = rng.normal(size=(2, 2, planned))
+        full_x[0, :, 4:] = full_x[0, :, 3:4]
+        full_x[1, :, 3:] = full_x[1, :, 2:3]
+        x = np.concatenate([full_x[0, :, :4], rng.normal(size=(2, 2)), full_x[1, :, :3]],
+                           axis=1)[None]
+        weights = np.array([[1, 1, 1, 1 + repeats, 0, 0, 1, 1, planned - 2]])
         gamma, beta = rng.uniform(0.5, 1.5, size=2), rng.normal(size=2)
-        g = rng.normal(size=full_x.shape)
-        # the op downstream sends the copies' gradient into the last kept column
-        g_kept = g[:, :, :6].copy()
-        g_kept[:, :, -1] = g[:, :, 5:].sum(axis=2)
+        g_full = rng.normal(size=full_x.shape)
+        # the op downstream sends the copies' gradient into the last kept
+        # column, and no gradient into junk
+        g = np.zeros(x.shape)
+        g[0, :, :4], g[0, :, 6:] = g_full[0, :, :4], g_full[1, :, :3]
+        g[0, :, 3], g[0, :, 8] = g_full[0, :, 3:].sum(axis=1), g_full[1, :, 2:].sum(axis=1)
 
-        def run(data, upstream, k):
+        def run(data, upstream, w):
             xt, gt, bt = (nd.Tensor(a.copy(), requires_grad=True) for a in (data, gamma, beta))
             running_mean, running_var = np.zeros(2), np.ones(2)
             out = nd.batch_norm1d(xt, gt, bt, running_mean, running_var, 1e-5, 0.1, True,
-                                  repeats=k)
+                                  weights=w)
             nd.tsum(out * nd.Tensor(upstream)).backward()
             return out.data, running_mean, running_var, gt.grad, bt.grad, xt.grad
 
-        out, mean, var, ggamma, gbeta, gx = run(x, g_kept, repeats)
-        f_out, f_mean, f_var, f_ggamma, f_gbeta, f_gx = run(full_x, g, 0)
-        for got, want in ((out, f_out[:, :, :6]), (mean, f_mean), (var, f_var),
-                          (ggamma, f_ggamma), (gbeta, f_gbeta), (gx[:, :, :-1], f_gx[:, :, :5]),
-                          (gx[:, :, -1], f_gx[:, :, 5:].sum(axis=2))):
+        out, mean, var, ggamma, gbeta, gx = run(x, g, weights)
+        f_out, f_mean, f_var, f_ggamma, f_gbeta, f_gx = run(full_x, g_full, None)
+        for got, want in ((out[0, :, :4], f_out[0, :, :4]), (out[0, :, 6:], f_out[1, :, :3]),
+                          (mean, f_mean), (var, f_var), (ggamma, f_ggamma), (gbeta, f_gbeta),
+                          (gx[0, :, :3], f_gx[0, :, :3]), (gx[0, :, 6:8], f_gx[1, :, :2]),
+                          (gx[0, :, 3], f_gx[0, :, 3:].sum(axis=1)),
+                          (gx[0, :, 8], f_gx[1, :, 2:].sum(axis=1))):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        # a junk column takes no share of the statistics' gradient
+        assert (gx[0, :, 4:6] == 0).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_eval_output_keeps_input_dtype(self, dtype):
@@ -229,15 +241,16 @@ class TestGradients:
         rng = np.random.default_rng(24)
         arrs = [rng.normal(size=(4, 3, 5)), rng.uniform(0.5, 1.5, size=3), rng.normal(size=3)]
 
-        # with repeats, the statistics count the last column that many more
-        # times, whatever it holds
-        for repeats in (0, 3):
-            def build(arrays, repeats=repeats):
+        # the gradient of the weighted statistics is exact for any weights,
+        # weight-0 columns included, and whatever the upstream gradient
+        weighted = rng.choice([0.0, 1.0, 2.5, 4.0], size=(4, 5))
+        for weights in (None, weighted):
+            def build(arrays, weights=weights):
                 x = nd.Tensor(arrays[0], requires_grad=True)
                 gamma = nd.Tensor(arrays[1], requires_grad=True)
                 beta = nd.Tensor(arrays[2], requires_grad=True)
                 out = nd.batch_norm1d(x, gamma, beta, np.zeros(3), np.ones(3),
-                                      1e-5, 0.1, True, repeats=repeats)
+                                      1e-5, 0.1, True, weights=weights)
                 w = nd.Tensor(np.linspace(0.5, 1.5, out.size).reshape(out.shape))
                 return nd.tsum(out * w), [x, gamma, beta]
 

@@ -108,18 +108,36 @@ class TestShapePlan:
 
 
 def _full_length(enc, x):
-    """The encoder's stages and projection over every column of ``x``: what its
-    forward must match, up to rounding, whatever span it reads.  Each stage's
-    input is its planned length, so each batch norm gets ``repeats`` 0."""
+    """The encoder's layers over every column of ``x``, stage by stage: what
+    its forward must match, up to rounding, however it packs the rows.  Each
+    batch norm sees the whole batch at its planned length, with no weights."""
     h = x
     for stage in enc.stages.values():
-        h = stage.forward(h, h.shape[2])
+        if hasattr(stage, "conv1"):   # a residual block
+            series = stage.conv1.forward(h)
+            if stage.bn1 is not None:
+                series = stage.bn1.forward(series)
+            series = stage.conv2.forward(ndnn.relu(series))
+            h = series + ndnn.narrow(stage.shortcut.forward(h), 2, 0, series.shape[2])
+            if stage.bn2 is not None:
+                h = stage.bn2.forward(h)
+            h = ndnn.relu(h)
+        else:
+            h = stage.conv.forward(h)
+            if stage.bn is not None:
+                h = stage.bn.forward(h)
+            h = ndnn.relu(h)
+            if stage.pool is not None:
+                h = ndnn.max_pool1d(h, *stage.pool)
+    if enc.plan[-1]["block"] == "pool":
+        h = ndnn.global_max_pool1d(h)
     return enc.proj.forward(ndnn.reshape(h, (h.shape[0], -1)))
 
 
 def _span_encoder(family, deltas, dtype=np.float32, **geometry):
     """A small encoder with random biases, so that padding maps to nonzero
-    activations, and a list that records the input length of its first conv.
+    activations, its config, and a list that records each input of its first
+    conv.
     ``deltas`` joins ablation tags, as ``config_id`` does ("+BN-Pool")."""
     cfg = small_cfg(family=family, **geometry)
     for tag in ABLATIONS:
@@ -132,14 +150,44 @@ def _span_encoder(family, deltas, dtype=np.float32, **geometry):
         if name.endswith(("bias", "beta")):
             p.data[:] = rng.normal(0.0, 0.5, p.shape)
     first = next(iter(enc.stages.values())).conv
-    lengths, forward = [], first.forward
+    inputs, forward = [], first.forward
 
     def recording_forward(x):
-        lengths.append(x.shape[2])
+        inputs.append(x.data.copy())
         return forward(x)
 
     first.forward = recording_forward
-    return enc, lengths
+    return enc, cfg, inputs
+
+
+def _reach_by_hand(cfg):
+    """(rf, jump) of every local window of ``cfg``'s encoder, in order."""
+    windows = [(cfg.kernel, cfg.stride)] if cfg.family == "rn" else []
+    for i in range(cfg.blocks):
+        if cfg.family == "rn":
+            windows += [(cfg.kernel, cfg.stride), (cfg.kernel, 1)]
+            continue
+        windows.append((cfg.kernel, cfg.stride))
+        if cfg.use_pooling and not (cfg.family == "gp" and i == cfg.blocks - 1):
+            windows.append((cfg.pool_window, cfg.pool_stride))
+    rf, jump = 1, 1
+    for kernel, stride in windows:
+        rf, jump = rf + (kernel - 1) * jump, jump * stride
+    return rf, jump
+
+
+def _assert_rows_packed(cfg, images, packed):
+    """``packed`` (1, 1, N) lays the rows of ``images`` end to end, each cut to
+    its own span: its content rounded up to whole strides, plus the reach."""
+    rf, jump = _reach_by_hand(cfg)
+    want = np.zeros(0)
+    for row in images[:, 0]:
+        nonzero = np.flatnonzero(row)
+        length = nonzero[-1] + 1 if nonzero.size else 0
+        span = min(-(-length // jump) * jump + rf, cfg.image_len)
+        gap = -(-len(want) // jump) * jump - len(want)   # segments start at multiples of jump
+        want = np.concatenate([want, np.zeros(gap), row[:span]])
+    np.testing.assert_array_equal(packed, want[None, None])
 
 
 def _content_batch(t, image_len, dtype=np.float32):
@@ -150,6 +198,15 @@ def _content_batch(t, image_len, dtype=np.float32):
     x[0, 0, :t] = rng.uniform(0.05, 1.0, t)
     x[1, 0, :t // 3] = rng.uniform(0.05, 1.0, t // 3)
     return ndnn.Tensor(x)
+
+
+def _rows_batch(lengths, image_len):
+    """Float64 images with content in each row's first ``lengths[i]`` columns."""
+    rng = np.random.default_rng(len(lengths))
+    x = np.zeros((len(lengths), 1, image_len))
+    for row, length in zip(x, lengths):
+        row[0, :length] = rng.uniform(0.05, 1.0, length)
+    return x
 
 
 # stride and pooling variants that build at small_cfg's image_len of 96; rn has
@@ -163,6 +220,10 @@ SPAN_DELTAS = ("none", "-Pool", "-Init", "+BN", "+BN-Pool")
 SPAN_CASES = [(family, delta, geometry) for family in FAMILIES
               for delta in SPAN_DELTAS for geometry in GEOMETRIES
               if family != "rn" or geometry in ("k5s1p2s2", "k2s2p1s1")]
+# content lengths per row: an all-pad row, a row that fills all 96 columns, and
+# lengths that are not multiples of lp's total stride of 8, in mixed order
+MIXED_ROWS = {"mixed": (13, 0, 96, 3, 45, 29, 0, 60, 1, 91),
+              "one row": (29,), "one full row": (96,)}
 
 
 def _least_content(delta):
@@ -172,62 +233,126 @@ def _least_content(delta):
     return 1 if "+BN" in delta else 0
 
 
+def _outputs_and_grads(enc, forward, x):
+    """``forward(x)`` and the gradient of a fixed weighting of it per parameter."""
+    weights = ndnn.Tensor(np.random.default_rng(4).normal(size=(len(x), 8)))
+    for _, p in enc.named_params():
+        p.grad = None
+    out = forward(ndnn.Tensor(x))
+    ndnn.tsum(out * weights).backward()
+    return out.data, [p.grad for _, p in enc.named_params()]
+
+
+def _rows_alone(enc, x):
+    """Each row of ``x`` run alone at full length, its outputs stacked and the
+    parameters' gradients summed, as ``_outputs_and_grads`` returns them."""
+    weights = np.random.default_rng(4).normal(size=(len(x), 8))
+    outs, grads = [], None
+    for row, row_weights in zip(x, weights):
+        for _, p in enc.named_params():
+            p.grad = None
+        out = _full_length(enc, ndnn.Tensor(row[None]))
+        ndnn.tsum(out * ndnn.Tensor(row_weights[None])).backward()
+        outs.append(out.data[0])
+        row_grads = [p.grad for _, p in enc.named_params()]
+        grads = row_grads if grads is None else [a + b for a, b in zip(grads, row_grads)]
+    return np.stack(outs), grads
+
+
+def _assert_grads_close(enc, got, want, delta, what):
+    # Under +BN a conv bias that feeds batch norm has an exact gradient of 0
+    # and batch statistics amplify rounding, so there the bound is a share of
+    # the largest gradient, 1e-9 of it; elsewhere only summation order separates
+    # two float64 runs
+    largest = max(np.abs(w).max() for w in want)
+    atol = 1e-9 * largest if "+BN" in delta else 1e-12
+    for (name, _), g, w in zip(enc.named_params(), got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=atol, err_msg=f"{name} {what}")
+
+
 class TestContentSpan:
-    """The forward reads the batch's content span plus the stages' reach."""
+    """The forward packs the rows end to end, each cut to its own content span
+    plus the stages' reach."""
 
     @pytest.mark.parametrize("family,delta,geometry", SPAN_CASES)
     def test_every_content_length_matches_full_length(self, family, delta, geometry):
         # without batch norm, float32 as in training: BLAS may round a GEMM with
-        # fewer columns differently, by at most 3.6e-7 at these shapes (|out| <=
+        # other columns differently, by at most 3.6e-7 at these shapes (|out| <=
         # 7.4).  Batch statistics divide by a batch's spread, which turns that
         # into noise of no fixed size, so +BN runs in float64, where only the
         # summation order separates the two runs (by at most 2.6e-11)
         dtype, atol = (np.float64, 1e-10) if "+BN" in delta else (np.float32, 1e-6)
-        enc, lengths = _span_encoder(family, delta, dtype, **GEOMETRIES[geometry])
+        enc, cfg, inputs = _span_encoder(family, delta, dtype, **GEOMETRIES[geometry])
         for t in range(_least_content(delta), enc.image_len + 1):
             x = _content_batch(t, enc.image_len, dtype)
+            inputs.clear()
             np.testing.assert_allclose(enc.forward(x).data, _full_length(enc, x).data,
                                        rtol=0, atol=atol, err_msg=f"content length {t}")
-        trimmed = lengths[::2]   # the full-length run reads every column
-        assert trimmed[0] < enc.image_len   # little content reads little more than the reach
-        assert trimmed[-1] == enc.image_len
+            _assert_rows_packed(cfg, x.data, inputs[0])
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("delta", SPAN_DELTAS)
     def test_gradients_match_full_length(self, family, delta):
-        # float64, so that only summation order separates the two runs.  Under
-        # +BN a conv bias that feeds batch norm has an exact gradient of 0 and
-        # batch statistics amplify rounding, so there the bound is a share of
-        # the largest gradient, 1e-9 of it (at most 3.8e-10 was seen, on rn
-        # +BN-Pool)
-        enc, _ = _span_encoder(family, delta, dtype=np.float64)
-        weights = ndnn.Tensor(np.random.default_rng(4).normal(size=(2, 8)))
+        # float64, so that only summation order separates the two runs (at
+        # most 3.8e-10 of the largest gradient was seen, on rn +BN-Pool)
+        enc, _, _ = _span_encoder(family, delta, dtype=np.float64)
         for t in (0, 1, 17, 60, enc.image_len)[_least_content(delta):]:
-            grads = []
-            for forward in (enc.forward, lambda x: _full_length(enc, x)):
-                for _, p in enc.named_params():
-                    p.grad = None
-                ndnn.tsum(forward(_content_batch(t, enc.image_len, np.float64))
-                          * weights).backward()
-                grads.append([p.grad for _, p in enc.named_params()])
-            largest = max(np.abs(want).max() for want in grads[1])
-            atol = 1e-9 * largest if "+BN" in delta else 1e-12
-            for (name, _), got, want in zip(enc.named_params(), *grads):
-                np.testing.assert_allclose(got, want, rtol=1e-10, atol=atol,
-                                           err_msg=f"{name} at content length {t}")
+            x = _content_batch(t, enc.image_len, np.float64).data
+            (_, got), (_, want) = (_outputs_and_grads(enc, forward, x)
+                                   for forward in (enc.forward, lambda x: _full_length(enc, x)))
+            _assert_grads_close(enc, got, want, delta, f"at content length {t}")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("delta", SPAN_DELTAS)
+    @pytest.mark.parametrize("rows", MIXED_ROWS)
+    def test_mixed_lengths_match_rows_run_alone(self, family, delta, rows):
+        # float64.  Without batch statistics a row's outputs are its own, so
+        # the reference runs each row alone at full length; batch norm with
+        # batch statistics couples the rows, so under +BN the reference is the
+        # whole batch at full length, and a batch of one cannot train
+        enc, cfg, inputs = _span_encoder(family, delta, dtype=np.float64)
+        x = _rows_batch(MIXED_ROWS[rows], enc.image_len)
+        if "+BN" not in delta:
+            want = _rows_alone(enc, x)
+        elif len(x) > 1:
+            want = _outputs_and_grads(enc, lambda x: _full_length(enc, x), x)
+        else:
+            with pytest.raises(ndnn.ShapeError, match="batch size >= 2 in training mode"):
+                enc.forward(ndnn.Tensor(x))
+            return
+        inputs.clear()
+        out, grads = _outputs_and_grads(enc, enc.forward, x)
+        _assert_rows_packed(cfg, x, inputs[0])
+        np.testing.assert_allclose(out, want[0], rtol=0, atol=1e-10)
+        _assert_grads_close(enc, grads, want[1], delta, f"on rows {MIXED_ROWS[rows]}")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("rows", MIXED_ROWS)
+    def test_eval_batch_norm_matches_rows_run_alone(self, family, rows):
+        # with the running statistics every position is normalized alone
+        enc, cfg, inputs = _span_encoder(family, "+BN", np.float64)
+        x = _rows_batch(MIXED_ROWS[rows], enc.image_len)
+        enc.forward(ndnn.Tensor(_rows_batch((60, 20, 5), enc.image_len)))  # move the stats
+        for _, p in enc.named_params():
+            p.requires_grad = False
+        inputs.clear()
+        got = enc.forward(ndnn.Tensor(x)).data
+        _assert_rows_packed(cfg, x, inputs[0])
+        want = [_full_length(enc, ndnn.Tensor(row[None])).data[0] for row in x]
+        np.testing.assert_allclose(got, np.stack(want), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_training_batch_norm_reads_the_content_span(self, family):
         # batch statistics in training mode, the running ones in eval mode
-        enc, lengths = _span_encoder(family, "+BN", np.float64)
+        enc, cfg, inputs = _span_encoder(family, "+BN", np.float64)
         x = _content_batch(10, enc.image_len, np.float64)
         for training in (True, False):
             for _, p in enc.named_params():
                 p.requires_grad = training
-            lengths.clear()
+            inputs.clear()
             np.testing.assert_allclose(enc.forward(x).data, _full_length(enc, x).data,
                                        rtol=0, atol=1e-10)
-            assert lengths[0] < enc.image_len
+            _assert_rows_packed(cfg, x.data, inputs[0])
 
     @pytest.mark.parametrize("length", [95, 97])
     def test_images_of_another_length_are_rejected(self, length):
@@ -393,7 +518,7 @@ class TestAblationFlags:
         # feeds batch norm shifts nothing after it: its exact gradient is 0.
         # In float32 it gets rounding noise instead, which Adam scales to steps
         # of up to lr, so the biases drift while the losses barely move
-        enc, _ = _span_encoder(family, "+BN", np.float64)
+        enc, _, _ = _span_encoder(family, "+BN", np.float64)
         weights = ndnn.Tensor(np.random.default_rng(4).normal(size=(2, 8)))
         ndnn.tsum(enc.forward(_content_batch(60, enc.image_len, np.float64))
                   * weights).backward()

@@ -154,14 +154,14 @@ class TestGradients:
 
         self._check(build, arrs)
 
-    def test_repeat_last(self):
+    def test_gather_segments(self):
         rng = np.random.default_rng(14)
-        arrs = [rng.normal(size=(2, 3, 4))]
-        weights = nd.Tensor(rng.normal(size=(2, 3, 7)))   # a distinct gradient per column
+        arrs = [rng.normal(size=(1, 3, 12))]
+        weights = nd.Tensor(rng.normal(size=(3, 3, 5)))   # a distinct gradient per column
 
         def build(arrays):
             x = nd.Tensor(arrays[0], requires_grad=True)
-            return nd.tsum(nd.repeat_last(x, 7) * weights), [x]
+            return nd.tsum(nd.gather_segments(x, [0, 4, 10], [3, 5, 1], 5) * weights), [x]
 
         self._check(build, arrs)
 
@@ -201,6 +201,71 @@ class TestGradients:
         out = nd.tsum(x * x)
         out.backward(np.zeros(()))
         np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
+
+
+def _gather_by_loop(packed, starts, counts, length, g):
+    """gather_segments' output and input gradient, one row and column at a time."""
+    out = np.zeros((len(starts), packed.shape[1], length))
+    gx = np.zeros_like(packed)
+    for i, (start, count) in enumerate(zip(starts, counts)):
+        for j in range(length):
+            col = start + min(j, count - 1)
+            out[i, :, j] = packed[0, :, col]
+            gx[0, :, col] += g[i, :, j]
+    return out, gx
+
+
+class TestGatherSegments:
+    # rows of 1, 4 and 3 columns with junk between them, and a row of one column
+    # (valid length 1) that repeats it over the whole row
+    SEGMENTS = ([0, 2, 8, 12], [1, 4, 3, 1], 6)
+
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(15)
+        packed = rng.normal(size=(1, 3, 14))
+        starts, counts, length = self.SEGMENTS
+        g = rng.normal(size=(len(starts), 3, length))
+        x = nd.Tensor(packed, requires_grad=True)
+        out = nd.gather_segments(x, starts, counts, length)
+        out.backward(g)
+        want_out, want_gx = _gather_by_loop(packed, starts, counts, length, g)
+        np.testing.assert_array_equal(out.data, want_out)
+        # columns outside every segment, 1, 6, 7, 11 and 13, get exactly 0
+        np.testing.assert_allclose(x.grad, want_gx, rtol=1e-15, atol=0)
+        assert (x.grad[0, :, [1, 6, 7, 11, 13]] == 0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_dtype(self, dtype):
+        x = nd.Tensor(np.ones((1, 2, 6), dtype=dtype), requires_grad=True)
+        out = nd.gather_segments(x, [0, 3], [2, 3], 4)
+        out.backward(np.ones(out.shape, dtype=dtype))
+        assert out.dtype == x.grad.dtype == dtype
+
+    @pytest.mark.parametrize("starts,counts,length", [
+        ([0, 2], [3, 2], 4),    # overlapping segments
+        ([0, 4], [2, 3], 4),    # past the last column
+        ([0, 2], [0, 2], 4),    # an empty row
+        ([0, 2], [2, 5], 4),    # a row longer than the output
+        ([2, 0], [1, 1], 4),    # out of order
+    ])
+    def test_bad_segments_are_rejected(self, starts, counts, length):
+        with pytest.raises(nd.ShapeError):
+            nd.gather_segments(nd.Tensor(np.ones((1, 2, 6))), starts, counts, length)
+
+    def test_needs_one_packed_map(self):
+        with pytest.raises(nd.ShapeError, match="packed"):
+            nd.gather_segments(nd.Tensor(np.ones((2, 2, 6))), [0], [2], 4)
+
+
+@pytest.mark.parametrize("reduce", [nd.tsum, nd.tmean])
+def test_full_reduction_keeps_float32(reduce):
+    # a numpy scalar result keeps its dtype, so a backward rooted there sends
+    # float32 gradients to float32 parameters
+    x = nd.Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
+    out = reduce(x * x)
+    assert out.dtype == np.float32
+    out.backward()
+    assert x.grad.dtype == np.float32
 
 
 @pytest.mark.parametrize("op", [nd.exp, lambda t: nd.log_softmax(t, axis=1)],

@@ -70,6 +70,22 @@ Only the four cases that had reached the live-window sum moved; the other 8
 are byte-identical.  Largest training / validation loss deltas: gp none
 5.3e-8 / 3.0e-7, gp -Init 6.6e-8 / 6.0e-8, rn none 6.6e-8 / 2.4e-7, rn -Init
 3.3e-8 / 0.
+
+Regenerated again, once, for two reasons.  ``Tensor.__init__`` keeps a numpy
+scalar's dtype, so ``tsum`` and ``tmean`` over all axes of a float32 tensor
+are float32: the CLIP loss adds its two float32 means before ``* (-0.5)``
+promotes the sum, which alone moved the reported losses of all 12 cases by at
+most 8.6e-8 in training and 1.2e-7 in validation, and no parameter.  And the
+code encoder packs a batch's rows end to end, each cut to its own span, and
+batch norm sums weighted statistics over the packed map: BLAS rounds GEMMs of
+other widths differently, and the sums run in another order, which moved the
+parameters of all 12.  Largest training / validation loss deltas: lp none
+9.5e-8 / 3.6e-7, lp +BN 5.3e-8 / 7.7e-4, lp -Pool 1.7e-7 / 1.8e-7, lp -Init
+2.2e-7 / 1.2e-7, gp none 9.9e-8 / 3.6e-7, gp +BN 1.1e-7 / 2.0e-3, gp -Pool
+1.7e-7 / 1.8e-7, gp -Init 9.9e-8 / 0, rn none 6.6e-8 / 6.0e-8, rn +BN 8.6e-8 /
+1.7e-3, rn -Pool 8.6e-8 / 3.6e-7, rn -Init 3.3e-8 / 6.0e-8.  The float64
+fixture passed unchanged: its losses moved by at most 8.9e-16, and its +BN
+validation losses by at most 1.1e-10.
 """
 import hashlib
 import json

@@ -195,7 +195,7 @@ class _Packing:
     @classmethod
     def pack(cls, images, rf, jump):
         """(packed (1, 1, N) images, their packing): each row's own span."""
-        rows = images.reshape(len(images), -1)
+        rows = images[:, 0]
         image_len = rows.shape[1]
         content = rows != 0   # pad is ID 0, which no real token gets
         lengths = np.where(content.any(axis=1), image_len - content[:, ::-1].argmax(axis=1), 0)

@@ -209,19 +209,18 @@ def gather_segments(a, starts, counts, length):
             or ends[-1] > a.shape[2] or (starts[1:] < ends[:-1]).any()):
         raise ShapeError(f"segments ({starts}, {counts}) do not fit {a.shape[2]} columns "
                          f"in order, or rows of {length}")
-    b, c = len(starts), a.shape[1]
     offsets = np.arange(length)
     cols = starts[:, None] + np.minimum(offsets, counts[:, None] - 1)   # (B, length)
-    # each row's repeated tail, [counts - 1, length), in a flat (C, B * length) row
-    tails = np.stack([np.arange(b) * length + counts - 1,
-                      np.arange(1, b + 1) * length], axis=1).ravel()[:-1]
-    unique = offsets < counts[:, None] - 1
 
     def backward(g):
         g2 = g.transpose(1, 0, 2)   # (C, B, length)
+        unique = offsets < counts[:, None] - 1
+        # each row's repeated tail, [counts - 1, length), in a flat (C, B * length) row
+        rows = np.arange(len(starts)) * length
+        tails = np.stack([rows + counts - 1, rows + length], axis=1).ravel()[:-1]
         gx = np.zeros_like(a.data)
         gx[0][:, cols[unique]] = g2[:, unique]
-        gx[0][:, ends - 1] = np.add.reduceat(g2.reshape(c, -1), tails, axis=1)[:, ::2]
+        gx[0][:, ends - 1] = np.add.reduceat(g2.reshape(len(g2), -1), tails, axis=1)[:, ::2]
         _accum(a, gx)
 
     return Tensor(a.data[0][:, cols].transpose(1, 0, 2), _parents=(a,), _backward=backward)

@@ -3,10 +3,10 @@
 Each experiment axis is one table here.  ``ModelConfig.family`` picks one of
 ``FAMILIES``: ``lp`` (conv blocks with local max pooling), ``gp`` (same, but
 the last block does not pool) or ``rn`` (1D residual blocks); gp and rn end in
-a global max pool stage.  ``ABLATIONS`` maps each ablation tag (+BN, -Pool,
--Init) to the one config flag it sets.  The text side embeds a word-level
-vocabulary, adds learned position rows, takes the mean over non-pad positions
-and projects it to the shared space.
+a global max pool over each row.  ``ABLATIONS`` maps each ablation tag (+BN,
+-Pool, -Init) to the one config flag it sets.  The text side embeds a
+word-level vocabulary, adds learned position rows, takes the mean over non-pad
+positions and projects it to the shared space.
 """
 from __future__ import annotations
 
@@ -163,25 +163,6 @@ def apply_ablation(config, delta):
 # -- the code encoder: a list of named stages ---------------------------------
 
 
-def _out_lens(length, windows):
-    """Length after each valid (kernel, stride) window, applied in series."""
-    lens = []
-    for kernel, stride in windows:
-        length = conv_out_len(length, kernel, stride)
-        lens.append(length)
-    return lens
-
-
-def _reach(windows):
-    """(rf, jump) of valid windows applied in series: output ``o`` reads inputs
-    ``o * jump`` to ``o * jump + rf - 1``, and no others."""
-    rf, jump = 1, 1
-    for kernel, stride in windows:
-        rf += (kernel - 1) * jump
-        jump *= stride
-    return rf, jump
-
-
 @dataclass(frozen=True)
 class _Packing:
     """Where a batch's rows lie in a packed map (see ``CodeEncoder.forward``):
@@ -241,10 +222,6 @@ class _ConvStage:
         conv = (self.conv.kernel, self.conv.stride)
         return (conv,) if self.pool is None else (conv, self.pool)
 
-    def lengths(self, length):
-        lens = _out_lens(length, self.windows)
-        return lens[0], lens[-1]
-
     def forward(self, h, packing):
         h = self.conv.forward(h)
         if self.bn is not None:
@@ -253,17 +230,6 @@ class _ConvStage:
         if self.pool is not None:
             h = ndnn.max_pool1d(h, *self.pool)
         return h
-
-
-@dataclass(frozen=True)
-class _GlobalPool:
-    """The global max pool that closes gp and rn: a plan entry, which
-    ``CodeEncoder.forward`` applies to whole rows."""
-
-    windows = ()
-
-    def lengths(self, length):
-        return length, 1
 
 
 @dataclass(frozen=True)
@@ -276,15 +242,12 @@ class _ResidualStage:
     shortcut: ndnn.Conv1dLayer
     bn1: ndnn.BatchNorm1dLayer | None = None
     bn2: ndnn.BatchNorm1dLayer | None = None
+    pool = None   # no local pool
 
     @property
     def windows(self):
         # the 1x1 shortcut reads the first input of each conv1 window
         return (self.conv1.kernel, self.conv1.stride), (self.conv2.kernel, self.conv2.stride)
-
-    def lengths(self, length):
-        series = _out_lens(length, self.windows)[-1]
-        return series, series
 
     def forward(self, h, packing):
         series = self.conv1.forward(h)
@@ -327,8 +290,6 @@ def _stages(config, layer):
             last_gp = config.family == "gp" and i == len(chans) - 1
             stage = _ConvStage(main, bn(out_ch), None if last_gp else pool)
         stages.append((i, f"block{i}", stage))
-    if config.family != "lp" and config.use_pooling:
-        stages.append(("pool", "pool", _GlobalPool()))
     return stages
 
 
@@ -348,29 +309,31 @@ def _check_finite(name, tensor):
 class CodeEncoder:
     """Named local stages (conv or residual blocks), gp's and rn's global max
     pool, then a projection to d.  ``plan`` lists each stage's {"block",
-    "conv", "pool"} output lengths, the global pool's last; construction raises
-    ConfigError naming the block whose input is shorter than a window."""
+    "conv", "pool"} output lengths, "conv" before its local pool, and the
+    global pool's last; construction raises ConfigError naming the block whose
+    input is shorter than a window."""
 
     def __init__(self, config):
         rng = np.random.default_rng(config.seed)
         self.stages, self.plan, self._params, self._bn_layers = {}, [], [], []
         self.image_len = length = config.image_len
-        windows = []
+        # output o of the windows so far reads inputs o * jump .. o * jump + rf - 1
+        rf, jump = 1, 1
         def layer(cls, *args):   # a conv is the only stage layer that draws
             if cls is ndnn.Conv1dLayer:
                 return cls(*args, rng, he=config.use_he_init)
             return cls(*args)
 
         for key, name, stage in _stages(config, layer):
-            try:
-                conv_len, length = stage.lengths(length)
-            except ndnn.ShapeError as exc:
-                raise ConfigError(f"block {key}: {exc}") from exc
-            self.plan.append({"block": key, "conv": conv_len, "pool": length})
-            if isinstance(stage, _GlobalPool):   # forward pools whole rows
-                continue
+            for kernel, stride in stage.windows:   # a local pool is the last
+                try:
+                    before, length = length, conv_out_len(length, kernel, stride)
+                except ndnn.ShapeError as exc:
+                    raise ConfigError(f"block {key}: {exc}") from exc
+                rf, jump = rf + (kernel - 1) * jump, jump * stride
+            self.plan.append({"block": key, "conv": length if stage.pool is None else before,
+                              "pool": length})
             self.stages[name] = stage
-            windows.extend(stage.windows)
             for f in fields(stage):   # a stage's fields are its layers, and a pool pair
                 layer = getattr(stage, f.name)
                 if layer is None or f.name == "pool":
@@ -380,10 +343,12 @@ class CodeEncoder:
                 self._register(prefix, layer)
                 if isinstance(layer, ndnn.BatchNorm1dLayer):
                     self._bn_layers.append((prefix, layer))
+        if config.family != "lp" and config.use_pooling:   # forward pools whole rows
+            self.plan.append({"block": "pool", "conv": length, "pool": 1})
         self.proj = ndnn.DenseLayer(config.channel_plan()[-1] * self.plan[-1]["pool"],
                                     config.embed_dim, rng, he=config.use_he_init)
         self._register("proj", self.proj)
-        self._reach = _reach(windows)
+        self._reach = rf, jump
 
     def _register(self, prefix, layer):
         self._params.extend((f"{prefix}.{n}", p) for n, p in layer.params())
@@ -428,9 +393,9 @@ class CodeEncoder:
         has zero batch variance, so both runs scale rounding noise by about
         ``1 / sqrt(eps)``.  The images are data: no gradient reaches ``x``.
         """
-        if x.shape[1:] != (1, self.image_len):
-            raise ndnn.ShapeError(f"code images must be (B, 1, {self.image_len}), "
-                                  f"got {x.shape}")
+        if x.shape[1:] != (1, self.image_len) or not x.shape[0]:
+            raise ndnn.ShapeError(f"code images must be (B, 1, {self.image_len}) with "
+                                  f"B >= 1, got {x.shape}")
         if x.shape[0] < 2 and any(bn.gamma.requires_grad for _, bn in self._bn_layers):
             raise ndnn.ShapeError("batch normalization needs batch size >= 2 in training mode")
         h, packing = _Packing.pack(x.data, *self._reach)

@@ -4,8 +4,8 @@ One loop turns classified token streams into an (N, image_len) uint32 ID
 matrix: each snippet gets a fresh namespace scope, and its IDs are written
 straight into its row, prefix-truncated or zero-padded.  Pad positions are
 ID 0, which no real token ever receives.  The encoder sees the normalized
-float view, ids / max_id, all in [0, 1], and reads only a batch's content
-span plus its stages' reach: the zero tail past the longest row's last ID
+float view, ids / max_id, all in [0, 1], and reads each row only up to its
+own content span plus its stages' reach: the zero tail past a row's last ID
 gives every sample the same outputs (``CodeEncoder.forward``).
 """
 from __future__ import annotations

@@ -47,12 +47,13 @@ def _dry_run(cfg):
         else:   # gp's last block leaves pooling to the global pool after it
             conv = out(n, cfg.kernel, cfg.stride)
             last_gp = cfg.family == "gp" and i == cfg.blocks - 1
-            pool = conv if last_gp else out(conv, cfg.pool_window, cfg.pool_stride)
+            local = cfg.use_pooling and not last_gp
+            pool = out(conv, cfg.pool_window, cfg.pool_stride) if local else conv
         if pool is None:
             return plan, i
         plan.append({"block": i, "conv": conv, "pool": pool})
         n = pool
-    if cfg.family != "lp":
+    if cfg.family != "lp" and cfg.use_pooling:
         plan.append({"block": "pool", "conv": n, "pool": 1})
     return plan, None
 
@@ -79,7 +80,7 @@ class TestShapePlan:
     def test_construction_fails_iff_dry_run_fails(self):
         # the dry run recounts every window as (L - k) // s + 1 by hand
         rng = np.random.default_rng(0)
-        for _ in range(60):
+        for _ in range(100):
             cfg = small_cfg(
                 blocks=int(rng.integers(3, 6)),
                 channels=(),
@@ -89,6 +90,7 @@ class TestShapePlan:
                 pool_window=int(rng.integers(1, 5)),
                 pool_stride=int(rng.integers(1, 4)),
                 family=FAMILIES[int(rng.integers(0, 3))],
+                use_pooling=bool(rng.integers(0, 2)),
             )
             plan, failing = _dry_run(cfg)
             if failing is not None:
@@ -359,6 +361,13 @@ class TestContentSpan:
         enc = CodeEncoder(small_cfg())
         with pytest.raises(ndnn.ShapeError, match=rf"^code images must be \(B, 1, 96\)"):
             enc.forward(ndnn.Tensor(np.zeros((2, 1, length), dtype=np.float32)))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_empty_batch_is_rejected(self, family):
+        enc = CodeEncoder(small_cfg(family=family))
+        with pytest.raises(ndnn.ShapeError, match=re.escape(
+                "code images must be (B, 1, 96) with B >= 1, got (0, 1, 96)")):
+            enc.forward(ndnn.Tensor(np.zeros((0, 1, 96), dtype=np.float32)))
 
 
 class TestConfig:

@@ -154,6 +154,18 @@ def test_identical_networks_train_once(ablation):
     assert {r.config_id for r in rows["gp"]} == {"gp3-Pool"}
 
 
+def test_network_key_classes_across_the_ladder():
+    # no model is built: at every size only lpN-Pool and gpN-Pool share a network
+    ids_by_key = {}
+    for family in FAMILIES:
+        for delta in DELTAS:
+            for blocks in range(3, 8):
+                config = apply_ablation(ModelConfig(family=family, blocks=blocks), delta)
+                ids_by_key.setdefault(network_key(config), []).append(config.config_id())
+    assert sorted(ids for ids in ids_by_key.values() if len(ids) > 1) == [
+        [f"lp{blocks}-Pool", f"gp{blocks}-Pool"] for blocks in range(3, 8)]
+
+
 def test_evaluation_embeds_batch_size_rows_at_a_time(records):
     config = replace(BASE, batch_size=4)
     pairs = records[:10]

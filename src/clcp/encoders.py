@@ -163,6 +163,13 @@ def apply_ablation(config, delta):
 # -- the code encoder: a list of named stages ---------------------------------
 
 
+def _row_starts(counts, stride):
+    """Where rows of ``counts`` columns start when laid end to end, each at a
+    multiple of ``stride``: the running sum of the earlier rows' counts, each
+    rounded up to ``stride``."""
+    return np.concatenate(([0], np.cumsum(-(-counts[:-1] // stride) * stride)))
+
+
 @dataclass(frozen=True)
 class _Packing:
     """Where a batch's rows lie in a packed map (see ``CodeEncoder.forward``):
@@ -181,7 +188,7 @@ class _Packing:
         content = rows != 0   # pad is ID 0, which no real token gets
         lengths = np.where(content.any(axis=1), image_len - content[:, ::-1].argmax(axis=1), 0)
         spans = np.minimum(-(-lengths // jump) * jump + rf, image_len)
-        starts = np.concatenate(([0], np.cumsum(-(-spans[:-1] // jump) * jump)))
+        starts = _row_starts(spans, jump)
         packed = np.zeros((1, 1, starts[-1] + spans[-1]), dtype=images.dtype)
         for row, start, span in zip(rows, starts, spans):
             packed[0, 0, start:start + span] = row[:span]
@@ -194,6 +201,16 @@ class _Packing:
             starts, counts = starts // stride, (counts - kernel) // stride + 1
             planned = conv_out_len(planned, kernel, stride)
         return _Packing(starts, counts, planned)
+
+    def repack(self, h, stride):
+        """(the packed map ``h`` without its junk, its packing): each row's
+        valid columns move to a start that is a multiple of ``stride``, and
+        the columns that round a row's width up to ``stride`` are the ones
+        after it."""
+        starts = _row_starts(self.counts, stride)
+        widths = np.diff(starts, append=starts[-1] + self.counts[-1])
+        cols = np.arange(widths.sum()) + np.repeat(self.starts - starts, widths)
+        return ndnn.take_columns(h, cols), _Packing(starts, self.counts, self.planned)
 
     def weights(self, length):
         """Batch-norm column weights (1, ``length``) of this packed map: 0 on
@@ -319,6 +336,7 @@ class CodeEncoder:
         self.image_len = length = config.image_len
         # output o of the windows so far reads inputs o * jump .. o * jump + rf - 1
         rf, jump = 1, 1
+        jumps = {}   # stage name -> total stride of the windows up to its own
         def layer(cls, *args):   # a conv is the only stage layer that draws
             if cls is ndnn.Conv1dLayer:
                 return cls(*args, rng, he=config.use_he_init)
@@ -331,6 +349,7 @@ class CodeEncoder:
                 except ndnn.ShapeError as exc:
                     raise ConfigError(f"block {key}: {exc}") from exc
                 rf, jump = rf + (kernel - 1) * jump, jump * stride
+            jumps[name] = jump
             self.plan.append({"block": key, "conv": length if stage.pool is None else before,
                               "pool": length})
             self.stages[name] = stage
@@ -349,6 +368,8 @@ class CodeEncoder:
                                     config.embed_dim, rng, he=config.use_he_init)
         self._register("proj", self.proj)
         self._reach = rf, jump
+        # the stride of the windows still to run after each stage but the last
+        self._strides_left = {n: jump // j for n, j in list(jumps.items())[:-1]}
 
     def _register(self, prefix, layer):
         self._params.extend((f"{prefix}.{n}", p) for n, p in layer.params())
@@ -375,11 +396,15 @@ class CodeEncoder:
         reads only padding and stands for every column cut from it.  Each row's
         segment of the packed (1, 1, N) input starts at a multiple of ``jump``,
         so at every stage its outputs are those of the row run alone.  Columns
-        whose windows cross from one segment into the next are junk; they stay
-        in place at each segment's tail, and no valid output reads them.
-        Training-mode batch norm weighs them 0, and each row's last column
-        ``1 +`` its cut columns (``ndnn.batch_norm1d``), which gives the
-        full-length batch statistics.
+        whose windows cross from one segment into the next are junk, and no
+        valid output reads them.  After every stage but the last,
+        ``_Packing.repack`` drops them (``ndnn.take_columns``): row ``i``'s
+        valid columns move to the sum of the earlier rows' valid counts, each
+        rounded up to the total stride of the windows still to run, so strided
+        windows still line up and a later stage computes no junk of an earlier
+        one.  Junk so lives only inside a stage, where training-mode batch
+        norm weighs it 0, and each row's last column ``1 +`` its cut columns
+        (``ndnn.batch_norm1d``), which gives the full-length batch statistics.
 
         After the last local stage ``ndnn.gather_segments`` builds (B, C, L)
         from each row's valid columns, repeating its last one: to the planned
@@ -403,6 +428,8 @@ class CodeEncoder:
             h = stage.forward(h, packing)
             _check_finite(name, h)
             packing = packing.after(stage.windows)
+            if name in self._strides_left:
+                h, packing = packing.repack(h, self._strides_left[name])
         pooled = self.plan[-1]["block"] == "pool"
         h = ndnn.gather_segments(h, packing.starts, packing.counts,
                                  int(packing.counts.max()) if pooled else packing.planned)

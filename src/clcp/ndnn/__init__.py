@@ -18,6 +18,7 @@ from .tensor import (
     narrow,
     relu,
     reshape,
+    take_columns,
     tmean,
     transpose,
     tsum,
@@ -31,5 +32,5 @@ __all__ = [
     "ShapeError", "Tensor", "add", "batch_norm1d", "clip_max",
     "conv1d", "diagonal", "embedding", "exp", "gather_segments", "global_max_pool1d",
     "l2_normalize", "log_softmax", "matmul", "max_pool1d", "mul", "narrow", "relu",
-    "reshape", "tmean", "transpose", "tsum",
+    "reshape", "take_columns", "tmean", "transpose", "tsum",
 ]

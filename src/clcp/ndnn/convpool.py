@@ -145,7 +145,9 @@ def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, train
     ``weights`` (training mode only, (B, L), default all 1) counts each
     column's share of the statistics: they are sums of ``w * x`` over
     ``n = sum(w)`` positions.  The code encoder runs on a packed map, a single
-    sample that lays the batch's rows end to end (``CodeEncoder.forward``).  It
+    sample that lays the batch's rows end to end (``CodeEncoder.forward``),
+    and drops the junk columns, whose windows crossed from one row into the
+    next, after each stage, so they live only within one.  Inside a stage it
     weighs 0 the junk columns between two rows, 1 the columns of a row, and
     ``1 + r_i`` the last column of row ``i``, which reads only padding and
     stands for the ``r_i`` columns cut from the row's planned length.  The

@@ -226,6 +226,27 @@ def gather_segments(a, starts, counts, length):
     return Tensor(a.data[0][:, cols].transpose(1, 0, 2), _parents=(a,), _backward=backward)
 
 
+def take_columns(a, cols):
+    """The packed (1, C, ``len(cols)``) map of columns ``cols`` of a packed
+    (1, C, N) map.  ``cols`` must rise strictly, so each column is taken at
+    most once: the backward writes the gradient into those columns and leaves
+    zero in every other.  The result is C-ordered (``a.data[:, :, cols]``
+    would be column-major, and slow every op after it)."""
+    cols = np.asarray(cols)
+    if a.ndim != 3 or a.shape[0] != 1:
+        raise ShapeError(f"take_columns needs a packed (1, C, N) map, got {a.shape}")
+    if cols.ndim != 1 or not cols.size or cols[0] < 0 or cols[-1] >= a.shape[2] \
+            or (cols[1:] <= cols[:-1]).any():
+        raise ShapeError(f"columns must rise strictly within {a.shape[2]}, got {cols}")
+
+    def backward(g):
+        gx = np.zeros_like(a.data)
+        gx[:, :, cols] = g
+        _accum(a, gx)
+
+    return Tensor(np.take(a.data, cols, axis=2), _parents=(a,), _backward=backward)
+
+
 def diagonal(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"diagonal needs a square matrix, got {a.shape}")
@@ -285,14 +306,24 @@ def log_softmax(a, axis=-1):
 
 
 def embedding(weight, ids):
-    """Row lookup into ``weight`` by an integer index array."""
+    """Row lookup into ``weight`` by an integer index array.
+
+    Under grad the forward sorts the flat ids once (stably); the backward sums
+    each id's gradient rows with one ``np.add.reduceat`` over that order and
+    writes the sums with one assignment."""
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= weight.shape[0]):
         raise ShapeError("embedding index out of range")
+    if weight.requires_grad:
+        order = np.argsort(ids, axis=None, kind="stable")
+        sorted_ids = ids.ravel()[order]
+        firsts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))   # each id's first place
 
     def backward(g):
         gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids, g)
+        if ids.size:   # an empty batch has no id to sum
+            rows = g.reshape((ids.size,) + weight.shape[1:])[order]
+            gw[sorted_ids[firsts]] = np.add.reduceat(rows, firsts, axis=0)
         _accum(weight, gw)
 
     return Tensor(weight.data[ids], _parents=(weight,), _backward=backward)

@@ -162,31 +162,45 @@ def _span_encoder(family, deltas, dtype=np.float32, **geometry):
     return enc, cfg, inputs
 
 
-def _reach_by_hand(cfg):
-    """(rf, jump) of every local window of ``cfg``'s encoder, in order."""
-    windows = [(cfg.kernel, cfg.stride)] if cfg.family == "rn" else []
+def _stage_windows_by_hand(cfg):
+    """The local (kernel, stride) windows of each of ``cfg``'s stages, in order."""
+    stages = [[(cfg.kernel, cfg.stride)]] if cfg.family == "rn" else []
     for i in range(cfg.blocks):
         if cfg.family == "rn":
-            windows += [(cfg.kernel, cfg.stride), (cfg.kernel, 1)]
+            stages.append([(cfg.kernel, cfg.stride), (cfg.kernel, 1)])
             continue
-        windows.append((cfg.kernel, cfg.stride))
+        stages.append([(cfg.kernel, cfg.stride)])
         if cfg.use_pooling and not (cfg.family == "gp" and i == cfg.blocks - 1):
-            windows.append((cfg.pool_window, cfg.pool_stride))
+            stages[-1].append((cfg.pool_window, cfg.pool_stride))
+    return stages
+
+
+def _reach_by_hand(cfg):
+    """(rf, jump) of every local window of ``cfg``'s encoder, in order."""
     rf, jump = 1, 1
-    for kernel, stride in windows:
+    for kernel, stride in (w for windows in _stage_windows_by_hand(cfg) for w in windows):
         rf, jump = rf + (kernel - 1) * jump, jump * stride
     return rf, jump
+
+
+def _span_widths(cfg, images):
+    """Each row's span of ``images``: its content rounded up to whole strides,
+    plus the reach, at most the image length."""
+    rf, jump = _reach_by_hand(cfg)
+    spans = []
+    for row in images[:, 0]:
+        nonzero = np.flatnonzero(row)
+        length = nonzero[-1] + 1 if nonzero.size else 0
+        spans.append(min(-(-length // jump) * jump + rf, cfg.image_len))
+    return spans
 
 
 def _assert_rows_packed(cfg, images, packed):
     """``packed`` (1, 1, N) lays the rows of ``images`` end to end, each cut to
     its own span: its content rounded up to whole strides, plus the reach."""
-    rf, jump = _reach_by_hand(cfg)
+    jump = _reach_by_hand(cfg)[1]
     want = np.zeros(0)
-    for row in images[:, 0]:
-        nonzero = np.flatnonzero(row)
-        length = nonzero[-1] + 1 if nonzero.size else 0
-        span = min(-(-length // jump) * jump + rf, cfg.image_len)
+    for row, span in zip(images[:, 0], _span_widths(cfg, images)):
         gap = -(-len(want) // jump) * jump - len(want)   # segments start at multiples of jump
         want = np.concatenate([want, np.zeros(gap), row[:span]])
     np.testing.assert_array_equal(packed, want[None, None])
@@ -355,6 +369,28 @@ class TestContentSpan:
             np.testing.assert_allclose(enc.forward(x).data, _full_length(enc, x).data,
                                        rtol=0, atol=1e-10)
             _assert_rows_packed(cfg, x.data, inputs[0])
+
+    @pytest.mark.parametrize("family,delta,geometry", SPAN_CASES)
+    def test_each_stage_reads_only_valid_columns(self, family, delta, geometry):
+        # a stage's input holds each row's valid columns, each row rounded up
+        # to the stride of the windows still to run and the last row not: no
+        # column whose window crossed into the next row reaches the next stage
+        enc, cfg, _ = _span_encoder(family, delta, np.float64, **GEOMETRIES[geometry])
+        widths = []
+        for stage in enc.stages.values():
+            first = stage.conv1 if hasattr(stage, "conv1") else stage.conv
+            first.forward = lambda h, forward=first.forward: (
+                widths.append(h.shape[2]), forward(h))[1]
+        x = _rows_batch(MIXED_ROWS["mixed"], enc.image_len)
+        enc.forward(ndnn.Tensor(x))
+        counts, want = _span_widths(cfg, x), []
+        stages = _stage_windows_by_hand(cfg)
+        for i, windows in enumerate(stages):
+            left = int(np.prod([s for ws in stages[i:] for _, s in ws]))
+            want.append(sum(-(-c // left) * left for c in counts[:-1]) + counts[-1])
+            for kernel, stride in windows:
+                counts = [(c - kernel) // stride + 1 for c in counts]
+        assert widths == want
 
     @pytest.mark.parametrize("length", [95, 97])
     def test_images_of_another_length_are_rejected(self, length):

@@ -1,6 +1,7 @@
 """Autodiff engine: forward values and gradients of the primitive ops."""
 import gc
 import inspect
+import re
 import weakref
 
 import numpy as np
@@ -165,6 +166,17 @@ class TestGradients:
 
         self._check(build, arrs)
 
+    def test_take_columns(self):
+        rng = np.random.default_rng(16)
+        arrs = [rng.normal(size=(1, 3, 12))]
+        weights = nd.Tensor(rng.normal(size=(1, 3, 6)))   # a distinct gradient per column
+
+        def build(arrays):
+            x = nd.Tensor(arrays[0], requires_grad=True)
+            return nd.tsum(nd.take_columns(x, [0, 1, 4, 5, 6, 11]) * weights), [x]
+
+        self._check(build, arrs)
+
     def test_exp_and_clip(self):
         arrs = [np.array([0.1, 0.5, 5.2])]  # exp(5.2) > 100 exercises the clamp
 
@@ -255,6 +267,68 @@ class TestGatherSegments:
     def test_needs_one_packed_map(self):
         with pytest.raises(nd.ShapeError, match="packed"):
             nd.gather_segments(nd.Tensor(np.ones((2, 2, 6))), [0], [2], 4)
+
+
+class TestTakeColumns:
+    COLS = [0, 2, 3, 7, 8, 9]
+
+    def test_output_and_gradient(self):
+        rng = np.random.default_rng(17)
+        packed = rng.normal(size=(1, 3, 11))
+        g = rng.normal(size=(1, 3, len(self.COLS)))
+        x = nd.Tensor(packed, requires_grad=True)
+        out = nd.take_columns(x, self.COLS)
+        out.backward(g)
+        assert out.data.flags.c_contiguous   # packed[:, :, cols] would be column-major
+        np.testing.assert_array_equal(out.data, packed[:, :, self.COLS])
+        want = np.zeros_like(packed)
+        for j, col in enumerate(self.COLS):
+            want[:, :, col] = g[:, :, j]
+        np.testing.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_dtype(self, dtype):
+        x = nd.Tensor(np.ones((1, 2, 11), dtype=dtype), requires_grad=True)
+        out = nd.take_columns(x, self.COLS)
+        out.backward(np.ones(out.shape, dtype=dtype))
+        assert out.dtype == x.grad.dtype == dtype
+
+    @pytest.mark.parametrize("shape", [(2, 3, 11), (3, 11), (1, 1, 3, 11)])
+    def test_needs_one_packed_map(self, shape):
+        with pytest.raises(nd.ShapeError, match=re.escape(
+                f"take_columns needs a packed (1, C, N) map, got {shape}")):
+            nd.take_columns(nd.Tensor(np.ones(shape)), self.COLS)
+
+    @pytest.mark.parametrize("cols", [[], [0, 2, 2], [3, 1], [-1, 2], [0, 11], [[0, 1]]],
+                             ids=["empty", "repeated", "falling", "negative", "past the end",
+                                  "2-D"])
+    def test_bad_columns_are_rejected(self, cols):
+        with pytest.raises(nd.ShapeError, match="columns must rise strictly within 11"):
+            nd.take_columns(nd.Tensor(np.ones((1, 2, 11))), cols)
+
+
+def _embedding_grad_by_loop(vocab, ids, g):
+    """embedding's weight gradient, one occurrence of an id at a time."""
+    gw = np.zeros((vocab,) + g.shape[ids.ndim:])
+    for index in np.ndindex(ids.shape):
+        gw[ids[index]] += g[index]
+    return gw
+
+
+class TestEmbeddingGradient:
+    @pytest.mark.parametrize("ids", [
+        np.array([[3, 1, 3, 3], [0, 1, 5, 3], [5, 5, 2, 0]]),   # duplicate ids
+        np.array([[0, 0, 0, 0], [4, 2, 0, 0], [0, 0, 0, 0]]),   # all-pad rows
+        np.zeros((0, 4), dtype=np.int64),                       # an empty batch
+    ], ids=["duplicates", "all-pad rows", "empty batch"])
+    def test_matches_loop_reference(self, ids):
+        rng = np.random.default_rng(18)
+        w = nd.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        g = rng.normal(size=ids.shape + (3,))
+        out = nd.embedding(w, ids)
+        out.backward(g)
+        np.testing.assert_allclose(w.grad, _embedding_grad_by_loop(6, ids, g),
+                                   rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("reduce", [nd.tsum, nd.tmean])

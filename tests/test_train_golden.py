@@ -86,6 +86,21 @@ parameters of all 12.  Largest training / validation loss deltas: lp none
 1.7e-3, rn -Pool 8.6e-8 / 3.6e-7, rn -Init 3.3e-8 / 6.0e-8.  The float64
 fixture passed unchanged: its losses moved by at most 8.9e-16, and its +BN
 validation losses by at most 1.1e-10.
+
+Regenerated again, once, for two rounding changes.  The code encoder drops
+each stage's junk columns before the next stage (``ndnn.take_columns``), so
+every later GEMM runs over fewer columns, which BLAS rounds differently.  And
+``ndnn.embedding``'s backward sums each id's gradient rows with one
+``np.add.reduceat`` over the stably sorted ids instead of ``np.add.at``, which
+alone moved all 12 cases (by at most 2.0e-7 in training and 2.9e-3 on a +BN
+validation loss).  Together, the largest training / validation loss deltas:
+lp none 2.6e-7 / 1.2e-7, lp +BN 2.6e-7 / 7.1e-4, lp -Pool 1.5e-7 / 1.2e-7,
+lp -Init 2.0e-7 / 2.4e-7, gp none 2.0e-7 / 1.2e-7, gp +BN 4.1e-8 / 1.9e-3,
+gp -Pool 1.5e-7 / 1.2e-7, gp -Init 6.6e-8 / 1.2e-7, rn none 8.2e-8 / 0,
+rn +BN 0 / 3.1e-3, rn -Pool 1.3e-7 / 4.8e-7, rn -Init 6.6e-8 / 2.4e-7.  The
+float64 fixture passed unchanged, also under ``OPENBLAS_CORETYPE=Haswell``:
+its losses moved by at most 1.3e-15, and its +BN validation losses by at most
+9.7e-11.
 """
 import hashlib
 import json

@@ -318,6 +318,16 @@ def network_key(config):
     return tuple(_stages(config, lambda *spec: spec)), others
 
 
+def draw_key(encoder):
+    """Equal for encoders that start from the same weights: the encoder's kind,
+    seed and He-init flag, and the shapes of the weights it draws in draw
+    order (its ``drawn`` list), read off its layers, so it needs no draw and
+    follows any change to what an encoder draws."""
+    config = encoder.config
+    return (type(encoder).__name__, config.seed, config.use_he_init,
+            tuple(w.shape for w in encoder.drawn))
+
+
 def _check_finite(name, tensor):
     if not np.isfinite(tensor.data).all():
         raise ndnn.NumericError(f"non-finite activations after {name}")
@@ -328,19 +338,25 @@ class CodeEncoder:
     pool, then a projection to d.  ``plan`` lists each stage's {"block",
     "conv", "pool"} output lengths, "conv" before its local pool, and the
     global pool's last; construction raises ConfigError naming the block whose
-    input is shorter than a window."""
+    input is shorter than a window.  ``drawn`` lists the weights drawn from
+    ``default_rng(config.seed)``, in draw order; with ``draw`` false nothing is
+    drawn and they are zeros for the caller to set."""
 
-    def __init__(self, config):
-        rng = np.random.default_rng(config.seed)
+    def __init__(self, config, draw=True):
+        self.config = config
+        rng = np.random.default_rng(config.seed) if draw else None
         self.stages, self.plan, self._params, self._bn_layers = {}, [], [], []
+        self.drawn = []
         self.image_len = length = config.image_len
         # output o of the windows so far reads inputs o * jump .. o * jump + rf - 1
         rf, jump = 1, 1
         jumps = {}   # stage name -> total stride of the windows up to its own
         def layer(cls, *args):   # a conv is the only stage layer that draws
-            if cls is ndnn.Conv1dLayer:
-                return cls(*args, rng, he=config.use_he_init)
-            return cls(*args)
+            if cls is not ndnn.Conv1dLayer:
+                return cls(*args)
+            conv = cls(*args, rng, he=config.use_he_init)
+            self.drawn.append(conv.weight)
+            return conv
 
         for key, name, stage in _stages(config, layer):
             for kernel, stride in stage.windows:   # a local pool is the last
@@ -366,6 +382,7 @@ class CodeEncoder:
             self.plan.append({"block": "pool", "conv": length, "pool": 1})
         self.proj = ndnn.DenseLayer(config.channel_plan()[-1] * self.plan[-1]["pool"],
                                     config.embed_dim, rng, he=config.use_he_init)
+        self.drawn.append(self.proj.weight)
         self._register("proj", self.proj)
         self._reach = rf, jump
         # the stride of the windows still to run after each stage but the last
@@ -500,17 +517,23 @@ class TextVocabulary:
 
 class TextEncoder:
     """Word embeddings plus positions, a mean over non-pad positions, then a
-    projection to d."""
+    projection to d.  ``drawn`` and ``draw`` are as in ``CodeEncoder``; the
+    generator is ``default_rng(config.seed + 101)``."""
 
-    def __init__(self, config, vocab_size):
+    def __init__(self, config, vocab_size, draw=True):
         self.config = config
-        rng = np.random.default_rng(config.seed + 101)
+        rng = np.random.default_rng(config.seed + 101) if draw else None
         e = config.text_embed
-        self.embed = Tensor(rng.normal(0.0, 0.02, size=(vocab_size, e)).astype(np.float32),
-                            requires_grad=True)
-        self.pos = Tensor(rng.normal(0.0, 0.02, size=(config.text_max_len, e))
-                          .astype(np.float32), requires_grad=True)
+
+        def rows(n):
+            data = (np.zeros((n, e), dtype=np.float32) if rng is None
+                    else rng.normal(0.0, 0.02, size=(n, e)).astype(np.float32))
+            return Tensor(data, requires_grad=True)
+
+        self.embed = rows(vocab_size)
+        self.pos = rows(config.text_max_len)
         self.proj = ndnn.DenseLayer(e, config.embed_dim, rng, he=config.use_he_init)
+        self.drawn = [self.embed, self.pos, self.proj.weight]
         self._params = [("embed.weight", self.embed), ("pos", self.pos)]
         self._params.extend((f"proj.{n}", p) for n, p in self.proj.params())
 

@@ -3,7 +3,8 @@
 Each holds its parameters as float32 Tensors with requires_grad=True (batch
 norm's may be float64) and lists them through ``params()`` as (name, tensor)
 pairs.  Optimizers and the checkpoint writer rely on those names being stable
-and unique within a model.
+and unique within a model.  A conv or dense layer draws its weight from the
+generator it is given; given None, it draws nothing and its weight is zeros.
 """
 from __future__ import annotations
 
@@ -22,9 +23,14 @@ def he_init(shape, fan_in, rng, dtype=np.float32):
 
 
 def _weight(shape, fan_in, rng, he):
-    # without He init (the -Init ablation) the weights are plain N(0, 0.01^2)
-    data = (he_init(shape, fan_in, rng) if he
-            else rng.normal(0.0, 0.01, size=shape).astype(np.float32))
+    # without He init (the -Init ablation) the weights are plain N(0, 0.01^2);
+    # without a generator nothing is drawn and they are zeros for the caller to set
+    if rng is None:
+        data = np.zeros(shape, dtype=np.float32)
+    elif he:
+        data = he_init(shape, fan_in, rng)
+    else:
+        data = rng.normal(0.0, 0.01, size=shape).astype(np.float32)
     return Tensor(data, requires_grad=True)
 
 

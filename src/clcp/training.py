@@ -60,12 +60,23 @@ def clip_loss(sim):
 
 
 class CLCPModel:
-    """Both encoders plus the learnable logit scale."""
+    """Both encoders plus the learnable logit scale.
 
-    def __init__(self, config, text_vocab_size):
+    ``initial``, the (code, text) encoders' ``drawn`` arrays of an earlier
+    build of this config and vocabulary size, starts the encoders from copies
+    of those in place of a draw: the same bits, without drawing them again.
+    """
+
+    def __init__(self, config, text_vocab_size, initial=None):
         self.config = config
-        self.code_encoder = CodeEncoder(config)
-        self.text_encoder = TextEncoder(config, text_vocab_size)
+        draw = initial is None
+        self.code_encoder = CodeEncoder(config, draw)
+        self.text_encoder = TextEncoder(config, text_vocab_size, draw)
+        for encoder, arrays in zip((self.code_encoder, self.text_encoder), initial or ()):
+            for weight, array in zip(encoder.drawn, arrays, strict=True):
+                if weight.shape != array.shape:
+                    raise ValueError(f"initial weight {array.shape} for a {weight.shape} one")
+                weight.data[...] = array
         self.log_scale = Tensor(np.array([np.log(config.temperature_init)],
                                          dtype=np.float32), requires_grad=True)
 
@@ -242,12 +253,13 @@ def train(pairs, config, out_dir=None, vocab=None, text_vocab=None):
     return fit(data, config, out_dir)
 
 
-def fit(data, config, out_dir=None):
+def fit(data, config, out_dir=None, initial=None):
     """Train CLCP on prepared pairs; returns the best-validation model.
 
     The validation split is a seeded fraction of the pairs; when it rounds to
     zero the training set doubles as validation (tiny overfit runs).  A NaN
-    loss aborts the run, keeping the last good checkpoint.  ``data`` is only read.
+    loss aborts the run, keeping the last good checkpoint.  ``data`` is only
+    read, and so is ``initial``, which ``CLCPModel`` starts the model from.
     """
     if len(data.text_ids) < 2:
         raise ValueError("training needs at least 2 pairs")
@@ -266,7 +278,7 @@ def fit(data, config, out_dir=None):
     if len(train_idx) < 2:
         raise ValueError("validation split leaves fewer than 2 training pairs")
 
-    model = CLCPModel(config, data.text_vocab.size)
+    model = CLCPModel(config, data.text_vocab.size, initial)
     optimizer = ndnn.Adam(config.lr)
     params = model.named_params()
     state = TrainState(seed=config.seed)

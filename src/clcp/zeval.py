@@ -11,9 +11,15 @@ records as given (clean them first for cleaned docs), whose prefixes are the
 ladder's samples, each snippet tokenized once, and per train size the
 vocabularies, the encoded train sample and the encoded growing test list, which
 a cell embeds once; its leading rows are the fixed list.  Configs with one
-``network_key`` train once per train size.  ``run_ablations`` shares one state,
-and its process pool if any, across its rows, so memory holds every train
-size's prepared arrays for the whole run.
+``network_key`` train once per train size.  Cells run in this process, not in
+a pool, also share their initial weights: the state draws each distinct code
+and text encoder (``draw_key``) once, and every cell starts from a copy of
+those arrays, the bits its own draw would give.  ``run_ablations`` shares one
+state, and its process pool if any, across its rows, so memory holds every
+train size's prepared arrays and the drawn weights of every distinct encoder
+for the whole run; on the default config the largest are at most two -Pool
+projections, lp's and rn's, of about 8 MB each.  The state dies with the call
+that made it.
 """
 from __future__ import annotations
 
@@ -21,11 +27,12 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
-from .encoders import (ABLATIONS, FAMILIES, ModelConfig, apply_ablation, config_for_family,
-                       network_key)
+from .encoders import (ABLATIONS, FAMILIES, CodeEncoder, ConfigError, ModelConfig,
+                       TextEncoder, apply_ablation, config_for_family, draw_key, network_key)
 from .ingest import sample_split
 from .training import fit, prepare_pairs
 
@@ -106,6 +113,7 @@ class LadderState:
         self.pool = None       # run_ablations' process pool, lent to every run_ladder call
         self._tokens = {}      # snippet -> tokens
         self._prepared = {}
+        self._drawn = {}       # draw_key -> an encoder's drawn arrays
 
     def prepared(self, train_size, test_size, config):
         """(train data, test data), kept per config fields prepare_pairs reads; a
@@ -122,6 +130,27 @@ class LadderState:
             self._prepared[key] = train, test
         return self._prepared[key]
 
+    def initial(self, config, train):
+        """``CLCPModel``'s ``initial`` for a cell of ``config`` on ``train``
+        data, each encoder drawn once per ``draw_key``; the cells only read it.
+        None, and the cell draws its own, when cells run in the pool, since
+        pickling the arrays to a worker costs more than drawing them there; or
+        when the train data failed or the code encoder cannot be built, and the
+        cell then fails as it would anyway."""
+        if self.pool or isinstance(train, str):
+            return None
+        initial = []
+        for make in (partial(CodeEncoder, config),
+                     partial(TextEncoder, config, train.text_vocab.size)):
+            try:
+                key = draw_key(make(draw=False))
+            except ConfigError:
+                return None
+            if key not in self._drawn:
+                self._drawn[key] = [w.data for w in make().drawn]
+            initial.append(self._drawn[key])
+        return tuple(initial)
+
 
 @dataclass
 class _Cell:
@@ -130,6 +159,7 @@ class _Cell:
     config: ModelConfig
     train_data: object    # PreparedData, or the message its preparation failed with
     test_data: object     # the growing test list, likewise
+    initial: object       # LadderState.initial's, or None to draw
     fixed_size: int
     train_size: int
 
@@ -145,7 +175,7 @@ def _run_cell(cell):
     config, train_size = cell.config, cell.train_size
     results = []
     try:
-        outcome = fit(_ready(cell.train_data), config)
+        outcome = fit(_ready(cell.train_data), config, initial=cell.initial)
         code, text = _embed(outcome.model, _ready(cell.test_data))
         n = cell.fixed_size
         for regime, res in (("fixed", zero_shot_match(code[:n], text[:n])),
@@ -183,7 +213,8 @@ def run_ladder(records, plan, configs, shared=None):
             key = (network_key(config), train_size, test_size)
             keys.append((key, config.config_id()))
             if key not in shared.rows and key not in todo:
-                todo[key] = _Cell(config, *shared.prepared(train_size, test_size, config),
+                train, test = shared.prepared(train_size, test_size, config)
+                todo[key] = _Cell(config, train, test, shared.initial(config, train),
                                   plan.test_sizes[0], train_size)
     cell_map = shared.pool.map if shared.pool else map
     shared.rows.update(zip(todo, cell_map(_run_cell, todo.values())))

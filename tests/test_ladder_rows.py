@@ -58,3 +58,23 @@ def test_flags_alone_differ(tool):
     lines, same = tool.compare(ladder(ROWS), ladder(ROWS, flags))
     assert not same
     assert lines == [f"flags: before {FLAGS}, after {flags}"]
+
+
+@pytest.mark.parametrize("pooled_count,status", [(2, 0), (3, 1)])
+def test_the_after_tree_is_also_run_in_a_pool(tool, monkeypatch, capsys, pooled_count,
+                                              status):
+    calls = []
+
+    def fake_measure_tree(tree, workers=1):
+        calls.append((tree, workers))
+        count = pooled_count if workers == 2 else 2
+        return ladder(ROWS[:1] + [("lp3", 16, "growing", 16, count, "")] + ROWS[2:])
+
+    monkeypatch.setattr(tool, "measure_tree", fake_measure_tree)
+    assert tool.main(["BEFORE", "AFTER"]) == status
+    assert calls == [("BEFORE", 1), ("AFTER", 1), ("AFTER", 2)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["4 rows before, 4 after", "identical"]
+    assert lines[2:] == (["workers=2: identical"] if status == 0 else [
+        "workers=2: lp3 16 growing: before ['lp3', 16, 'growing', 16, 2, ''], "
+        "after ['lp3', 16, 'growing', 16, 3, '']"])

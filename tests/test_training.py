@@ -11,8 +11,8 @@ import weakref
 import numpy as np
 import pytest
 
-from clcp import himg, ndnn, pylex, training
-from clcp.encoders import config_for_family
+from clcp import encoders, himg, ndnn, pylex, training
+from clcp.encoders import apply_ablation, config_for_family
 from clcp.ingest import PairRecord
 from clcp.ndnn import Tensor
 from clcp.ndnn.checkpoint import load_arrays, save_arrays
@@ -391,6 +391,56 @@ class TestTrainLoop:
         out = train(pairs, cfg)
         assert out.state.seed == 77
         assert out.state.step == 2 * 2  # 32 pairs / batch 16 = 2 steps per epoch
+
+
+class TestInitialWeights:
+    @staticmethod
+    def _drawn(model):
+        return tuple([w.data for w in encoder.drawn]
+                     for encoder in (model.code_encoder, model.text_encoder))
+
+    @pytest.mark.parametrize("family,delta", [("lp", "none"), ("gp", "+BN"),
+                                              ("rn", "-Pool"), ("lp", "-Init")])
+    def test_model_from_initial_arrays_holds_a_fresh_models_bytes(self, family, delta):
+        cfg = apply_ablation(dataclasses.replace(tiny_cfg(), family=family), delta)
+        fresh = CLCPModel(cfg, 40)
+        given = CLCPModel(cfg, 40, self._drawn(fresh))
+        assert list(given.snapshot()) == list(fresh.snapshot())
+        for (name, p), (_, q) in zip(fresh.named_params(), given.named_params()):
+            assert p.data.tobytes() == q.data.tobytes(), name
+            assert not np.shares_memory(p.data, q.data)   # a copy: training writes it
+
+    def test_fit_from_initial_arrays_matches_a_drawn_fit(self):
+        cfg = tiny_cfg(max_epochs=2, patience=2)
+        data = prepare_pairs(generate_pairs(32, seed=12), cfg)
+        drawn = training.fit(data, cfg)
+        initial = self._drawn(CLCPModel(cfg, data.text_vocab.size))
+        given = training.fit(data, cfg, initial=initial)
+        assert given.metrics == drawn.metrics
+        fresh = self._drawn(CLCPModel(cfg, data.text_vocab.size))
+        assert all(a.tobytes() == b.tobytes() for side, same in zip(initial, fresh)
+                   for a, b in zip(side, same))   # training left the given arrays alone
+
+    def test_an_initial_array_of_another_shape_is_named(self):
+        initial = self._drawn(CLCPModel(tiny_cfg(), 40))
+        with pytest.raises(ValueError, match=r"initial weight \(41, 16\) for a \(40, 16\) one"):
+            CLCPModel(tiny_cfg(), 40, (initial[0], [np.zeros((41, 16), np.float32)]
+                                       + initial[1][1:]))
+
+    def test_building_a_model_elsewhere_draws_each_encoder_once(self, monkeypatch, tmp_path):
+        # train, fit, load_run and CLCPModel build each encoder once, drawing it
+        builds = []
+        for cls in (encoders.CodeEncoder, encoders.TextEncoder):
+            def recording_init(self, *args, _init=cls.__init__, **kwargs):
+                builds.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+                assert self.drawn[0].data.any()   # drawn, not left at zeros
+            monkeypatch.setattr(cls, "__init__", recording_init)
+        cfg = tiny_cfg(max_epochs=1, patience=1)
+        train(generate_pairs(16, seed=14), cfg, out_dir=tmp_path)
+        load_run(tmp_path)
+        CLCPModel(cfg, 40)
+        assert builds == ["CodeEncoder", "TextEncoder"] * 3
 
 
 class TestTapeRecording:

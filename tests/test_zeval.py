@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from clcp import zeval
-from clcp.encoders import ModelConfig, apply_ablation, network_key
+from clcp.encoders import (CodeEncoder, ModelConfig, TextEncoder, apply_ablation, draw_key,
+                           network_key)
 from clcp.ingest import SamplePlan, sample_split
+from clcp.ndnn import layers
 from clcp.synth import generate_family
 from clcp.textclean import clean_corpus
 from clcp.training import CLCPModel, prepare_pairs
@@ -42,9 +44,9 @@ def ablation(records):
         configs.extend(configs_)
         return run_ladder(records, plan, configs_, **kwargs)
 
-    def counting_fit(data, config):
+    def counting_fit(data, config, **kwargs):
         fits.append(config.config_id())
-        return fit(data, config)
+        return fit(data, config, **kwargs)
 
     zeval.run_ladder, zeval.fit = recording_run_ladder, counting_fit
     try:
@@ -75,6 +77,80 @@ def test_base_config_reaches_every_cell(ablation):
         assert all(getattr(config, n) == getattr(BASE, n) for n in shared)
 
 
+def test_run_ladder_is_called_through_the_module_once_per_row(ablation):
+    # bench/workloads.py times each row by wrapping zeval.run_ladder
+    configs = ablation[2]
+    assert [c.config_id() for c in configs] == [
+        apply_ablation(replace(BASE, family=family), delta).config_id()
+        for family in FAMILIES for delta in DELTAS]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_cell_starts_from_a_fresh_models_bytes(records, monkeypatch, workers):
+    cells, init = [], zeval._Cell.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        cells.append(self)
+
+    monkeypatch.setattr(zeval._Cell, "__init__", recording_init)
+    run_ablations(records, PLAN, base_config=BASE, workers=workers)
+    # gp3-Pool reuses lp3-Pool's rows, so it has no cells of its own
+    assert sorted((c.config.config_id(), c.train_size) for c in cells) == sorted(
+        (apply_ablation(replace(BASE, family=family), delta).config_id(), size)
+        for family in FAMILIES for delta in DELTAS for size in PLAN.train_sizes
+        if (family, delta) != ("gp", "-Pool"))
+    # serial cells share the arrays; pooled ones draw in their worker
+    assert {c.initial is None for c in cells} == {workers > 1}
+    for cell in cells:
+        vocab_size = cell.train_data.text_vocab.size
+        fresh = CLCPModel(cell.config, vocab_size).snapshot()
+        given = CLCPModel(cell.config, vocab_size, cell.initial).snapshot()
+        assert list(given) == list(fresh)
+        assert all(given[name].tobytes() == fresh[name].tobytes() for name in fresh)
+
+
+def test_each_call_draws_each_distinct_encoder_once(records, monkeypatch):
+    shapes, he_init = [], layers.he_init
+
+    def recording_he_init(shape, *args, **kwargs):
+        shapes.append(shape)
+        return he_init(shape, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "he_init", recording_he_init)
+    draws = []
+    for _ in range(2):
+        shapes.clear()
+        run_ablations(records, PLAN, base_config=BASE)
+        draws.append(list(shapes))
+    # He init draws each conv and projection of one code encoder per (family,
+    # delta) but +BN (none's draws) and -Init (no He init), and gp3-Pool
+    # (lp3-Pool's rows): lp3, lp3-Pool and gp3 draw 4, rn3 and rn3-Pool 11;
+    # and one text projection per vocabulary size, which differs per train size
+    assert len(draws[0]) == 3 * 4 + 2 * 11 + len(PLAN.train_sizes)
+    assert draws[1] == draws[0]
+
+
+def test_draw_key_classes_across_the_ladder():
+    # no draw: +BN draws what none does, and lpN-Pool what gpN-Pool does
+    ids_by_key = {}
+    for family in FAMILIES:
+        for delta in DELTAS:
+            for blocks in (3, 5):
+                config = apply_ablation(ModelConfig(family=family, blocks=blocks), delta)
+                key = draw_key(CodeEncoder(config, draw=False))
+                ids_by_key.setdefault(key, []).append(config.config_id())
+    assert sorted(ids for ids in ids_by_key.values() if len(ids) > 1) == sorted(
+        [[f"{family}{blocks}", f"{family}{blocks}+BN"]
+         for family in FAMILIES for blocks in (3, 5)]
+        + [[f"lp{blocks}-Pool", f"gp{blocks}-Pool"] for blocks in (3, 5)])
+    text_keys = {draw_key(TextEncoder(replace(BASE, **change), size, draw=False))
+                 for change in ({}, {"use_bn": True}, {"use_pooling": False},
+                                {"family": "rn"}, {"use_he_init": False})
+                 for size in (37, 52)}
+    assert len(text_keys) == 4
+
+
 def test_cell_embeds_its_growing_list_once(records, monkeypatch):
     sizes, outcomes = [], []
     embed, fit = zeval._embed, zeval.fit
@@ -83,8 +159,8 @@ def test_cell_embeds_its_growing_list_once(records, monkeypatch):
         sizes.append(len(data.text_ids))
         return embed(model, data)
 
-    def recording_fit(data, config):
-        outcomes.append(fit(data, config))
+    def recording_fit(data, config, **kwargs):
+        outcomes.append(fit(data, config, **kwargs))
         return outcomes[-1]
 
     monkeypatch.setattr(zeval, "_embed", counting_embed)

@@ -3,18 +3,21 @@
 Builds the ``ladder`` benchmark workload's inputs for seed 601 through this
 checkout's ``bench/workloads.py`` (``Ladder.setup``), runs
 ``zeval.run_ablations(..., workers=1)`` on them once per source tree, and
-compares the trees row by row:
+compares the trees row by row; it also runs the AFTER tree with ``workers=2``,
+its process pool, and compares those rows with its serial ones:
 
     python3 tools/ladder_rows.py BEFORE_TREE AFTER_TREE
 
-A tree is a checkout of this repository; each is measured in its own process
-that imports ``clcp`` from ``<tree>/src``, with BLAS pinned to one thread.  A
-row is its (config_id, train_size, regime, L, correct, failed); the flags
+A tree is a checkout of this repository; each run is its own process that
+imports ``clcp`` from ``<tree>/src``, with BLAS pinned to one thread.  A row is
+its (config_id, train_size, regime, L, correct, failed); the flags
 ``run_ablations`` returns are compared as a whole.  The output is
-``identical``, or one line per row that differs and one for the flags, and
-then the exit status is 1.  A numeric change may move rows for a stated
-reason, so this is a report beside the accuracy gate, not a gate.  A run takes
-a few seconds per tree on one core.
+``identical``, or one line per row that differs and one for the flags, then
+``workers=2: identical``, or the pooled run's differing lines each prefixed
+with ``workers=2:`` (there "before" is the AFTER tree's serial run); if
+anything differs the exit status is 1.  A numeric
+change may move rows for a stated reason, so this is a report beside the
+accuracy gate, not a gate.  A run takes a few seconds per tree on one core.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ SEED = 601
 ROW_FIELDS = ("config_id", "train_size", "regime", "L", "correct", "failed")
 
 
-def measure():
+def measure(workers):
     """Rows and flags of the bench ladder for the ``clcp`` on ``sys.path``."""
     from clcp import zeval
     from workloads import Ladder
@@ -38,19 +41,19 @@ def measure():
     ladder = Ladder()
     ladder.setup(SEED)
     cells, flags = zeval.run_ablations(ladder.records, ladder.plan,
-                                       base_config=ladder.base, workers=1)
+                                       base_config=ladder.base, workers=workers)
     rows = [[getattr(r, name) for name in ROW_FIELDS] for cell in cells for r in cell.cells]
     return {"rows": rows, "flags": flags}
 
 
-def measure_tree(tree):
+def measure_tree(tree, workers=1):
     src = Path(tree).resolve() / "src"
     if not (src / "clcp").is_dir():
         raise SystemExit(f"{tree}: no src/clcp in this tree")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(BENCH))),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, __file__, "--measure"], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, __file__, "--measure", str(workers)], env=env,
+                         check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
@@ -72,18 +75,20 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", metavar="TREE",
                         help="the source tree before the change, then after it")
-    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--measure", type=int, metavar="WORKERS", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure()))
+        print(json.dumps(measure(args.measure)))
         return 0
     if len(args.trees) != 2:
         parser.error("give two trees: BEFORE_TREE AFTER_TREE")
     before, after = (measure_tree(tree) for tree in args.trees)
     lines, same = compare(before, after)
+    pooled_lines, pooled_same = compare(after, measure_tree(args.trees[1], workers=2))
     print(f"{len(before['rows'])} rows before, {len(after['rows'])} after")
     print("\n".join(lines))
-    return 0 if same else 1
+    print("\n".join(f"workers=2: {line}" for line in pooled_lines))
+    return 0 if same and pooled_same else 1
 
 
 if __name__ == "__main__":

@@ -423,17 +423,17 @@ class CodeEncoder:
         norm weighs it 0, and each row's last column ``1 +`` its cut columns
         (``ndnn.batch_norm1d``), which gives the full-length batch statistics.
 
-        After the last local stage ``ndnn.gather_segments`` builds (B, C, L)
-        from each row's valid columns, repeating its last one: to the planned
-        length for a map that flattens into ``proj``, and to the batch's
-        longest valid length before gp's and rn's global max pool, whose
-        maximum and first-maximum argmax the repeats do not move.  Its backward
-        sums the repeats' gradients into the last column.  Against a
-        full-length run only rounding differs: BLAS may round a GEMM with other
-        columns differently, and the statistics sum in another order.  An
-        all-pad batch is the exception under batch statistics: every channel
-        has zero batch variance, so both runs scale rounding noise by about
-        ``1 / sqrt(eps)``.  The images are data: no gradient reaches ``x``.
+        After the last local stage ``ndnn.gather_segments`` builds a C-ordered
+        (B, C, L) from each row's valid columns, repeating its last one: to the
+        planned length for a map that flattens into ``proj`` as a view, and to
+        the batch's longest valid length before gp's and rn's global max pool,
+        which reduces contiguous rows and whose maximum and first-maximum argmax
+        the repeats do not move.  Its backward sums the repeats' gradients into
+        the last column.  Against a full-length run only rounding differs:
+        BLAS may round a GEMM with other columns differently, and the
+        statistics sum in another order.  An all-pad batch is the exception
+        under batch statistics: every channel has zero batch variance, so both
+        runs scale rounding noise by about ``1 / sqrt(eps)``.  The images are data: no gradient reaches ``x``.
         """
         if x.shape[1:] != (1, self.image_len) or not x.shape[0]:
             raise ndnn.ShapeError(f"code images must be (B, 1, {self.image_len}) with "

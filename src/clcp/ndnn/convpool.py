@@ -158,7 +158,8 @@ def batch_norm1d(x, gamma, beta, running_mean, running_var, eps, momentum, train
     gradient is its own ``g * gamma * inv_std``: 0 on a junk column, which no
     valid output reads, and nothing leaks through junk windows into the conv
     weights before it.  The upstream gradient of a weight ``1 + r_i`` column
-    must already sum its repeats, as ``ndnn.gather_segments``'s backward does.
+    must already sum its repeats, as ``ndnn.gather_segments``' backward does
+    with one ``reduceat`` per row and channel.
     Eval mode normalizes each position alone and ignores the weights.
     """
     if x.ndim != 3:

@@ -196,10 +196,12 @@ def gather_segments(a, starts, counts, length):
     """Rows (B, C, ``length``) from the segments of one packed (1, C, N) map.
 
     Row ``i`` holds the ``counts[i]`` columns from ``starts[i]`` on, then its
-    last one repeated up to ``length``.  The segments must not overlap, so each
+    last one repeated up to ``length``, in a C-ordered array: a flatten to
+    (B, C * ``length``) is a view.  The segments must not overlap, so each
     packed column feeds at most one row: the backward writes each row's
     gradient into its segment's columns, the last one taking the sum over that
-    column and its repeats, and leaves zero in every column outside a segment.
+    column and its repeats (one ``reduceat`` over the flat gradient), and
+    leaves zero in every column outside a segment.
     """
     starts, counts = np.asarray(starts), np.asarray(counts)
     if a.ndim != 3 or a.shape[0] != 1:
@@ -209,21 +211,23 @@ def gather_segments(a, starts, counts, length):
             or ends[-1] > a.shape[2] or (starts[1:] < ends[:-1]).any()):
         raise ShapeError(f"segments ({starts}, {counts}) do not fit {a.shape[2]} columns "
                          f"in order, or rows of {length}")
-    offsets = np.arange(length)
-    cols = starts[:, None] + np.minimum(offsets, counts[:, None] - 1)   # (B, length)
+    B, C = len(starts), a.shape[1]
 
     def backward(g):
-        g2 = g.transpose(1, 0, 2)   # (C, B, length)
-        unique = offsets < counts[:, None] - 1
-        # each row's repeated tail, [counts - 1, length), in a flat (C, B * length) row
-        rows = np.arange(len(starts)) * length
-        tails = np.stack([rows + counts - 1, rows + length], axis=1).ravel()[:-1]
+        # each (row, channel) tail, [counts - 1, length), in the flat C-ordered output
+        rows = np.arange(B * C).reshape(B, C) * length
+        tails = np.stack([rows + counts[:, None] - 1, rows + length], axis=2).ravel()[:-1]
         gx = np.zeros_like(a.data)
-        gx[0][:, cols[unique]] = g2[:, unique]
-        gx[0][:, ends - 1] = np.add.reduceat(g2.reshape(len(g2), -1), tails, axis=1)[:, ::2]
+        for i, (s, c) in enumerate(zip(starts, counts)):
+            gx[0, :, s:s + c - 1] = g[i, :, :c - 1]
+        gx[0][:, ends - 1] = np.add.reduceat(g.ravel(), tails)[::2].reshape(B, C).T
         _accum(a, gx)
 
-    return Tensor(a.data[0][:, cols].transpose(1, 0, 2), _parents=(a,), _backward=backward)
+    out = np.empty((B, C, length), dtype=a.dtype)
+    for i, (s, c) in enumerate(zip(starts, counts)):
+        out[i, :, :c] = a.data[0, :, s:s + c]
+        out[i, :, c:] = a.data[0, :, s + c - 1:s + c]
+    return Tensor(out, _parents=(a,), _backward=backward)
 
 
 def take_columns(a, cols):

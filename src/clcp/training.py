@@ -260,6 +260,9 @@ def fit(data, config, out_dir=None, initial=None):
     zero the training set doubles as validation (tiny overfit runs).  A NaN
     loss aborts the run, keeping the last good checkpoint.  ``data`` is only
     read, and so is ``initial``, which ``CLCPModel`` starts the model from.
+    The best weights are copied only before an epoch that follows an improving
+    one, and back only if the model no longer holds them: a one-epoch fit
+    copies none.  Before any epoch improves, a new ``CLCPModel`` restores them.
     """
     if len(data.text_ids) < 2:
         raise ValueError("training needs at least 2 pairs")
@@ -314,12 +317,19 @@ def fit(data, config, out_dir=None, initial=None):
             count += len(chunk)
         return total / count
 
-    best_snapshot = model.snapshot()
+    def restore_best():
+        if state.best_epoch < 0:   # the initial weights: drawn, or copied, again
+            result.model = CLCPModel(config, data.text_vocab.size, initial)
+        elif state.best_epoch < state.epoch:
+            model.load_snapshot(best_snapshot)
+
     result = TrainResult(model, state, metrics, data.vocab, data.text_vocab, out_dir)
     if out_dir is not None:
         _save_checkpoint(out_dir / CHECKPOINT_NAME, model, optimizer, state)
     for epoch in range(config.max_epochs):
         state.epoch = epoch
+        if epoch and state.best_epoch == epoch - 1:   # about to overwrite the best weights
+            best_snapshot = model.snapshot()
         perm = rng.permutation(train_idx)
         total, count = 0.0, 0
         for start in range(0, len(perm), config.batch_size):
@@ -330,7 +340,7 @@ def fit(data, config, out_dir=None, initial=None):
                 value = train_step(chunk)
             except ndnn.NumericError as exc:
                 state.aborted = True
-                model.load_snapshot(best_snapshot)
+                restore_best()
                 raise TrainingAborted(
                     f"{exc} at epoch {epoch} step {state.step}; "
                     f"last good checkpoint retained", result) from exc
@@ -350,15 +360,14 @@ def fit(data, config, out_dir=None, initial=None):
         if val_loss < state.best_val:
             state.best_val = val_loss
             state.best_epoch = epoch
-            best_snapshot = model.snapshot()
             if out_dir is not None:
                 _save_checkpoint(out_dir / CHECKPOINT_NAME, model, optimizer, state)
         elif epoch - state.best_epoch >= config.patience:
             logger.info("early stop at epoch %d (no improvement for %d epochs)",
                         epoch, epoch - state.best_epoch)
             break
-    model.load_snapshot(best_snapshot)
-    model.set_training(False)
+    restore_best()
+    result.model.set_training(False)
     return result
 
 

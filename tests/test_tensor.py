@@ -227,6 +227,34 @@ def _gather_by_loop(packed, starts, counts, length, g):
     return out, gx
 
 
+def _gather_transposed(packed, starts, counts, length, g):
+    """gather_segments' output and input gradient through a (C, B, length)
+    gather: each row's repeated tail summed by one ``reduceat`` per channel
+    over its flat (B * length) row."""
+    starts, counts = np.asarray(starts), np.asarray(counts)
+    offsets = np.arange(length)
+    cols = starts[:, None] + np.minimum(offsets, counts[:, None] - 1)
+    g2 = g.transpose(1, 0, 2)
+    unique = offsets < counts[:, None] - 1
+    rows = np.arange(len(starts)) * length
+    tails = np.stack([rows + counts - 1, rows + length], axis=1).ravel()[:-1]
+    gx = np.zeros_like(packed)
+    gx[0][:, cols[unique]] = g2[:, unique]
+    gx[0][:, starts + counts - 1] = np.add.reduceat(g2.reshape(len(g2), -1), tails,
+                                                    axis=1)[:, ::2]
+    return packed[0][:, cols].transpose(1, 0, 2), gx
+
+
+def _random_packing(rng, rows, length):
+    """Segments of 1 to ``length`` columns, both ends included, with gaps."""
+    counts = rng.integers(1, length + 1, size=rows)
+    counts[:2] = 1, length
+    rng.shuffle(counts)
+    gaps = rng.integers(0, 4, size=rows)
+    starts = np.cumsum(gaps + np.concatenate([[0], counts[:-1]]))
+    return starts, counts, int(starts[-1] + counts[-1] + rng.integers(0, 3))
+
+
 class TestGatherSegments:
     # rows of 1, 4 and 3 columns with junk between them, and a row of one column
     # (valid length 1) that repeats it over the whole row
@@ -245,6 +273,27 @@ class TestGatherSegments:
         # columns outside every segment, 1, 6, 7, 11 and 13, get exactly 0
         np.testing.assert_allclose(x.grad, want_gx, rtol=1e-15, atol=0)
         assert (x.grad[0, :, [1, 6, 7, 11, 13]] == 0).all()
+
+    def test_rows_are_c_ordered_and_flatten_to_a_view(self):
+        starts, counts, length = self.SEGMENTS
+        out = nd.gather_segments(nd.Tensor(np.ones((1, 3, 14))), starts, counts, length)
+        assert out.shape == (4, 3, 6) and out.data.flags.c_contiguous
+        assert np.shares_memory(nd.reshape(out, (4, 18)).data, out.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows,length", [(3, 7), (8, 40), (5, 150)])
+    def test_matches_the_transposed_gather_bit_for_bit(self, dtype, rows, length):
+        # tails past 8 and 128 elements reach reduceat's pairwise blocks
+        rng = np.random.default_rng(rows * length)
+        starts, counts, width = _random_packing(rng, rows, length)
+        packed = rng.normal(size=(1, 5, width)).astype(dtype)
+        g = rng.normal(size=(rows, 5, length)).astype(dtype)
+        x = nd.Tensor(packed, requires_grad=True)
+        out = nd.gather_segments(x, starts, counts, length)
+        out.backward(g)
+        want_out, want_gx = _gather_transposed(packed, starts, counts, length, g)
+        assert out.data.tobytes() == np.ascontiguousarray(want_out).tobytes()
+        assert x.grad.dtype == dtype and x.grad.tobytes() == want_gx.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keeps_dtype(self, dtype):

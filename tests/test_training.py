@@ -52,6 +52,11 @@ def frozen_weights(monkeypatch):
     monkeypatch.setattr(ndnn, "Adam", lambda lr: adam(0.0))
 
 
+def state_bytes(model):
+    """Every parameter's and buffer's bytes, by name."""
+    return {name: array.tobytes() for name, array in model.snapshot().items()}
+
+
 def tiny_cfg(**kw):
     base = dict(image_len=96, channels=(8, 8, 8), embed_dim=16, text_vocab=256,
                 text_embed=16, text_max_len=12, max_epochs=6, patience=6,
@@ -171,6 +176,12 @@ class TestTrainLoop:
             train(pairs, cfg, out_dir=tmp_path)
         assert err.value.result.state.aborted
         assert (tmp_path / training.CHECKPOINT_NAME).exists()
+        # the first step aborted: the initial weights, which the checkpoint holds too
+        result = err.value.result
+        initial = state_bytes(NanScaleModel(cfg, result.text_vocab.size))
+        assert state_bytes(result.model) == initial
+        load_checkpoint(tmp_path / training.CHECKPOINT_NAME, result.model)
+        assert state_bytes(result.model) == initial
 
     def test_run_directory_round_trip(self, tmp_path):
         pairs = generate_pairs(32, seed=10)
@@ -391,6 +402,92 @@ class TestTrainLoop:
         out = train(pairs, cfg)
         assert out.state.seed == 77
         assert out.state.step == 2 * 2  # 32 pairs / batch 16 = 2 steps per epoch
+
+
+class TestBestWeights:
+    """fit copies the best weights only when an epoch would overwrite them."""
+
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        calls = {"snapshot": 0, "load_snapshot": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(CLCPModel, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(CLCPModel, name, counted)
+        return calls
+
+    @staticmethod
+    def nan_loss_at(monkeypatch, step):
+        """Make the loss of training step ``step`` (from 1) non-finite."""
+        pair_loss, steps = CLCPModel.pair_loss, []
+
+        def poisoned(self, code_batch, text_ids):
+            loss, sim = pair_loss(self, code_batch, text_ids)
+            if self.log_scale.requires_grad:   # a training step, not validation
+                steps.append(None)
+                if len(steps) == step:
+                    loss = loss * np.float32(np.nan)
+            return loss, sim
+
+        monkeypatch.setattr(CLCPModel, "pair_loss", poisoned)
+
+    def test_one_epoch_fit_copies_nothing(self, copies):
+        train(generate_pairs(32, seed=10), tiny_cfg(max_epochs=1, patience=1))
+        assert copies == {"snapshot": 0, "load_snapshot": 0}
+
+    def test_fit_ending_on_its_best_epoch_loads_nothing(self, copies):
+        out = train(generate_pairs(32, seed=10), tiny_cfg(max_epochs=3, patience=3))
+        assert out.state.best_epoch == 2
+        # each epoch after an improving one may not improve, so it copies first
+        assert copies == {"snapshot": 2, "load_snapshot": 0}
+
+    def test_early_stop_returns_the_best_epochs_weights(self, tmp_path):
+        cfg = tiny_cfg(max_epochs=20, patience=2, val_fraction=0.25, lr=1e-2,
+                       use_bn=True, seed=1)
+        data = prepare_pairs(generate_pairs(48, seed=3), cfg)
+        out = training.fit(data, cfg, out_dir=tmp_path)
+        best = out.state.best_epoch
+        assert 0 < best < len(out.metrics) - 1 < cfg.max_epochs - 1   # it stopped early
+        shorter = dataclasses.replace(cfg, max_epochs=best + 1, patience=best + 1)
+        assert state_bytes(out.model) == state_bytes(training.fit(data, shorter).model)
+        saved = CLCPModel(cfg, data.text_vocab.size)
+        load_checkpoint(tmp_path / training.CHECKPOINT_NAME, saved)
+        assert state_bytes(out.model) == state_bytes(saved)
+
+    @pytest.mark.parametrize("given", [False, True], ids=["drawn", "initial"])
+    def test_abort_in_the_first_epoch_restores_the_initial_weights(self, monkeypatch,
+                                                                    tmp_path, given):
+        cfg = tiny_cfg(max_epochs=3, patience=3, use_bn=True)
+        data = prepare_pairs(generate_pairs(32, seed=9), cfg)
+        # weights of another seed, so the restored model shows which it started from
+        other = CLCPModel(dataclasses.replace(cfg, seed=5), data.text_vocab.size)
+        initial = TestInitialWeights._drawn(other) if given else None
+        start = state_bytes(CLCPModel(cfg, data.text_vocab.size, initial))
+        self.nan_loss_at(monkeypatch, 2)   # the first step moved the weights
+        with pytest.raises(TrainingAborted, match="at epoch 0 step 1") as err:
+            training.fit(data, cfg, out_dir=tmp_path, initial=initial)
+        assert err.value.result.state.best_epoch == -1
+        assert state_bytes(err.value.result.model) == start
+        saved = CLCPModel(cfg, data.text_vocab.size)
+        load_checkpoint(tmp_path / training.CHECKPOINT_NAME, saved)
+        assert state_bytes(saved) == start
+
+    def test_abort_in_a_later_epoch_restores_the_best_epochs_weights(self, monkeypatch,
+                                                                     tmp_path):
+        cfg = tiny_cfg(max_epochs=4, patience=4, use_bn=True)
+        data = prepare_pairs(generate_pairs(32, seed=9), cfg)   # 2 steps an epoch
+        self.nan_loss_at(monkeypatch, 6)   # epoch 2's second step
+        with pytest.raises(TrainingAborted, match="at epoch 2 step 5") as err:
+            training.fit(data, cfg, out_dir=tmp_path)
+        assert err.value.result.state.best_epoch == 1
+        monkeypatch.undo()
+        shorter = dataclasses.replace(cfg, max_epochs=2, patience=2)
+        want = state_bytes(training.fit(data, shorter).model)
+        assert state_bytes(err.value.result.model) == want
+        saved = CLCPModel(cfg, data.text_vocab.size)
+        load_checkpoint(tmp_path / training.CHECKPOINT_NAME, saved)
+        assert state_bytes(saved) == want
 
 
 class TestInitialWeights:
